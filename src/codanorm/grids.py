@@ -31,8 +31,8 @@ from .inference import RPlusSample, fit_nrp
 from .laws import (
     AlnLaw,
     LognormalLaw,
-    NormalOnSimplex,
     _SimplexGaussian,
+    _require,
     aln_pdf_rows,
     lognormal_pdf,
     nrp_pdf,
@@ -169,8 +169,7 @@ class TernaryDensityGrid:
 def ternary_density_grid(law, resolution=400, margin=1e-4) -> TernaryDensityGrid:
     """Evaluate a three-part simplex law on the barycentric lattice and find
     its local maxima."""
-    if not isinstance(law, _SimplexGaussian):
-        raise TypeError(f"expected a simplex law, got {type(law).__name__}")
+    _require(law, _SimplexGaussian)
     if law.D != 3:
         raise DimensionMismatchError(f"ternary grid needs 3 parts, law has {law.D}")
     resolution = int(resolution)
@@ -267,8 +266,7 @@ class CoordinateDensityGrid:
 def coordinate_density_grid(law, resolution=200, reach=4.0) -> CoordinateDensityGrid:
     """Evaluate the coordinate normal density of a two-coordinate law on a
     rectangular grid spanning ``mu +/- reach`` standard deviations."""
-    if not isinstance(law, _SimplexGaussian):
-        raise TypeError(f"expected a simplex law, got {type(law).__name__}")
+    _require(law, _SimplexGaussian)
     if law.dim != 2:
         raise DimensionMismatchError(
             f"coordinate grid needs 2 coordinates, law has {law.dim}"

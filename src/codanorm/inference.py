@@ -33,7 +33,7 @@ from .errors import (
     NotSPDError,
     SingularCovarianceError,
 )
-from .laws import NormalOnRPlus, NormalOnSimplex
+from .laws import NormalOnRPlus, NormalOnSimplex, _mahalanobis2, _require
 from .rplus import PositiveValue, as_positive
 from .simplex import Composition, ContrastBasis
 
@@ -108,14 +108,7 @@ class SimplexSample:
             raise EmptyDataError("sample must contain at least one composition")
         first = comps[0]
         for c in comps[1:]:
-            if c.D != first.D:
-                raise DimensionMismatchError(
-                    f"mixed part counts in sample: {first.D} vs {c.D}"
-                )
-            if abs(c.kappa - first.kappa) > 1e-12 * first.kappa:
-                raise DimensionMismatchError(
-                    f"mixed closure constants in sample: {first.kappa!r} vs {c.kappa!r}"
-                )
+            simplex._check_same_space(first, c, "sample members")
         rows = np.stack([c.parts for c in comps])
         self._init_from_rows(rows, first.kappa, basis)
 
@@ -123,14 +116,7 @@ class SimplexSample:
         rows.flags.writeable = False
         self._rows = rows
         self._kappa = float(kappa)
-        D = rows.shape[1]
-        if basis is None:
-            basis = simplex.default_basis(D)
-        elif basis.D != D:
-            raise DimensionMismatchError(
-                f"basis is for {basis.D} parts but data have {D}"
-            )
-        self._basis = basis
+        self._basis = simplex._as_basis(rows.shape[1], basis)
         self._coords = None
 
     @classmethod
@@ -183,7 +169,7 @@ class SimplexSample:
 
     def center(self) -> Composition:
         """Closed geometric mean of the rows."""
-        return simplex.closure(np.exp(np.log(self._rows).mean(axis=0)), self._kappa)
+        return simplex._geometric_center(self._rows, self._kappa)
 
     def __len__(self):
         return self.n
@@ -414,8 +400,7 @@ def gof_battery(sample: SimplexSample, fitted: NormalOnSimplex) -> GofReport:
     The fitted law is expected to come from this same sample; the marginal
     critical values assume estimated parameters.
     """
-    if not isinstance(fitted, NormalOnSimplex):
-        raise TypeError(f"expected NormalOnSimplex, got {type(fitted).__name__}")
+    _require(fitted, NormalOnSimplex)
     if sample.n < 8:
         raise InsufficientDataError(
             f"battery needs at least 8 observations, got {sample.n}"
@@ -456,13 +441,7 @@ def gof_battery(sample: SimplexSample, fitted: NormalOnSimplex) -> GofReport:
                 )
 
     # radius layer: chi-square transform of squared Mahalanobis distances
-    try:
-        chol = np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError:
-        raise SingularCovarianceError("fitted covariance is singular") from None
-    z = np.linalg.solve(chol, (coords - mu).T)
-    r2 = np.sum(z * z, axis=0)
-    u = chi2.cdf(r2, df=d)
+    u = chi2.cdf(_mahalanobis2(fitted, coords), df=d)
     for test_name, stat, crit in _modified_statistics(u, "specified", n):
         entries.append(GofEntry("radius", "all", test_name, stat, crit))
 

@@ -28,7 +28,7 @@ import math
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from scipy.linalg import solve_triangular
-from scipy.stats import multivariate_normal, norm
+from scipy.stats import multivariate_normal
 
 from . import simplex
 from .errors import (
@@ -75,6 +75,10 @@ __all__ = [
 ]
 
 
+_SQRT2 = math.sqrt(2.0)
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
 def _check_scalar_params(mu, sigma2):
     mu = float(mu)
     sigma2 = float(sigma2)
@@ -108,6 +112,12 @@ class _ScalarLogGaussian:
     __hash__ = None
 
 
+def _log_gauss(law, t) -> float:
+    """Log of the ``N(mu, sigma2)`` density of ``law`` at the log value ``t``."""
+    z = (t - law.mu) / law.sigma
+    return -0.5 * z * z - math.log(law.sigma) - _HALF_LOG_2PI
+
+
 class NormalOnRPlus(_ScalarLogGaussian):
     """Normal law on the positive line, referred to its natural measure.
 
@@ -126,10 +136,8 @@ class LognormalLaw(_ScalarLogGaussian):
 
 def nrp_pdf(law: NormalOnRPlus, x) -> float:
     """Density of ``law`` at ``x`` with respect to the natural measure."""
-    if not isinstance(law, NormalOnRPlus):
-        raise TypeError(f"expected NormalOnRPlus, got {type(law).__name__}")
-    z = (as_positive(x).log - law.mu) / law.sigma
-    return math.exp(-0.5 * z * z) / (law.sigma * math.sqrt(2.0 * math.pi))
+    _require(law, NormalOnRPlus)
+    return math.exp(_log_gauss(law, as_positive(x).log))
 
 
 def lognormal_pdf(law: LognormalLaw, x) -> float:
@@ -137,13 +145,12 @@ def lognormal_pdf(law: LognormalLaw, x) -> float:
 
     Defined on the whole real line: zero off the support ``x > 0``.
     """
-    if not isinstance(law, LognormalLaw):
-        raise TypeError(f"expected LognormalLaw, got {type(law).__name__}")
+    _require(law, LognormalLaw)
     x = float(x)
     if x <= 0.0:
         return 0.0
-    z = (math.log(x) - law.mu) / law.sigma
-    return math.exp(-0.5 * z * z) / (x * law.sigma * math.sqrt(2.0 * math.pi))
+    t = math.log(x)
+    return math.exp(_log_gauss(law, t) - t)
 
 
 class RPlusMoments:
@@ -168,8 +175,7 @@ class RPlusMoments:
 
 def nrp_moments(law: NormalOnRPlus) -> RPlusMoments:
     """Mean = median = mode = ``exp(mu)``; metric variance ``sigma2``."""
-    if not isinstance(law, NormalOnRPlus):
-        raise TypeError(f"expected NormalOnRPlus, got {type(law).__name__}")
+    _require(law, NormalOnRPlus)
     loc = PositiveValue.from_log(law.mu)
     return RPlusMoments(loc, loc, loc, law.sigma2)
 
@@ -211,8 +217,7 @@ class LebesgueMoments:
 def lognormal_moments(law: LognormalLaw) -> LebesgueMoments:
     """Classical moments: mean ``exp(mu + sigma2/2)``, median ``exp(mu)``,
     mode ``exp(mu - sigma2)``, variance ``(exp(sigma2)-1) exp(2mu+sigma2)``."""
-    if not isinstance(law, LognormalLaw):
-        raise TypeError(f"expected LognormalLaw, got {type(law).__name__}")
+    _require(law, LognormalLaw)
     mean = math.exp(law.mu + 0.5 * law.sigma2)
     var = math.expm1(law.sigma2) * math.exp(2.0 * law.mu + law.sigma2)
     return LebesgueMoments(mean, math.exp(law.mu), math.exp(law.mu - law.sigma2), var)
@@ -259,15 +264,24 @@ def probability_of_interval(law, a, b) -> float:
     same parameters: the reference measure never enters a probability.
     Computed through the normal CDF of the log, never by quadrature.
     """
-    if not isinstance(law, (NormalOnRPlus, LognormalLaw)):
-        raise TypeError(f"expected a law on the positive line, got {type(law).__name__}")
+    _require(law, _ScalarLogGaussian)
     a = float(a)
     b = float(b)
     if not (a > 0.0 and b > a):
         raise BadIntervalError(f"need 0 < a < b, got a={a!r}, b={b!r}")
-    hi = 1.0 if math.isinf(b) else norm.cdf((math.log(b) - law.mu) / law.sigma)
-    lo = norm.cdf((math.log(a) - law.mu) / law.sigma)
-    return float(hi - lo)
+    lo = (math.log(a) - law.mu) / law.sigma
+    return _normal_mass(lo, (math.log(b) - law.mu) / law.sigma)
+
+
+def _normal_mass(lo, hi) -> float:
+    """``P(lo < Z < hi)`` for a standard normal ``Z``, ``lo <= hi``.
+
+    Both endpoints above zero take the difference of survival functions, so
+    upper tails keep their relative accuracy instead of cancelling to 0.
+    """
+    if lo > 0.0:
+        return 0.5 * (math.erfc(lo / _SQRT2) - math.erfc(hi / _SQRT2))
+    return 0.5 * (math.erfc(-hi / _SQRT2) - math.erfc(-lo / _SQRT2))
 
 
 def nrp_transform(law, a, b):
@@ -276,8 +290,7 @@ def nrp_transform(law, a, b):
     ``sigma2 -> b**2 * sigma2``.  Works for either scalar law class and
     preserves the class (the lognormal family is closed under the same
     operations)."""
-    if not isinstance(law, (NormalOnRPlus, LognormalLaw)):
-        raise TypeError(f"expected a law on the positive line, got {type(law).__name__}")
+    _require(law, _ScalarLogGaussian)
     b = float(b)
     if not math.isfinite(b) or b == 0.0:
         raise DegenerateScaleError(f"scale must be finite and nonzero, got {b!r}")
@@ -320,14 +333,7 @@ class _SimplexGaussian:
             chol = np.linalg.cholesky(sigma)
         except np.linalg.LinAlgError:
             raise NotSPDError("sigma must be positive definite") from None
-        if basis is None:
-            basis = simplex.default_basis(d + 1)
-        elif not isinstance(basis, ContrastBasis):
-            basis = ContrastBasis(basis)
-        if basis.dim != d:
-            raise DimensionMismatchError(
-                f"basis has {basis.dim} coordinates but mu has {d}"
-            )
+        basis = simplex._as_basis(d + 1, basis)
         mu.flags.writeable = False
         sigma.flags.writeable = False
         self.mu = mu
@@ -381,17 +387,31 @@ class AlnLaw(_SimplexGaussian):
     distortions (it can be multimodal even for round coordinates)."""
 
 
+# how a label guard names a law base; a concrete class goes by its own name
+_KIND_NAMES = {
+    _ScalarLogGaussian: "a law on the positive line",
+    _SimplexGaussian: "a simplex law",
+    (_ScalarLogGaussian, _SimplexGaussian): "one of the four laws",
+}
+
+
+def _require(law, kind):
+    """The label guard: ``TypeError`` unless ``law`` is an instance of
+    ``kind`` (a law class, a law base, or a tuple of bases)."""
+    if not isinstance(law, kind):
+        expected = _KIND_NAMES[kind] if kind in _KIND_NAMES else kind.__name__
+        raise TypeError(f"expected {expected}, got {type(law).__name__}")
+
+
 def with_lebesgue_reference(law: NormalOnSimplex) -> AlnLaw:
     """The identical probability law, re-labeled to carry Lebesgue densities."""
-    if not isinstance(law, NormalOnSimplex):
-        raise TypeError(f"expected NormalOnSimplex, got {type(law).__name__}")
+    _require(law, NormalOnSimplex)
     return AlnLaw(law.mu, law.sigma, law.basis)
 
 
 def with_natural_reference(law: AlnLaw) -> NormalOnSimplex:
     """The identical probability law, re-labeled to carry natural densities."""
-    if not isinstance(law, AlnLaw):
-        raise TypeError(f"expected AlnLaw, got {type(law).__name__}")
+    _require(law, AlnLaw)
     return NormalOnSimplex(law.mu, law.sigma, law.basis)
 
 
@@ -401,29 +421,30 @@ def nsd_logpdf_coords(law, coords) -> np.ndarray:
     Accepts either simplex law class (their coordinate law is the same).
     ``coords`` is ``(n, D-1)`` (or a single vector); returns length-``n``.
     """
-    if not isinstance(law, _SimplexGaussian):
-        raise TypeError(f"expected a simplex law, got {type(law).__name__}")
+    _require(law, _SimplexGaussian)
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
     if coords.shape[1] != law.dim:
         raise DimensionMismatchError(
             f"coordinates have dimension {coords.shape[1]}, law has {law.dim}"
         )
+    return law._log_norm - 0.5 * _mahalanobis2(law, coords)
+
+
+def _mahalanobis2(law, coords) -> np.ndarray:
+    """Squared Mahalanobis distance of each coordinate row from ``law.mu``,
+    through the Cholesky factor computed at the law's construction."""
     z = solve_triangular(law._chol, (coords - law.mu).T, lower=True)
-    return law._log_norm - 0.5 * np.sum(z * z, axis=0)
+    return np.sum(z * z, axis=0)
 
 
 def nsd_pdf(law: NormalOnSimplex, x: Composition) -> float:
     """Density with respect to the natural simplex measure."""
-    if not isinstance(law, NormalOnSimplex):
-        raise TypeError(f"expected NormalOnSimplex, got {type(law).__name__}")
-    y = simplex.ilr(x, law.basis)
-    return float(np.exp(nsd_logpdf_coords(law, y))[0])
+    return float(nsd_pdf_rows(law, x.parts[None])[0])
 
 
 def nsd_pdf_rows(law: NormalOnSimplex, rows) -> np.ndarray:
     """Vectorized :func:`nsd_pdf` over an ``(n, D)`` array of part rows."""
-    if not isinstance(law, NormalOnSimplex):
-        raise TypeError(f"expected NormalOnSimplex, got {type(law).__name__}")
+    _require(law, NormalOnSimplex)
     coords = simplex.ilr_rows(rows, law.basis)
     return np.exp(nsd_logpdf_coords(law, coords))
 
@@ -436,22 +457,16 @@ def aln_pdf(law: AlnLaw, x: Composition) -> float:
     of the free parts ``(x1, ..., x_{D-1})``; under it the flat (uniform
     Dirichlet) law has constant density ``(D-1)!``.
     """
-    if not isinstance(law, AlnLaw):
-        raise TypeError(f"expected AlnLaw, got {type(law).__name__}")
-    y = simplex.ilr(x, law.basis)
-    log_ratio = -0.5 * math.log(x.D) - float(np.sum(np.log(x.proportions)))
-    return float(np.exp(nsd_logpdf_coords(law, y)[0] + log_ratio))
+    return float(aln_pdf_rows(law, x.proportions[None])[0])
 
 
 def aln_pdf_rows(law: AlnLaw, rows) -> np.ndarray:
     """Vectorized :func:`aln_pdf` over an ``(n, D)`` array of part rows
     (rows are taken as unit-simplex points)."""
-    if not isinstance(law, AlnLaw):
-        raise TypeError(f"expected AlnLaw, got {type(law).__name__}")
+    _require(law, AlnLaw)
     rows = np.asarray(rows, dtype=float)
     coords = simplex.ilr_rows(rows, law.basis)
-    log_ratio = -0.5 * math.log(rows.shape[1]) - np.sum(np.log(rows), axis=1)
-    return np.exp(nsd_logpdf_coords(law, coords) + log_ratio)
+    return np.exp(nsd_logpdf_coords(law, coords) + simplex._log_measure_ratio_rows(rows))
 
 
 class SimplexMoments:
@@ -474,8 +489,7 @@ class SimplexMoments:
 def nsd_moments(law) -> SimplexMoments:
     """Center ``ilr_inv(mu)`` (on the unit simplex) and metric variance
     ``trace(sigma)``.  Accepts either simplex law class."""
-    if not isinstance(law, _SimplexGaussian):
-        raise TypeError(f"expected a simplex law, got {type(law).__name__}")
+    _require(law, _SimplexGaussian)
     center = simplex.ilr_inv(law.mu, law.basis)
     return SimplexMoments(center, float(np.trace(law.sigma)))
 
@@ -486,18 +500,14 @@ def nsd_transform(law, a: Composition | None, b):
 
     Accepts either simplex law class and preserves it.
     """
-    if not isinstance(law, _SimplexGaussian):
-        raise TypeError(f"expected a simplex law, got {type(law).__name__}")
+    _require(law, _SimplexGaussian)
     b = float(b)
     if not math.isfinite(b) or b == 0.0:
         raise DegenerateScaleError(f"scale must be finite and nonzero, got {b!r}")
     if a is None:
         shift = np.zeros(law.dim)
     else:
-        if a.D != law.D:
-            raise DimensionMismatchError(
-                f"perturbation has {a.D} parts, law expects {law.D}"
-            )
+        # ilr rejects a perturbation whose part count differs from the basis
         shift = simplex.ilr(a, law.basis)
     return type(law)(shift + b * law.mu, b * b * law.sigma, law.basis)
 
@@ -506,8 +516,7 @@ def nsd_permute(law, p: PermutationMap):
     """Law of the composition with parts reordered by ``p``, expressed in the
     same basis: ``mu -> M mu``, ``sigma -> M sigma M'`` with
     ``M = U' P U`` (an orthogonal matrix)."""
-    if not isinstance(law, _SimplexGaussian):
-        raise TypeError(f"expected a simplex law, got {type(law).__name__}")
+    _require(law, _SimplexGaussian)
     if p.D != law.D:
         raise DimensionMismatchError(f"permutation is on {p.D} parts, law has {law.D}")
     U = law.basis.matrix
@@ -519,16 +528,10 @@ def nsd_subcomposition(law, sel: SelectionMatrix, sub_basis: ContrastBasis | Non
     """Law of the subcomposition on the selected parts: with ``S`` the
     selection matrix and ``U*`` the target basis, ``M = U*' S U`` carries
     ``mu -> M mu`` and ``sigma -> M sigma M'``."""
-    if not isinstance(law, _SimplexGaussian):
-        raise TypeError(f"expected a simplex law, got {type(law).__name__}")
+    _require(law, _SimplexGaussian)
     if sel.D != law.D:
         raise DimensionMismatchError(f"selection is on {sel.D} parts, law has {law.D}")
-    if sub_basis is None:
-        sub_basis = simplex.default_basis(sel.C)
-    elif sub_basis.D != sel.C:
-        raise DimensionMismatchError(
-            f"target basis is for {sub_basis.D} parts, selection keeps {sel.C}"
-        )
+    sub_basis = simplex._as_basis(sel.C, sub_basis)
     M = sub_basis.matrix.T @ sel.matrix @ law.basis.matrix
     return type(law)(M @ law.mu, M @ law.sigma @ M.T, sub_basis)
 
@@ -540,6 +543,7 @@ def nsd_subcomposition(law, sel: SelectionMatrix, sub_basis: ContrastBasis | Non
 _MC_FALLBACK_DIM = 4
 _MC_FALLBACK_DRAWS = 1_000_000
 _MC_FALLBACK_SEED = 20_413
+_MC_FALLBACK_BLOCK = 31_250  # draws per step: a few MB, not 60 MB paged in per call
 
 
 def _gh_mean(law, order):
@@ -551,17 +555,9 @@ def _gh_mean(law, order):
     logw = np.log(w / math.sqrt(math.pi))
     total = np.zeros(law.D)
     # walk the first axis in blocks so the node tensor never materializes whole
-    rest = [t] * (d - 1)
-    grids = np.meshgrid(*rest, indexing="ij") if rest else []
-    z_rest = (
-        np.stack([g.ravel() for g in grids], axis=1)
-        if rest
-        else np.zeros((1, 0))
-    )
-    logw_rest = np.zeros(z_rest.shape[0])
-    if rest:
-        wgrids = np.meshgrid(*([logw] * (d - 1)), indexing="ij")
-        logw_rest = np.sum(np.stack([g.ravel() for g in wgrids], axis=1), axis=1)
+    # node indices on the other d - 1 axes, one row per node
+    rest = np.indices((order,) * (d - 1)).reshape(d - 1, order ** (d - 1)).T
+    z_rest, logw_rest = t[rest], logw[rest].sum(axis=1)
     for k in range(order):
         z = np.empty((z_rest.shape[0], d))
         z[:, 0] = t[k]
@@ -584,18 +580,17 @@ def aln_classical_mean(law, order=40) -> np.ndarray:
 
     Returns the length-``D`` mean on the unit simplex (components sum to 1).
     """
-    if not isinstance(law, _SimplexGaussian):
-        raise TypeError(f"expected a simplex law, got {type(law).__name__}")
+    _require(law, _SimplexGaussian)
     order = int(order)
     if order < 2:
         raise BadIntervalError(f"quadrature order must be at least 2, got {order}")
     if law.dim > _MC_FALLBACK_DIM:
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=_MC_FALLBACK_SEED)
-        )
-        z = rng.standard_normal((_MC_FALLBACK_DRAWS, law.dim))
-        coords = law.mu + z @ law._chol.T
-        return simplex.ilr_inv_rows(coords, law.basis).mean(axis=0)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=_MC_FALLBACK_SEED))
+        total = np.zeros(law.D)
+        for _ in range(_MC_FALLBACK_DRAWS // _MC_FALLBACK_BLOCK):
+            z = rng.standard_normal((_MC_FALLBACK_BLOCK, law.dim))
+            total += simplex.ilr_inv_rows(law.mu + z @ law._chol.T, law.basis).sum(axis=0)
+        return total / _MC_FALLBACK_DRAWS
     base = _gh_mean(law, order)
     refined = _gh_mean(law, math.ceil(1.5 * order))
     drift = float(np.max(np.abs(refined - base)))
@@ -618,8 +613,7 @@ def probability_of_box(law, lower, upper) -> float:
     Identical for :class:`NormalOnSimplex` and :class:`AlnLaw` with the same
     parameters.  An empty box (any ``lower >= upper``) has probability zero.
     """
-    if not isinstance(law, _SimplexGaussian):
-        raise TypeError(f"expected a simplex law, got {type(law).__name__}")
+    _require(law, _SimplexGaussian)
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     if lower.shape != (law.dim,) or upper.shape != (law.dim,):
@@ -632,9 +626,7 @@ def probability_of_box(law, lower, upper) -> float:
         return 0.0
     if law.dim == 1:
         s = math.sqrt(law.sigma[0, 0])
-        return float(
-            norm.cdf((upper[0] - law.mu[0]) / s) - norm.cdf((lower[0] - law.mu[0]) / s)
-        )
+        return _normal_mass((lower[0] - law.mu[0]) / s, (upper[0] - law.mu[0]) / s)
     p = multivariate_normal(mean=law.mu, cov=law.sigma).cdf(
         upper, lower_limit=lower
     )

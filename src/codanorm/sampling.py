@@ -31,6 +31,7 @@ from .laws import (
     NormalOnSimplex,
     _ScalarLogGaussian,
     _SimplexGaussian,
+    _require,
 )
 
 __all__ = [
@@ -86,8 +87,7 @@ def _check_n(n, minimum=1):
 
 def sample_nrp(law: NormalOnRPlus, n, stream: SeededStream) -> RPlusSample:
     """``n`` draws ``exp(mu + sigma * Z)`` from a normal law on the line."""
-    if not isinstance(law, _ScalarLogGaussian):
-        raise TypeError(f"expected a law on the positive line, got {type(law).__name__}")
+    _require(law, _ScalarLogGaussian)
     n = _check_n(n)
     logs = law.mu + law.sigma * stream.generator().standard_normal(n)
     return RPlusSample.from_logs(logs)
@@ -101,8 +101,7 @@ def sample_lognormal(law: LognormalLaw, n, stream: SeededStream) -> RPlusSample:
 
 def sample_nsd(law: NormalOnSimplex, n, stream: SeededStream, kappa=1.0) -> SimplexSample:
     """``n`` compositional draws with coordinates ``mu + L Z``."""
-    if not isinstance(law, _SimplexGaussian):
-        raise TypeError(f"expected a simplex law, got {type(law).__name__}")
+    _require(law, _SimplexGaussian)
     n = _check_n(n)
     z = stream.generator().standard_normal((n, law.dim))
     coords = law.mu + z @ law._chol.T
@@ -144,20 +143,19 @@ def mc_expectation(f, law, n, stream: SeededStream, vectorized=False) -> McEstim
     for large ``n``.
     """
     n = _check_n(n, minimum=100)
+    _require(law, (_ScalarLogGaussian, _SimplexGaussian))
     if isinstance(law, _ScalarLogGaussian):
         sample = sample_nrp(law, n, stream)
         if vectorized:
             vals = np.asarray(f(np.exp(sample.logs)), dtype=float)
         else:
             vals = np.array([f(v) for v in sample.values()], dtype=float)
-    elif isinstance(law, _SimplexGaussian):
+    else:
         sample = sample_nsd(law, n, stream)
         if vectorized:
             vals = np.asarray(f(sample.rows), dtype=float)
         else:
             vals = np.array([f(c) for c in sample.compositions()], dtype=float)
-    else:
-        raise TypeError(f"expected one of the four laws, got {type(law).__name__}")
     if vals.shape != (n,):
         raise NonPositivePartError(
             f"f must produce one real value per draw, got shape {vals.shape}"

@@ -16,13 +16,17 @@ works in orthonormal log-ratio coordinates: a contrast matrix ``U`` of shape
 an ordinary vector in R^(D-1), and every metric concept (inner product,
 norm, distance) agrees with the Euclidean one computed there.
 
-Functions ending in ``_rows`` are vectorized companions operating on a 2-d
-array whose rows are part vectors; they skip object construction and are the
-workhorses for grids and Monte Carlo.
+Functions ending in ``_rows`` operate on a 2-d array whose rows are part
+vectors (or coordinate vectors) and are the only implementation of each map:
+the scalar functions taking or returning a :class:`Composition` shape their
+argument as one row, call the ``_rows`` kernel and wrap the result.  One
+validator checks part rows, both on the way into a closure and on the closed
+output, where it rejects parts that underflow to zero.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -72,16 +76,28 @@ CLOSURE_TOL = 1e-12
 EQ_DISTANCE_TOL = 1e-10
 
 
-def _validate_parts(arr, where="parts"):
+def _checked_rows(rows, where):
+    """The one validator of part rows: an ``(n, D)`` array with ``D >= 2``
+    whose entries are all strictly positive and finite."""
+    if rows.ndim != 2 or rows.shape[1] < 2:
+        raise DimensionMismatchError(
+            f"{where} must be an (n, D) array with D >= 2, got shape {rows.shape}"
+        )
+    # min and max propagate NaN, which then fails both comparisons
+    if rows.size and not (0.0 < rows.min() and rows.max() < math.inf):
+        bad = np.argwhere(~((rows > 0.0) & (rows < math.inf)))[:5].tolist()
+        raise NonPositivePartError(
+            f"{where} must be strictly positive and finite; offending (row, part) {bad}"
+        )
+    return rows
+
+
+def _one_row(values, where):
+    """``values`` as a ``(1, n)`` float array, after checking it is 1-d."""
+    arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise DimensionMismatchError(f"{where} must be a 1-d vector, got shape {arr.shape}")
-    if arr.size < 2:
-        raise DimensionMismatchError(f"{where} needs at least 2 parts, got {arr.size}")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        bad = [i for i, v in enumerate(arr) if not (np.isfinite(v) and v > 0.0)]
-        raise NonPositivePartError(
-            f"{where} must be strictly positive and finite; offending indices {bad}"
-        )
+    return arr[None]
 
 
 class Composition:
@@ -99,20 +115,26 @@ class Composition:
     __slots__ = ("_parts", "_kappa")
 
     def __init__(self, parts, kappa=1.0):
+        row = _one_row(parts, "parts")
+        closed = closure_rows(row, kappa)[0]
         kappa = float(kappa)
-        if not np.isfinite(kappa) or kappa <= 0.0:
-            raise NonPositivePartError(f"kappa must be strictly positive, got {kappa!r}")
-        arr = np.array(parts, dtype=float)
-        _validate_parts(arr)
-        total = arr.sum()
+        total = row.sum()
         if abs(total - kappa) > CLOSURE_TOL * kappa:
             raise ClosureError(
                 f"parts sum to {total!r}, not kappa={kappa!r}; close the vector first"
             )
-        arr *= kappa / total
-        arr.flags.writeable = False
-        self._parts = arr
+        closed.flags.writeable = False
+        self._parts = closed
         self._kappa = kappa
+
+    @classmethod
+    def _trusted(cls, parts, kappa):
+        """Wrap parts that a row kernel has already closed and checked."""
+        obj = object.__new__(cls)
+        parts.flags.writeable = False
+        obj._parts = parts
+        obj._kappa = float(kappa)
+        return obj
 
     @property
     def parts(self):
@@ -158,12 +180,7 @@ class Composition:
 
 def closure(values, kappa=1.0) -> Composition:
     """Close a vector of positive values to constant sum ``kappa``."""
-    kappa = float(kappa)
-    if not np.isfinite(kappa) or kappa <= 0.0:
-        raise NonPositivePartError(f"kappa must be strictly positive, got {kappa!r}")
-    arr = np.array(values, dtype=float)
-    _validate_parts(arr)
-    return Composition(arr * (kappa / arr.sum()), kappa)
+    return Composition._trusted(closure_rows(_one_row(values, "parts"), kappa)[0], kappa)
 
 
 def uniform(D, kappa=1.0) -> Composition:
@@ -230,14 +247,12 @@ def clr(x: Composition) -> np.ndarray:
 
     Scale invariant, so the result does not depend on ``kappa``.
     """
-    logs = np.log(x.parts)
-    return logs - logs.mean()
+    return clr_rows(x.parts[None])[0]
 
 
 def clr_inv(v, kappa=1.0) -> Composition:
     """Close ``exp(v)``; inverts :func:`clr` for zero-sum ``v``."""
-    v = np.asarray(v, dtype=float)
-    return closure(np.exp(v), kappa)
+    return closure(np.exp(np.asarray(v, dtype=float)), kappa)
 
 
 def alr(x: Composition) -> np.ndarray:
@@ -251,10 +266,8 @@ def alr(x: Composition) -> np.ndarray:
 
 def alr_inv(v, kappa=1.0) -> Composition:
     """Inverse of :func:`alr`: append a unit last part and close."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size < 1:
-        raise DimensionMismatchError(f"expected a 1-d coordinate vector, got shape {v.shape}")
-    return closure(np.exp(np.append(v, 0.0)), kappa)
+    row = _one_row(v, "coordinates")[0]
+    return closure(np.exp(np.append(row, 0.0)), kappa)
 
 
 class ContrastBasis:
@@ -348,24 +361,13 @@ def _as_basis(D, basis):
 
 def ilr(x: Composition, basis: ContrastBasis | None = None) -> np.ndarray:
     """Orthonormal coordinates ``U.T @ clr(x)``; an isometry onto R^(D-1)."""
-    basis = _as_basis(x.D, basis)
-    return basis.matrix.T @ clr(x)
+    return ilr_rows(x.parts[None], basis)[0]
 
 
 def ilr_inv(coords, basis: ContrastBasis | None = None, kappa=1.0) -> Composition:
     """Composition with the given orthonormal coordinates."""
-    coords = np.asarray(coords, dtype=float)
-    if coords.ndim != 1:
-        raise DimensionMismatchError(
-            f"expected a 1-d coordinate vector, got shape {coords.shape}"
-        )
-    if basis is None:
-        basis = default_basis(coords.size + 1)
-    elif basis.dim != coords.size:
-        raise DimensionMismatchError(
-            f"basis expects {basis.dim} coordinates, got {coords.size}"
-        )
-    return clr_inv(basis.matrix @ coords, kappa)
+    parts = ilr_inv_rows(_one_row(coords, "coordinates"), basis, kappa)
+    return Composition._trusted(_checked_rows(parts, "closed parts")[0], kappa)
 
 
 # --------------------------------------------------------------------------
@@ -483,8 +485,12 @@ def center_of(data) -> Composition:
     first = data[0]
     for x in data[1:]:
         _check_same_space(first, x, "collection members")
-    logs = np.stack([np.log(x.parts) for x in data])
-    return closure(np.exp(logs.mean(axis=0)), first.kappa)
+    return _geometric_center(np.stack([x.parts for x in data]), first.kappa)
+
+
+def _geometric_center(rows, kappa) -> Composition:
+    """Closed geometric mean of the part rows of a positive ``(n, D)`` array."""
+    return closure(np.exp(np.log(rows).mean(axis=0)), kappa)
 
 
 def measure_ratio(x: Composition) -> float:
@@ -495,7 +501,14 @@ def measure_ratio(x: Composition) -> float:
     parts (one part is redundant); the proportions are used, so the value
     does not depend on ``kappa``.
     """
-    return float(1.0 / (np.sqrt(x.D) * np.prod(x.proportions)))
+    return float(np.exp(_log_measure_ratio_rows(x.proportions[None])[0]))
+
+
+def _log_measure_ratio_rows(rows) -> np.ndarray:
+    """Log of :func:`measure_ratio` for each row of unit-simplex points,
+    ``-ln(D)/2 - sum(ln x_i)``: the log-factor turning a natural density
+    into a Lebesgue one."""
+    return -0.5 * math.log(rows.shape[1]) - np.sum(np.log(rows), axis=1)
 
 
 # --------------------------------------------------------------------------
@@ -503,19 +516,33 @@ def measure_ratio(x: Composition) -> float:
 # --------------------------------------------------------------------------
 
 def closure_rows(rows, kappa=1.0) -> np.ndarray:
-    """Close each row of a 2-d array of positive values to sum ``kappa``."""
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] < 2:
-        raise DimensionMismatchError(f"expected an (n, D) array with D >= 2, got {rows.shape}")
-    if not np.all(np.isfinite(rows)) or np.any(rows <= 0.0):
-        raise NonPositivePartError("rows must be strictly positive and finite")
-    return rows * (float(kappa) / rows.sum(axis=1, keepdims=True))
+    """Close each row of a 2-d array of positive values to sum ``kappa``.
+
+    Both the input and the closed output are checked, so a part that
+    underflows to zero in the closure is rejected, never returned.
+    """
+    kappa = _checked_kappa(kappa)
+    rows = _checked_rows(np.asarray(rows, dtype=float), "parts")
+    return _checked_rows(_close_rows(rows, kappa), "closed parts")
+
+
+def _checked_kappa(kappa) -> float:
+    kappa = float(kappa)
+    if not 0.0 < kappa < math.inf:
+        raise NonPositivePartError(f"kappa must be strictly positive, got {kappa!r}")
+    return kappa
+
+
+def _close_rows(rows, kappa) -> np.ndarray:
+    """The closure formula itself, without checks."""
+    return rows * (kappa / rows.sum(axis=1, keepdims=True))
 
 
 def clr_rows(rows) -> np.ndarray:
     """clr image of each row of an ``(n, D)`` array of positive parts."""
     logs = np.log(np.asarray(rows, dtype=float))
-    return logs - logs.mean(axis=1, keepdims=True)
+    # sum / D is what ``mean`` computes, without its per-call overhead
+    return logs - logs.sum(axis=1, keepdims=True) / logs.shape[1]
 
 
 def ilr_rows(rows, basis: ContrastBasis | None = None) -> np.ndarray:
@@ -526,15 +553,13 @@ def ilr_rows(rows, basis: ContrastBasis | None = None) -> np.ndarray:
 
 
 def ilr_inv_rows(coords, basis: ContrastBasis | None = None, kappa=1.0) -> np.ndarray:
-    """Part rows with the given coordinate rows; returns ``(n, D)``."""
+    """Part rows with the given coordinate rows; returns ``(n, D)``.
+
+    Unchecked, to stay cheap over quadrature grids and large samples: a row
+    whose parts overflow or underflow comes back with NaN or zero parts.
+    """
     coords = np.asarray(coords, dtype=float)
     if coords.ndim != 2:
         raise DimensionMismatchError(f"expected an (n, d) array, got {coords.shape}")
-    if basis is None:
-        basis = default_basis(coords.shape[1] + 1)
-    elif basis.dim != coords.shape[1]:
-        raise DimensionMismatchError(
-            f"basis expects {basis.dim} coordinates, got {coords.shape[1]}"
-        )
-    raw = np.exp(coords @ basis.matrix.T)
-    return raw * (float(kappa) / raw.sum(axis=1, keepdims=True))
+    basis = _as_basis(coords.shape[1] + 1, basis)
+    return _close_rows(np.exp(coords @ basis.matrix.T), _checked_kappa(kappa))

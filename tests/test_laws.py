@@ -228,6 +228,15 @@ class TestProbabilityOfInterval:
             p_log = probability_of_interval(LognormalLaw(mu, s2), a, b)
             assert abs(p_nrp - p_log) < 1e-12
 
+    def test_upper_tail_keeps_relative_accuracy(self):
+        # 1 - cdf cancels to 0 here; the true mass is about 1.3e-117
+        z = math.log(1e10)
+        want = 0.5 * math.erfc(z / math.sqrt(2.0))
+        p_nrp = probability_of_interval(NormalOnRPlus(0.0, 1.0), 1e10, np.inf)
+        p_log = probability_of_interval(LognormalLaw(0.0, 1.0), 1e10, np.inf)
+        assert p_nrp == pytest.approx(want, rel=1e-6, abs=0.0)
+        assert p_nrp == p_log
+
     def test_bad_interval(self):
         law = NormalOnRPlus(0.0, 1.0)
         with pytest.raises(BadIntervalError):
@@ -494,6 +503,14 @@ class TestProbabilityOfBox:
         p1 = probability_of_box(nsd, [-0.5, -1.0], [1.0, 0.5])
         p2 = probability_of_box(aln, [-0.5, -1.0], [1.0, 0.5])
         assert p1 == p2
+
+    def test_two_part_upper_tail_keeps_relative_accuracy(self):
+        want = 0.5 * math.erfc(9.0 / math.sqrt(2.0))
+        nsd = NormalOnSimplex([0.0], [[1.0]])
+        p_nsd = probability_of_box(nsd, [9.0], [np.inf])
+        p_aln = probability_of_box(with_lebesgue_reference(nsd), [9.0], [np.inf])
+        assert p_nsd == pytest.approx(want, rel=1e-6, abs=0.0)
+        assert p_nsd == p_aln
 
     def test_two_part_simplex_uses_scalar_cdf(self):
         law = NormalOnSimplex([0.5], [[4.0]], basis=default_basis(2))

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codanorm import (
+    AlnLaw,
     ClosureError,
     Composition,
     ContrastBasis,
@@ -21,11 +22,13 @@ from codanorm import (
     ValidationError,
     InvalidSelectionError,
     NonPositivePartError,
+    NormalOnSimplex,
     PermutationMap,
     SelectionMatrix,
     ait_distance,
     ait_inner,
     ait_norm,
+    aln_pdf,
     alr,
     alr_inv,
     center_of,
@@ -35,6 +38,7 @@ from codanorm import (
     default_basis,
     ilr,
     ilr_inv,
+    nsd_pdf,
     perturb,
     power,
     permute,
@@ -43,7 +47,14 @@ from codanorm import (
     subcomposition,
     uniform,
 )
-from codanorm.simplex import closure_rows, clr_rows, ilr_inv_rows, ilr_rows
+from codanorm.laws import aln_pdf_rows, nsd_pdf_rows
+from codanorm.simplex import (
+    _log_measure_ratio_rows,
+    closure_rows,
+    clr_rows,
+    ilr_inv_rows,
+    ilr_rows,
+)
 
 # ---------------------------------------------------------------------------
 # independent oracles: direct evaluation of the defining pairwise-sum formulas
@@ -437,3 +448,71 @@ class TestVectorizedRows:
         assert np.allclose(ilr_rows(rows), [ilr(c) for c in comps], atol=1e-13)
         back = ilr_inv_rows(ilr_rows(rows))
         assert np.allclose(back, rows, atol=1e-12)
+
+
+def _assert_rel_close(got, want, rel=1e-12):
+    got = np.asarray(got, dtype=float)
+    want = np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    scale = max(float(np.max(np.abs(want))), 1e-300)
+    assert float(np.max(np.abs(got - want))) <= rel * scale
+
+
+class TestScalarMapsAreOneRowKernels:
+    @given(
+        D=st.integers(min_value=2, max_value=6),
+        seed=st.integers(0, 2**32 - 1),
+        kappa=st.floats(min_value=1e-3, max_value=1e3).filter(lambda k: k != 1.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_scalar_map_equals_its_kernel_on_one_row(self, D, seed, kappa):
+        rng = np.random.default_rng(seed)
+        basis = random_basis(D, rng)
+        raw = np.exp(rng.uniform(-6.0, 6.0, D))
+        coords = rng.uniform(-6.0, 6.0, D - 1)
+        a = rng.standard_normal((D - 1, D - 1))
+        mu, sigma = rng.uniform(-2.0, 2.0, D - 1), a @ a.T + 0.1 * np.eye(D - 1)
+        nsd, aln = NormalOnSimplex(mu, sigma, basis), AlnLaw(mu, sigma, basis)
+
+        x = closure(raw, kappa)
+        _assert_rel_close(x.parts, closure_rows(raw[None], kappa)[0])
+        _assert_rel_close(clr(x), clr_rows(x.parts[None])[0])
+        _assert_rel_close(ilr(x, basis), ilr_rows(x.parts[None], basis)[0])
+        _assert_rel_close(
+            ilr_inv(coords, basis, kappa).parts, ilr_inv_rows(coords[None], basis, kappa)[0]
+        )
+        _assert_rel_close(nsd_pdf(nsd, x), nsd_pdf_rows(nsd, x.parts[None])[0])
+        _assert_rel_close(aln_pdf(aln, x), aln_pdf_rows(aln, x.proportions[None])[0])
+        _assert_rel_close(
+            sd_measure_ratio(x), np.exp(_log_measure_ratio_rows(x.proportions[None]))[0]
+        )
+
+
+class TestInverseMapBases:
+    def test_ilr_inv_accepts_raw_contrast_matrix(self, rng):
+        basis = random_basis(4, rng)
+        x = closure(np.exp(rng.uniform(-2, 2, 4)), kappa=10.0)
+        y = ilr(x, basis.matrix)
+        assert ilr_inv(y, basis.matrix, kappa=10.0) == x
+        rows = closure_rows(np.exp(rng.uniform(-2, 2, (5, 4))))
+        back = ilr_inv_rows(ilr_rows(rows, basis.matrix), basis.matrix)
+        assert np.allclose(back, rows, atol=1e-12)
+
+    def test_wrong_shaped_basis_is_a_dimension_mismatch(self):
+        y = np.array([0.3, -0.2])
+        for bad in (np.eye(3), default_basis(4).matrix):
+            with pytest.raises(DimensionMismatchError):
+                ilr_inv(y, bad)
+            with pytest.raises(DimensionMismatchError):
+                ilr_inv_rows(y[None], bad)
+        with pytest.raises(DimensionMismatchError):
+            ilr_inv(y, default_basis(4))
+
+
+class TestClosureOutputCheck:
+    def test_part_underflowing_to_zero_is_rejected(self):
+        # 1e-100 / 1e300 underflows to 0 during the closure itself
+        with pytest.raises(NonPositivePartError):
+            closure([1e300, 1e-100])
+        with pytest.raises(NonPositivePartError):
+            closure_rows([[1.0, 2.0], [1e300, 1e-100]])
