@@ -15,9 +15,10 @@ Four subcommands, all non-interactive, all deterministic given their flags:
 * ``density-grid`` — ternary (or coordinate-space) density grid of a
   three-part law, with detected local maxima.
 
-Exit codes: 0 on success, 2 for validation problems (bad flags, bad files,
-degenerate data), 3 for numerical failures (singular covariance, unstable
-quadrature).  The default seed comes from ``CODANORM_SEED`` when set.
+Exit codes: 0 on success, 2 for validation problems (bad flags, bad or
+unreadable files, degenerate data), 3 for numerical failures (singular
+covariance, unstable quadrature).  The default seed comes from
+``CODANORM_SEED`` when set.
 """
 
 from __future__ import annotations
@@ -374,7 +375,7 @@ def main(argv=None) -> int:
         if getattr(args, "seed", None) is None and hasattr(args, "seed"):
             args.seed = _default_seed()
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         problems = getattr(exc, "problems", None)
         if problems:
             print(f"error: {len(problems)} problem(s) in dataset", file=sys.stderr)

@@ -4,20 +4,21 @@ Conventions shared by everything below:
 
 * CSV files are UTF-8 with a header row and '.' decimals; lines starting
   with ``#`` are comments (the sample writer uses one to carry metadata) and
-  blank lines are ignored.
-* Validation failures are collected per line and raised together as a
-  :class:`~codanorm.errors.DatasetValidationError`, so a bad file produces
-  one diagnostic listing every offending line instead of dying on the first.
-* JSON reports carry ``schema_version`` so downstream parsers can refuse
-  what they do not understand.
-* Grid artifacts are written as a numeric CSV payload plus a small
-  ``.meta.json`` sidecar holding the axis metadata; everything emitted here
-  re-parses through this same module.
+  blank lines are ignored.  One parser, ``_read_table``, reads every table;
+  each public reader adds only its own checks, vectorized.
+* Problems are collected per line and raised together, in line order, as a
+  :class:`~codanorm.errors.DatasetValidationError`; so are a file that is
+  not UTF-8 and JSON that is malformed, not an object or of another
+  ``schema_version``.  ``OSError`` (missing file, directory) propagates.
+* One formatter, ``_write_rows``, writes every float row as its shortest
+  round-trip ``repr``, so output is byte-stable.  Grid artifacts are a
+  numeric CSV payload plus a ``.meta.json`` sidecar.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 
@@ -47,23 +48,78 @@ SCHEMA_VERSION = 1
 #: Relative closure slack accepted at ingestion when auto-close is on.
 INGEST_CLOSURE_TOL = 1e-6
 
-
-def _float_repr(v):
-    """Shortest round-trip decimal form, for byte-stable output."""
-    return repr(float(v))
+_SAMPLES_TAG = "# codanorm-samples "
 
 
-def _read_csv_lines(path):
-    """Yield (line_number, row_fields) for data lines; first yield is the
-    header.  Comment and blank lines are skipped but still counted."""
-    out = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            out.append((lineno, next(csv.reader([line]))))
-    return out
+def _read_text(path):
+    """Whole file as text; a file that is not UTF-8 is a dataset problem."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DatasetValidationError(
+            [f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"]
+        ) from None
+
+
+def _read_table(text_lines, path):
+    """The one CSV parser of ``path``'s lines: ``(columns, line_numbers, values, problems)``.
+
+    Comment and blank lines are skipped but counted.  One ``csv.reader``
+    splits the data records.  A wrong field count, a field ``float`` rejects,
+    a quote left open at the end of a line or a field ``csv`` refuses (over
+    its size limit) is a problem of that line (``problems`` maps line to
+    message); the reader restarts after such a line, so every other problem
+    keeps its own line.  The rows of ``values`` belong to ``line_numbers``.
+    """
+    numbers, lines = [], []
+    for lineno, line in enumerate(text_lines, start=1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            numbers.append(lineno)
+            lines.append(line)
+    if not lines:
+        raise DatasetValidationError([f"{path}: file has no header row"])
+    try:
+        columns = [h.strip() for h in next(csv.reader(lines[:1]))]
+    except csv.Error as exc:
+        raise DatasetValidationError([f"line {numbers[0]}: {exc}"]) from None
+    width = len(columns)
+    kept, rows, problems = [], [], {}
+    start, end = 1, len(lines)
+    while start < end:
+        # an empty sentinel line lets a quote left open on the last line run past it
+        reader = csv.reader(itertools.chain(itertools.islice(lines, start, None), [""]))
+        at = start - 1
+        try:
+            for fields in reader:
+                at += 1
+                if start + reader.line_num > at + 1:  # the record ran past line ``at``
+                    problems[numbers[at]] = "quote left open at end of line"
+                    break
+                if at == end:
+                    break
+                if len(fields) != width:
+                    problems[numbers[at]] = f"expected {width} fields, got {len(fields)}"
+                    continue
+                try:
+                    rows.append(list(map(float, fields)))
+                    kept.append(numbers[at])
+                except ValueError:
+                    problems[numbers[at]] = f"non-numeric field among {fields!r}"
+        except csv.Error as exc:  # a field past csv's size limit, maybe from an open quote
+            at += 1
+            problems[numbers[at]] = (
+                "quote left open at end of line" if start + reader.line_num > at + 1 else str(exc)
+            )
+        start = at + 1
+    return columns, kept, np.array(rows, dtype=float).reshape(len(rows), width), problems
+
+
+def _raise_problems(problems):
+    """Raise a table's ``{line: message}`` problems in line order, if any."""
+    if problems:
+        raise DatasetValidationError([f"line {n}: {problems[n]}" for n in sorted(problems)])
 
 
 def read_rplus_csv(path):
@@ -72,35 +128,18 @@ def read_rplus_csv(path):
     Returns ``(sample, column_name)``.  Raises
     :class:`DatasetValidationError` carrying line-numbered diagnostics.
     """
-    lines = _read_csv_lines(path)
-    if not lines:
-        raise DatasetValidationError([f"{path}: file has no header row"])
-    (_, header), rows = lines[0], lines[1:]
-    if len(header) != 1:
+    columns, lines, values, problems = _read_table(_read_text(path).split("\n"), path)
+    if len(columns) != 1:
         raise DatasetValidationError(
-            [f"{path}: expected exactly one column, header has {len(header)}"]
+            [f"{path}: expected exactly one column, header has {len(columns)}"]
         )
-    column = header[0].strip()
-    problems = []
-    logs = []
-    for lineno, fields in rows:
-        if len(fields) != 1:
-            problems.append(f"line {lineno}: expected 1 field, got {len(fields)}")
-            continue
-        try:
-            v = float(fields[0])
-        except ValueError:
-            problems.append(f"line {lineno}: {fields[0]!r} is not a number")
-            continue
-        if not math.isfinite(v) or v <= 0.0:
-            problems.append(f"line {lineno}: value {v!r} is not strictly positive")
-            continue
-        logs.append(math.log(v))
-    if problems:
-        raise DatasetValidationError(problems)
-    if not logs:
+    values = values[:, 0]
+    for i in np.flatnonzero(~(np.isfinite(values) & (values > 0.0))):
+        problems[lines[i]] = f"value {values[i].item()!r} is not strictly positive"
+    _raise_problems(problems)
+    if not len(values):
         raise DatasetValidationError([f"{path}: no data rows"])
-    return RPlusSample.from_logs(np.array(logs)), column
+    return RPlusSample.from_logs(np.log(values)), columns[0]
 
 
 def read_simplex_csv(path, kappa=1.0, auto_close=True):
@@ -116,52 +155,42 @@ def read_simplex_csv(path, kappa=1.0, auto_close=True):
     kappa = float(kappa)
     if not math.isfinite(kappa) or kappa <= 0.0:
         raise DatasetValidationError([f"kappa must be strictly positive, got {kappa!r}"])
-    lines = _read_csv_lines(path)
-    if not lines:
-        raise DatasetValidationError([f"{path}: file has no header row"])
-    (_, header), rows = lines[0], lines[1:]
-    if len(header) < 2:
+    columns, lines, values, problems = _read_table(_read_text(path).split("\n"), path)
+    if len(columns) < 2:
         raise DatasetValidationError(
-            [f"{path}: a compositional file needs at least 2 columns, header has {len(header)}"]
+            [f"{path}: a compositional file needs at least 2 columns, header has {len(columns)}"]
         )
-    columns = [h.strip() for h in header]
-    D = len(columns)
     tol = INGEST_CLOSURE_TOL if auto_close else 1e-12
-    problems = []
-    data = []
-    for lineno, fields in rows:
-        if len(fields) != D:
-            problems.append(f"line {lineno}: expected {D} fields, got {len(fields)}")
-            continue
-        try:
-            vals = [float(f) for f in fields]
-        except ValueError:
-            problems.append(f"line {lineno}: non-numeric field among {fields!r}")
-            continue
-        bad = [columns[i] for i, v in enumerate(vals) if not (math.isfinite(v) and v > 0.0)]
-        if bad:
-            problems.append(
-                f"line {lineno}: non-positive part(s) in column(s) {', '.join(bad)}"
-            )
-            continue
-        total = sum(vals)
-        if abs(total - kappa) > tol * kappa:
-            problems.append(
-                f"line {lineno}: row sums to {total!r}, not kappa={kappa!r} "
-                f"(relative error {abs(total - kappa) / kappa:.3g})"
-            )
-            continue
-        data.append(vals)
-    if problems:
-        raise DatasetValidationError(problems)
-    if not data:
+    positive = np.isfinite(values) & (values > 0.0)
+    all_positive = positive.all(axis=1)
+    # cumsum adds left to right like sum(); ndarray.sum pairs terms from 8 parts on
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals = np.cumsum(values, axis=1)[:, -1]
+    for i in np.flatnonzero(~all_positive):
+        bad = ", ".join(c for c, ok in zip(columns, positive[i]) if not ok)
+        problems[lines[i]] = f"non-positive part(s) in column(s) {bad}"
+    for i in np.flatnonzero(all_positive & (np.abs(totals - kappa) > tol * kappa)):
+        total = totals[i].item()
+        problems[lines[i]] = (
+            f"row sums to {total!r}, not kappa={kappa!r} "
+            f"(relative error {abs(total - kappa) / kappa:.3g})"
+        )
+    _raise_problems(problems)
+    if not len(values):
         raise DatasetValidationError([f"{path}: no data rows"])
-    return SimplexSample.from_rows(np.array(data), kappa), columns
+    return SimplexSample.from_rows(values, kappa), columns
 
 
 # --------------------------------------------------------------------------
 # sample emission
 # --------------------------------------------------------------------------
+
+def _write_rows(fh, rows):
+    """The one float-row formatter: each cell as its shortest round-trip
+    ``repr``, so output is byte-stable and re-parses to the same floats."""
+    for row in np.atleast_2d(np.asarray(rows, dtype=float)).tolist():
+        fh.write(",".join(map(repr, row)) + "\n")
+
 
 def write_samples_csv(path, meta, columns, rows):
     """Write drawn samples with a metadata comment line.
@@ -178,10 +207,9 @@ def write_samples_csv(path, meta, columns, rows):
         )
     meta = {"schema_version": SCHEMA_VERSION, **meta}
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("# codanorm-samples " + json.dumps(meta, sort_keys=True) + "\n")
+        fh.write(_SAMPLES_TAG + json.dumps(meta, sort_keys=True) + "\n")
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_float_repr(v) for v in row) + "\n")
+        _write_rows(fh, rows)
 
 
 def read_samples_csv(path):
@@ -189,29 +217,12 @@ def read_samples_csv(path):
 
     Returns ``(meta, columns, rows)``; ``meta`` is ``{}`` for a plain CSV.
     """
-    meta = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        first = fh.readline()
-    if first.startswith("# codanorm-samples "):
-        meta = json.loads(first[len("# codanorm-samples "):])
-    lines = _read_csv_lines(path)
-    if not lines:
-        raise DatasetValidationError([f"{path}: file has no header row"])
-    (_, header), rows = lines[0], lines[1:]
-    columns = [h.strip() for h in header]
-    problems = []
-    data = []
-    for lineno, fields in rows:
-        if len(fields) != len(columns):
-            problems.append(f"line {lineno}: expected {len(columns)} fields, got {len(fields)}")
-            continue
-        try:
-            data.append([float(f) for f in fields])
-        except ValueError:
-            problems.append(f"line {lineno}: non-numeric field among {fields!r}")
-    if problems:
-        raise DatasetValidationError(problems)
-    return meta, columns, np.array(data) if data else np.empty((0, len(columns)))
+    text_lines = _read_text(path).split("\n")
+    columns, _, values, problems = _read_table(text_lines, path)
+    first = text_lines[0]
+    meta = _load_meta(first[len(_SAMPLES_TAG):], path) if first.startswith(_SAMPLES_TAG) else {}
+    _raise_problems(problems)
+    return meta, columns, values
 
 
 # --------------------------------------------------------------------------
@@ -221,21 +232,14 @@ def read_samples_csv(path):
 def law_to_dict(law):
     """JSON-ready description of any of the four laws."""
     if isinstance(law, (NormalOnRPlus, LognormalLaw)):
-        return {
-            "family": "rplus_normal",
-            "reference_measure": "lebesgue" if isinstance(law, LognormalLaw) else "natural",
-            "mu": law.mu,
-            "sigma2": law.sigma2,
-        }
-    if isinstance(law, (NormalOnSimplex, AlnLaw)):
-        return {
-            "family": "simplex_normal",
-            "reference_measure": "lebesgue" if isinstance(law, AlnLaw) else "natural",
-            "mu": law.mu.tolist(),
-            "sigma": law.sigma.tolist(),
-            "basis": law.basis.matrix.tolist(),
-        }
-    raise TypeError(f"not a law: {type(law).__name__}")
+        body = {"family": "rplus_normal", "mu": law.mu, "sigma2": law.sigma2}
+    elif isinstance(law, (NormalOnSimplex, AlnLaw)):
+        body = {"family": "simplex_normal", "mu": law.mu.tolist(), "sigma": law.sigma.tolist(),
+                "basis": law.basis.matrix.tolist()}
+    else:
+        raise TypeError(f"not a law: {type(law).__name__}")
+    lebesgue = isinstance(law, (LognormalLaw, AlnLaw))
+    return {**body, "reference_measure": "lebesgue" if lebesgue else "natural"}
 
 
 def dumps_report(payload) -> str:
@@ -249,25 +253,28 @@ def write_report(payload, path) -> None:
         fh.write(dumps_report(payload) + "\n")
 
 
-def read_report(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        body = json.load(fh)
-    if body.get("schema_version") != SCHEMA_VERSION:
-        raise DatasetValidationError(
-            [f"{path}: unsupported schema_version {body.get('schema_version')!r}"]
-        )
+def _load_meta(text, where):
+    """The one JSON metadata loader: a JSON object stamped with this
+    module's ``schema_version``, or a :class:`DatasetValidationError`."""
+    try:
+        body = json.loads(text)
+    except ValueError as exc:
+        raise DatasetValidationError([f"{where}: not valid JSON ({exc})"]) from None
+    if not isinstance(body, dict):
+        raise DatasetValidationError([f"{where}: not a JSON object but {type(body).__name__}"])
+    version = body.get("schema_version")
+    if version != SCHEMA_VERSION:
+        raise DatasetValidationError([f"{where}: unsupported schema_version {version!r}"])
     return body
+
+
+def read_report(path):
+    return _load_meta(_read_text(path), path)
 
 
 # --------------------------------------------------------------------------
 # grid artifacts
 # --------------------------------------------------------------------------
-
-def _write_matrix_csv(path, matrix):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for row in np.atleast_2d(matrix):
-            fh.write(",".join(_float_repr(v) for v in row) + "\n")
-
 
 def write_grid_artifact(artifact, prefix) -> list[str]:
     """Write an artifact as ``<prefix>.csv`` plus ``<prefix>.meta.json``.
@@ -276,9 +283,9 @@ def write_grid_artifact(artifact, prefix) -> list[str]:
     """
     csv_path = f"{prefix}.csv"
     meta_path = f"{prefix}.meta.json"
+    header = ""
     if isinstance(artifact, HistogramArtifact):
         meta = {
-            "schema_version": SCHEMA_VERSION,
             "kind": "histogram",
             "metric": artifact.metric,
             "n": int(artifact.n),
@@ -288,19 +295,14 @@ def write_grid_artifact(artifact, prefix) -> list[str]:
                 "empirical_density", "nrp_density", "lognormal_density",
             ],
         }
-        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(meta["columns"]) + "\n")
-            for k in range(artifact.counts.size):
-                fields = [
-                    artifact.edges[k], artifact.edges[k + 1], artifact.midpoints[k],
-                    float(artifact.counts[k]), artifact.bin_measure[k],
-                    artifact.empirical_density[k], artifact.nrp_density[k],
-                    artifact.lognormal_density[k],
-                ]
-                fh.write(",".join(_float_repr(v) for v in fields) + "\n")
+        header = ",".join(meta["columns"]) + "\n"
+        payload = np.column_stack([
+            artifact.edges[:-1], artifact.edges[1:], artifact.midpoints,
+            artifact.counts, artifact.bin_measure, artifact.empirical_density,
+            artifact.nrp_density, artifact.lognormal_density,
+        ])
     elif isinstance(artifact, TernaryDensityGrid):
         meta = {
-            "schema_version": SCHEMA_VERSION,
             "kind": "ternary_density",
             "resolution": int(artifact.resolution),
             "margin": artifact.margin,
@@ -310,19 +312,22 @@ def write_grid_artifact(artifact, prefix) -> list[str]:
             ],
             "axes": "matrix[i, j] is density at parts (i/r, j/r, 1 - i/r - j/r)",
         }
-        _write_matrix_csv(csv_path, artifact.matrix())
+        payload = artifact.matrix()
     elif isinstance(artifact, CoordinateDensityGrid):
         meta = {
-            "schema_version": SCHEMA_VERSION,
             "kind": "coordinate_density",
             "x_axis": artifact.x_axis.tolist(),
             "y_axis": artifact.y_axis.tolist(),
             "law": law_to_dict(artifact.law),
             "axes": "matrix[i, j] is density at (x_axis[i], y_axis[j])",
         }
-        _write_matrix_csv(csv_path, artifact.values)
+        payload = artifact.values
     else:
         raise TypeError(f"not a grid artifact: {type(artifact).__name__}")
+    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header)
+        _write_rows(fh, payload)
+    meta = {"schema_version": SCHEMA_VERSION, **meta}
     with open(meta_path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return [csv_path, meta_path]
@@ -330,14 +335,7 @@ def write_grid_artifact(artifact, prefix) -> list[str]:
 
 def read_grid_artifact(prefix):
     """Read back ``(meta, payload)`` written by :func:`write_grid_artifact`."""
-    with open(f"{prefix}.meta.json", "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    if meta.get("schema_version") != SCHEMA_VERSION:
-        raise DatasetValidationError(
-            [f"{prefix}.meta.json: unsupported schema_version {meta.get('schema_version')!r}"]
-        )
-    if meta["kind"] == "histogram":
-        payload = np.genfromtxt(f"{prefix}.csv", delimiter=",", skip_header=1)
-    else:
-        payload = np.genfromtxt(f"{prefix}.csv", delimiter=",")
+    meta = _load_meta(_read_text(f"{prefix}.meta.json"), f"{prefix}.meta.json")
+    skip = 1 if meta["kind"] == "histogram" else 0
+    payload = np.genfromtxt(f"{prefix}.csv", delimiter=",", skip_header=skip)
     return meta, np.atleast_2d(payload)

@@ -1,0 +1,325 @@
+"""The shared CSV reader, the row writer, the JSON metadata loader and the
+CLI's exit code for unreadable files."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from codanorm import DatasetValidationError, NormalOnRPlus, NormalOnSimplex, SeededStream
+from codanorm.cli import main
+from codanorm.grids import (
+    CoordinateDensityGrid,
+    histogram_artifact,
+    ternary_density_grid,
+)
+from codanorm.inference import RPlusSample, fit_nrp
+from codanorm.io import (
+    read_grid_artifact,
+    read_report,
+    read_rplus_csv,
+    read_samples_csv,
+    read_simplex_csv,
+    write_grid_artifact,
+    write_report,
+    write_samples_csv,
+)
+from codanorm.sampling import sample_nrp
+
+
+def reference_row(row):
+    """The writer's format, spelled out cell by cell."""
+    return ",".join(repr(float(v)) for v in row) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# reader
+# ---------------------------------------------------------------------------
+
+_KINDS = ["good", "comment", "blank", "short", "long", "nonnum", "nonpos", "offsum"]
+
+
+@st.composite
+def malformed_tables(draw):
+    """A compositional CSV mixing every kind of line, with the problems that
+    ``read_simplex_csv`` must report and those every table reader reports."""
+    D = draw(st.integers(2, 5))
+    columns = [f"c{i}" for i in range(D)]
+    lines = [draw(st.sampled_from(["# lead", "", "  "])) for _ in range(draw(st.integers(0, 2)))]
+    lines.append(",".join(columns))
+    kinds = draw(st.lists(st.sampled_from(_KINDS), max_size=25))
+    quote_at = draw(st.none() | st.integers(0, len(kinds)))
+    if quote_at is not None:
+        kinds.insert(quote_at, "quote")
+    expected, shared = [], []
+    for kind in kinds:
+        weights = draw(st.lists(st.integers(1, 1000), min_size=D, max_size=D))
+        vals = [w / sum(weights) for w in weights]
+        fields = [repr(v) for v in vals]
+        lineno = len(lines) + 1
+        problem = None
+        if kind == "comment":
+            fields = None
+            lines.append("# a comment, with commas")
+        elif kind == "blank":
+            fields = None
+            lines.append(draw(st.sampled_from(["", "   "])))
+        elif kind in ("short", "long"):
+            fields = fields[:-1] if kind == "short" else fields + ["0.5"]
+            problem = f"expected {D} fields, got {len(fields)}"
+        elif kind == "nonnum":
+            fields[draw(st.integers(0, D - 1))] = "abc"
+            problem = f"non-numeric field among {fields!r}"
+        elif kind == "quote":
+            k = draw(st.integers(0, D - 1))
+            fields[k] = '"' + fields[k]
+            problem = "quote left open at end of line"
+        elif kind == "nonpos":
+            bad = sorted(draw(st.sets(st.integers(0, D - 1), min_size=1)))
+            for k in bad:
+                fields[k] = draw(st.sampled_from(["0", "-0.5", "nan", "inf", "-0.0"]))
+            problem = "non-positive part(s) in column(s) " + ", ".join(columns[k] for k in bad)
+        elif kind == "offsum":
+            vals = [1.5 * v for v in vals]
+            fields = [repr(v) for v in vals]
+            total = sum(vals)
+            problem = (f"row sums to {total!r}, not kappa=1.0 "
+                       f"(relative error {abs(total - 1.0):.3g})")
+        if fields is not None:
+            lines.append(",".join(fields))
+        if problem is not None:
+            expected.append(f"line {lineno}: {problem}")
+            if kind in ("short", "long", "nonnum", "quote"):
+                shared.append(f"line {lineno}: {problem}")
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    parsed = sum(kinds.count(k) for k in ("good", "nonpos", "offsum"))
+    return eol.join(lines) + eol, expected, shared, kinds.count("good"), parsed
+
+
+class TestSharedReader:
+    @given(malformed_tables())
+    @settings(max_examples=150, deadline=None)
+    def test_problems_in_line_order(self, tmp_path_factory, table):
+        text, expected, shared, n_good, n_parsed = table
+        path = tmp_path_factory.mktemp("table") / "t.csv"
+        path.write_bytes(text.encode())
+        if expected:
+            with pytest.raises(DatasetValidationError) as exc:
+                read_simplex_csv(path)
+            assert exc.value.problems == expected
+        elif n_good:
+            sample, _ = read_simplex_csv(path)
+            assert sample.n == n_good
+        else:
+            with pytest.raises(DatasetValidationError, match="no data rows"):
+                read_simplex_csv(path)
+        if shared:
+            with pytest.raises(DatasetValidationError) as exc:
+                read_samples_csv(path)
+            assert exc.value.problems == shared
+        else:
+            assert read_samples_csv(path)[2].shape[0] == n_parsed
+
+    def test_eight_part_total_is_summed_left_to_right(self, tmp_path):
+        gen = np.random.default_rng(4)
+        while True:
+            row = (1.5 * gen.dirichlet(np.ones(8))).tolist()
+            if float(np.sum(row)) != sum(row):
+                break
+        p = tmp_path / "eight.csv"
+        p.write_text(",".join(f"p{i}" for i in range(8)) + "\n" + ",".join(map(repr, row)) + "\n")
+        with pytest.raises(DatasetValidationError) as exc:
+            read_simplex_csv(p)
+        assert exc.value.problems[0].startswith(f"line 2: row sums to {sum(row)!r}, not")
+
+    def test_rplus_wordings(self, tmp_path):
+        p = tmp_path / "vals.csv"
+        p.write_text("flow\n1.5\nx\n2,3\n-0.0\n")
+        with pytest.raises(DatasetValidationError) as exc:
+            read_rplus_csv(p)
+        assert exc.value.problems == [
+            "line 3: non-numeric field among ['x']",
+            "line 4: expected 1 fields, got 2",
+            "line 5: value -0.0 is not strictly positive",
+        ]
+
+    def test_rplus_fit_matches_scalar_logs(self, tmp_path):
+        gen = np.random.default_rng(11)
+        values = np.exp(gen.normal(2.0, 3.0, size=5000)).tolist()
+        p = tmp_path / "vals.csv"
+        p.write_text("v\n" + "".join(f"{v!r}\n" for v in values))
+        law = fit_nrp(read_rplus_csv(p)[0])
+        ref = fit_nrp(RPlusSample.from_logs([math.log(v) for v in values]))
+        assert law.mu == pytest.approx(ref.mu, rel=1e-14, abs=0.0)
+        assert law.sigma2 == pytest.approx(ref.sigma2, rel=1e-14, abs=0.0)
+
+    def test_stray_quote_before_a_long_tail(self, tmp_path):
+        # the open quote runs on past csv's 131,072-character field limit
+        p = tmp_path / "vals.csv"
+        p.write_text('flow\n1.5\n"2.5\n' + "1.25\n" * 40_000 + "x\n3.0\n")
+        with pytest.raises(DatasetValidationError) as exc:
+            read_rplus_csv(p)
+        assert exc.value.problems == [
+            "line 3: quote left open at end of line",
+            "line 40004: non-numeric field among ['x']",
+        ]
+
+    def test_over_long_field(self, tmp_path):
+        p = tmp_path / "vals.csv"
+        p.write_text("a,b\n0.5,0.5\n0." + "1" * 200_000 + ",0.5\n# c\n0.5,x\n")
+        with pytest.raises(DatasetValidationError) as exc:
+            read_samples_csv(p)
+        assert exc.value.problems == [
+            "line 3: field larger than field limit (131072)",
+            "line 5: non-numeric field among ['0.5', 'x']",
+        ]
+        p.write_text("# c\n" + "a" * 200_000 + "\n1.0\n")
+        with pytest.raises(DatasetValidationError) as exc:
+            read_rplus_csv(p)
+        assert exc.value.problems == ["line 2: field larger than field limit (131072)"]
+
+    def test_not_utf8_names_the_path(self, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes("flow\n1.5\n# caf\xe9\n".encode("latin-1"))
+        with pytest.raises(DatasetValidationError) as exc:
+            read_rplus_csv(p)
+        assert str(p) in exc.value.problems[0] and "UTF-8" in exc.value.problems[0]
+
+
+# ---------------------------------------------------------------------------
+# writer
+# ---------------------------------------------------------------------------
+
+
+class TestRowWriter:
+    def test_samples_bytes(self, tmp_path):
+        rows = np.array([
+            [5e-324, -0.0, 1e308],
+            [2.2250738585072014e-308, 0.1, 1.0 / 3.0],
+            [1e-300, 123456789.0, 7.0],
+        ])
+        p = tmp_path / "s.csv"
+        write_samples_csv(p, {"law_family": "x"}, ["a", "b", "c"], rows)
+        head = '# codanorm-samples {"law_family": "x", "schema_version": 1}\na,b,c\n'
+        assert p.read_text() == head + "".join(reference_row(r) for r in rows)
+
+    def test_histogram_bytes_with_integer_counts(self, tmp_path):
+        sample = sample_nrp(NormalOnRPlus(0.5, 1.0), 200, SeededStream(3, 0))
+        art = histogram_artifact(sample, "euclidean", bins=7)
+        assert art.counts.dtype.kind == "i"
+        write_grid_artifact(art, tmp_path / "h")
+        meta = json.loads((tmp_path / "h.meta.json").read_text())
+        want = ",".join(meta["columns"]) + "\n" + "".join(
+            reference_row([
+                art.edges[k], art.edges[k + 1], art.midpoints[k], art.counts[k],
+                art.bin_measure[k], art.empirical_density[k], art.nrp_density[k],
+                art.lognormal_density[k],
+            ])
+            for k in range(art.counts.size)
+        )
+        assert (tmp_path / "h.csv").read_text() == want
+
+    def test_ternary_bytes_with_nan_cells(self, tmp_path):
+        grid = ternary_density_grid(NormalOnSimplex([0.3, -1.0], [[1.0, 0.2], [0.2, 0.5]]),
+                                    resolution=12)
+        dense = grid.matrix()
+        assert np.isnan(dense).any()
+        write_grid_artifact(grid, tmp_path / "t")
+        assert (tmp_path / "t.csv").read_text() == "".join(reference_row(r) for r in dense)
+
+    def test_coordinate_bytes_with_integer_values(self, tmp_path):
+        values = np.array([[1, 0], [-3, 2**60]])
+        grid = CoordinateDensityGrid(np.array([0.0, 1.0]), np.array([0.0, 1.0]), values,
+                                     NormalOnSimplex([0.0, 0.0], np.eye(2)))
+        write_grid_artifact(grid, tmp_path / "c")
+        assert (tmp_path / "c.csv").read_text() == "".join(reference_row(r) for r in values)
+
+    def test_coordinate_bytes_with_extreme_values(self, tmp_path):
+        values = np.array([[5e-324, -0.0], [1e308, np.nan]])
+        grid = CoordinateDensityGrid(np.array([0.0, 1.0]), np.array([0.0, 1.0]), values,
+                                     NormalOnSimplex([0.0, 0.0], np.eye(2)))
+        write_grid_artifact(grid, tmp_path / "c")
+        assert (tmp_path / "c.csv").read_text() == "".join(reference_row(r) for r in values)
+
+
+# ---------------------------------------------------------------------------
+# JSON metadata
+# ---------------------------------------------------------------------------
+
+_BAD_JSON = {
+    "malformed": "{not json",
+    "not an object": "[1, 2]",
+    "other version": '{"schema_version": 999}',
+    "no version": '{"kind": "histogram"}',
+}
+
+
+def _write_meta(tmp_path, where, text):
+    """Put ``text`` where reader ``where`` looks for JSON; return its reader."""
+    if where == "report":
+        (tmp_path / "r.json").write_text(text)
+        return lambda: read_report(tmp_path / "r.json")
+    if where == "grid":
+        (tmp_path / "g.meta.json").write_text(text)
+        (tmp_path / "g.csv").write_text("1.0,2.0\n")
+        return lambda: read_grid_artifact(tmp_path / "g")
+    (tmp_path / "s.csv").write_text(f"# codanorm-samples {text}\nx\n1.0\n")
+    return lambda: read_samples_csv(tmp_path / "s.csv")
+
+
+class TestMetadataLoader:
+    @pytest.mark.parametrize("where", ["report", "grid", "samples"])
+    @pytest.mark.parametrize("case", sorted(_BAD_JSON))
+    def test_bad_metadata_is_a_dataset_error(self, tmp_path, where, case):
+        read = _write_meta(tmp_path, where, _BAD_JSON[case])
+        with pytest.raises(DatasetValidationError):
+            read()
+
+    def test_round_trips(self, tmp_path):
+        write_report({"command": "fit", "n": 3}, tmp_path / "r.json")
+        assert read_report(tmp_path / "r.json")["n"] == 3
+        grid = CoordinateDensityGrid(np.array([0.0]), np.array([1.0]), np.array([[0.5]]),
+                                     NormalOnSimplex([0.0, 0.0], np.eye(2)))
+        write_grid_artifact(grid, tmp_path / "g")
+        meta, payload = read_grid_artifact(tmp_path / "g")
+        assert meta["y_axis"] == [1.0] and payload.tolist() == [[0.5]]
+        write_samples_csv(tmp_path / "s.csv", {"seed": 4}, ["v"], [2.5])
+        meta, columns, rows = read_samples_csv(tmp_path / "s.csv")
+        assert meta["seed"] == 4 and columns == ["v"] and rows.tolist() == [[2.5]]
+
+
+# ---------------------------------------------------------------------------
+# command line: unreadable files exit 2
+# ---------------------------------------------------------------------------
+
+
+def test_stray_quote_in_a_large_file_exits_2(capsys, tmp_path):
+    p = tmp_path / "flow.csv"
+    p.write_text('flow\n1.5\n"2.5\n' + "1.25\n" * 40_000)
+    code = main(["fit", "--input", str(p), "--space", "rplus"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "line 3: quote left open at end of line" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["missing", "not utf-8", "directory", "output dir missing"])
+def test_unreadable_files_exit_2(capsys, tmp_path, case):
+    good = tmp_path / "flow.csv"
+    good.write_text("flow\n1.5\n2.5\n4.0\n")
+    latin = tmp_path / "latin1.csv"
+    latin.write_bytes("flow\n1.5\n# caf\xe9\n2.5\n".encode("latin-1"))
+    argv = {
+        "missing": ["fit", "--input", str(tmp_path / "absent.csv"), "--space", "rplus"],
+        "not utf-8": ["fit", "--input", str(latin), "--space", "rplus"],
+        "directory": ["hist", "--input", str(tmp_path), "--metric", "logratio",
+                      "-o", str(tmp_path / "h")],
+        "output dir missing": ["fit", "--input", str(good), "--space", "rplus",
+                               "-o", str(tmp_path / "no" / "such" / "r.json")],
+    }[case]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
