@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.stats import chi2, norm, t as student_t
+from scipy.special import chdtr, ndtr, stdtrit
 
 from . import simplex
 from .errors import (
@@ -120,12 +120,16 @@ class SimplexSample:
         self._coords = None
 
     @classmethod
-    def from_rows(cls, rows, kappa=1.0, basis: ContrastBasis | None = None):
-        """Build from an ``(n, D)`` array of positive rows (each is closed)."""
-        rows = simplex.closure_rows(rows, kappa)
+    def _wrap(cls, rows, kappa, basis):
+        """Wrap rows that are already closed and checked, as they are."""
         obj = object.__new__(cls)
         obj._init_from_rows(rows, kappa, basis)
         return obj
+
+    @classmethod
+    def from_rows(cls, rows, kappa=1.0, basis: ContrastBasis | None = None):
+        """Build from an ``(n, D)`` array of positive rows (each is closed)."""
+        return cls._wrap(simplex.closure_rows(rows, kappa), kappa, basis)
 
     @property
     def rows(self):
@@ -163,9 +167,7 @@ class SimplexSample:
 
     def with_basis(self, basis: ContrastBasis):
         """The same data viewed in another contrast basis."""
-        obj = object.__new__(SimplexSample)
-        obj._init_from_rows(self._rows.copy(), self._kappa, basis)
-        return obj
+        return SimplexSample._wrap(self._rows.copy(), self._kappa, basis)
 
     def center(self) -> Composition:
         """Closed geometric mean of the rows."""
@@ -228,7 +230,7 @@ def ci_mean_nrp(sample: RPlusSample, alpha) -> tuple[PositiveValue, PositiveValu
             "all observations are identical; interval undefined"
         )
     ybar = float(sample.logs.mean())
-    half = float(student_t.ppf(1.0 - alpha / 2.0, sample.n - 1)) * v / math.sqrt(sample.n)
+    half = float(stdtrit(sample.n - 1, 1.0 - alpha / 2.0)) * v / math.sqrt(sample.n)
     return PositiveValue.from_log(ybar - half), PositiveValue.from_log(ybar + half)
 
 
@@ -417,7 +419,7 @@ def gof_battery(sample: SimplexSample, fitted: NormalOnSimplex) -> GofReport:
 
     # marginal layer: composite normality per coordinate
     for j in range(d):
-        u = norm.cdf((coords[:, j] - mu[j]) / math.sqrt(sigma[j, j]))
+        u = ndtr((coords[:, j] - mu[j]) / math.sqrt(sigma[j, j]))
         for test_name, stat, crit in _modified_statistics(u, "estimated", n):
             entries.append(GofEntry("marginal", f"coord{j + 1}", test_name, stat, crit))
 
@@ -441,7 +443,7 @@ def gof_battery(sample: SimplexSample, fitted: NormalOnSimplex) -> GofReport:
                 )
 
     # radius layer: chi-square transform of squared Mahalanobis distances
-    u = chi2.cdf(_mahalanobis2(fitted, coords), df=d)
+    u = chdtr(d, _mahalanobis2(fitted, coords))
     for test_name, stat, crit in _modified_statistics(u, "specified", n):
         entries.append(GofEntry("radius", "all", test_name, stat, crit))
 

@@ -335,7 +335,10 @@ def write_grid_artifact(artifact, prefix) -> list[str]:
 
 def read_grid_artifact(prefix):
     """Read back ``(meta, payload)`` written by :func:`write_grid_artifact`."""
-    meta = _load_meta(_read_text(f"{prefix}.meta.json"), f"{prefix}.meta.json")
+    where = f"{prefix}.meta.json"
+    meta = _load_meta(_read_text(where), where)
+    if meta.get("kind") not in ("histogram", "ternary_density", "coordinate_density"):
+        raise DatasetValidationError([f"{where}: unknown grid kind {meta.get('kind')!r}"])
     skip = 1 if meta["kind"] == "histogram" else 0
     payload = np.genfromtxt(f"{prefix}.csv", delimiter=",", skip_header=skip)
     return meta, np.atleast_2d(payload)

@@ -18,7 +18,8 @@ four law classes here pin down which reference measure a density value
 refers to; probabilities of events never depend on that choice.
 
 All probabilities of intervals and boxes are computed through the normal CDF
-of the coordinates, never by integrating a density.
+of the coordinates, never by integrating a density; boxes of d >= 2 use the
+multivariate normal CDF with a fixed seed, so every call gives one number.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import math
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from scipy.linalg import solve_triangular
-from scipy.stats import multivariate_normal
 
 from . import simplex
 from .errors import (
@@ -542,7 +542,7 @@ def nsd_subcomposition(law, sel: SelectionMatrix, sub_basis: ContrastBasis | Non
 
 _MC_FALLBACK_DIM = 4
 _MC_FALLBACK_DRAWS = 1_000_000
-_MC_FALLBACK_SEED = 20_413
+_FIXED_SEED = 20_413  # Monte Carlo mean and box CDF: one number per law, every call
 _MC_FALLBACK_BLOCK = 31_250  # draws per step: a few MB, not 60 MB paged in per call
 
 
@@ -585,7 +585,7 @@ def aln_classical_mean(law, order=40) -> np.ndarray:
     if order < 2:
         raise BadIntervalError(f"quadrature order must be at least 2, got {order}")
     if law.dim > _MC_FALLBACK_DIM:
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=_MC_FALLBACK_SEED))
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=_FIXED_SEED))
         total = np.zeros(law.D)
         for _ in range(_MC_FALLBACK_DRAWS // _MC_FALLBACK_BLOCK):
             z = rng.standard_normal((_MC_FALLBACK_BLOCK, law.dim))
@@ -627,7 +627,8 @@ def probability_of_box(law, lower, upper) -> float:
     if law.dim == 1:
         s = math.sqrt(law.sigma[0, 0])
         return _normal_mass((lower[0] - law.mu[0]) / s, (upper[0] - law.mu[0]) / s)
-    p = multivariate_normal(mean=law.mu, cov=law.sigma).cdf(
+    from scipy.stats import multivariate_normal  # lazy: scipy.stats costs ~1 s to import
+    p = multivariate_normal(mean=law.mu, cov=law.sigma, seed=_FIXED_SEED).cdf(
         upper, lower_limit=lower
     )
     # tiny negative values can fall out of the integrator

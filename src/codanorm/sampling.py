@@ -106,7 +106,7 @@ def sample_nsd(law: NormalOnSimplex, n, stream: SeededStream, kappa=1.0) -> Simp
     z = stream.generator().standard_normal((n, law.dim))
     coords = law.mu + z @ law._chol.T
     rows = simplex.ilr_inv_rows(coords, law.basis, kappa)
-    return SimplexSample.from_rows(rows, kappa, law.basis)
+    return SimplexSample._wrap(simplex._checked_rows(rows, "closed parts"), kappa, law.basis)
 
 
 def sample_aln(law: AlnLaw, n, stream: SeededStream, kappa=1.0) -> SimplexSample:

@@ -400,3 +400,14 @@ class TestConsoleScript:
         )
         assert result.returncode == 0
         assert "codanorm" in result.stdout
+
+
+class TestImportPath:
+    def test_cli_path_leaves_scipy_stats_unloaded(self):
+        # scipy.stats takes about a second to import; only probability_of_box
+        # at d >= 2 may load it, so no CLI job pays for it at start-up
+        code = ("import sys, codanorm, codanorm.cli, codanorm.io, codanorm.datasets; "
+                "print('scipy.stats' in sys.modules)")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"

@@ -278,6 +278,14 @@ class TestMetadataLoader:
         with pytest.raises(DatasetValidationError):
             read()
 
+    @pytest.mark.parametrize("text", ['{"schema_version": 1}',
+                                      '{"schema_version": 1, "kind": "scatter"}'])
+    def test_grid_kind_must_be_written_one(self, tmp_path, text):
+        # a valid report, but not grid metadata: no kind, or one never written
+        read = _write_meta(tmp_path, "grid", text)
+        with pytest.raises(DatasetValidationError, match=r"g\.meta\.json: unknown grid kind"):
+            read()
+
     def test_round_trips(self, tmp_path):
         write_report({"command": "fit", "n": 3}, tmp_path / "r.json")
         assert read_report(tmp_path / "r.json")["n"] == 3

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate, stats
+from scipy.special import ndtr
 
 from codanorm import (
     AlnLaw,
@@ -511,6 +512,24 @@ class TestProbabilityOfBox:
         p_aln = probability_of_box(with_lebesgue_reference(nsd), [9.0], [np.inf])
         assert p_nsd == pytest.approx(want, rel=1e-6, abs=0.0)
         assert p_nsd == p_aln
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_one_number_per_law_and_box(self, d):
+        # the d >= 3 integrator is randomized QMC; its fixed seed makes every
+        # call and both labels return the same float
+        a = np.random.default_rng(d).standard_normal((d, d))
+        nsd = NormalOnSimplex(np.linspace(-0.3, 0.3, d), a @ a.T + d * np.eye(d))
+        lower, upper = -np.ones(d), np.linspace(0.5, 1.5, d)
+        ps = [probability_of_box(nsd, lower, upper) for _ in range(4)]
+        ps.append(probability_of_box(with_lebesgue_reference(nsd), lower, upper))
+        assert len(set(ps)) == 1, ps
+
+    def test_independent_standard_box_d3(self):
+        law = NormalOnSimplex(np.zeros(3), np.eye(3))
+        want = (ndtr(1.0) - ndtr(-1.0)) ** 3
+        assert probability_of_box(law, -np.ones(3), np.ones(3)) == pytest.approx(
+            want, abs=1e-5
+        )
 
     def test_two_part_simplex_uses_scalar_cdf(self):
         law = NormalOnSimplex([0.5], [[4.0]], basis=default_basis(2))

@@ -23,6 +23,7 @@ from codanorm import (
     sample_nsd,
     uniform,
 )
+from codanorm.simplex import ilr_inv_rows
 
 
 class TestSeededStream:
@@ -123,6 +124,16 @@ class TestSimplexSampling:
         # variance entries: se ~ sigma_jj * sqrt(2/(n-1))
         se_var = np.diag(sigma) * math.sqrt(2.0 / 99_999)
         assert np.all(np.abs(np.diag(fitted.sigma) - np.diag(sigma)) < 3 * se_var)
+
+    @pytest.mark.parametrize("kappa", [1.0, 100.0])
+    def test_rows_are_the_kernel_rows(self, kappa):
+        # the sample holds ilr_inv_rows' closed rows as they are, not re-closed
+        law = NormalOnSimplex([0.4, -0.2, 0.1], [[1.0, 0.3, 0.0], [0.3, 0.8, 0.1],
+                                                 [0.0, 0.1, 0.5]])
+        stream = SeededStream(7, 3)
+        s = sample_nsd(law, 100_000, stream, kappa=kappa)
+        coords = law.mu + stream.generator().standard_normal((100_000, 3)) @ law._chol.T
+        assert np.array_equal(s.rows, ilr_inv_rows(coords, law.basis, kappa))
 
     def test_kappa_carries_through(self):
         law = NormalOnSimplex([0.0, 0.0], np.eye(2))
