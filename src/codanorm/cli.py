@@ -17,13 +17,15 @@ Four subcommands, all non-interactive, all deterministic given their flags:
 
 Exit codes: 0 on success, 2 for validation problems (bad flags, bad or
 unreadable files, degenerate data), 3 for numerical failures (singular
-covariance, unstable quadrature).  The default seed comes from
-``CODANORM_SEED`` when set.
+covariance, unstable quadrature, a NaN or infinity reaching a report).  A
+classical moment too large for a float is written as ``null`` with a
+``null_reason``.  The default seed comes from ``CODANORM_SEED`` when set.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -89,6 +91,16 @@ def _parse_matrix(text, d, what):
     return flat.reshape(d, d)
 
 
+def _nulls_for_overflow(fields):
+    """``fields`` with each infinite number (a value past the largest float)
+    as ``None``, and a one-line ``null_reason`` naming them, if any."""
+    inf = sorted(k for k, v in fields.items() if isinstance(v, float) and math.isinf(v))
+    if not inf:
+        return fields
+    reason = f"{', '.join(inf)}: beyond the float range (about +-1.8e308)"
+    return {**{k: None if k in inf else v for k, v in fields.items()}, "null_reason": reason}
+
+
 def _emit(payload, out_path):
     if out_path:
         write_report(payload, out_path)
@@ -124,23 +136,23 @@ def _fit_rplus_report(args):
             "metric_variance": moments.metric_variance,
         },
         "geometric_mean": geometric_mean(sample).value,
-        "ci_mean": {"alpha": args.alpha, "lower": lo.value, "upper": hi.value},
-        "lognormal_baseline": {
+        "ci_mean": _nulls_for_overflow({"alpha": args.alpha, "lower": lo.value, "upper": hi.value}),
+        "lognormal_baseline": _nulls_for_overflow({
             "law": law_to_dict(ln_law),
-            "moments": {
+            "moments": _nulls_for_overflow({
                 "mean": ln_m.mean,
                 "median": ln_m.median,
                 "mode": ln_m.mode,
                 "variance": ln_m.variance,
-            },
+            }),
             "naive_mean": naive_lognormal_mean(sample),
-            "naive_interval_1sd": {
+            "naive_interval_1sd": _nulls_for_overflow({
                 "lower": naive.lower,
                 "upper": naive.upper,
                 "lower_in_support": naive.lower_in_support,
                 "upper_in_support": naive.upper_in_support,
-            },
-        },
+            }),
+        }),
     }
 
 

@@ -34,7 +34,7 @@ from .errors import (
     SingularCovarianceError,
 )
 from .laws import NormalOnRPlus, NormalOnSimplex, _mahalanobis2, _require
-from .rplus import PositiveValue, as_positive
+from .rplus import PositiveValue, _exp_or_inf, as_positive
 from .simplex import Composition, ContrastBasis
 
 __all__ = [
@@ -238,12 +238,13 @@ def naive_lognormal_mean(sample: RPlusSample) -> float:
     """The lognormal back-transform estimate ``exp(ybar + V^2 / 2)``.
 
     Comparison baseline only: for any non-constant sample it strictly
-    exceeds the geometric mean by the factor ``exp(V^2 / 2)``.
+    exceeds the geometric mean by the factor ``exp(V^2 / 2)``.  Past the
+    largest float it is ``math.inf``.
     """
     if sample.n < 2:
         raise InsufficientDataError(f"need at least 2 observations, got {sample.n}")
     v2 = float(sample.logs.var(ddof=1))
-    return math.exp(float(sample.logs.mean()) + 0.5 * v2)
+    return _exp_or_inf(float(sample.logs.mean()) + 0.5 * v2)
 
 
 # --------------------------------------------------------------------------
@@ -423,24 +424,17 @@ def gof_battery(sample: SimplexSample, fitted: NormalOnSimplex) -> GofReport:
         for test_name, stat, crit in _modified_statistics(u, "estimated", n):
             entries.append(GofEntry("marginal", f"coord{j + 1}", test_name, stat, crit))
 
-    # angle layer: uniformity of the whitened pair direction
-    for j in range(d):
-        for k in range(j + 1, d):
-            pair = coords[:, (j, k)] - mu[(j, k),]
-            cov = sigma[np.ix_((j, k), (j, k))]
-            try:
-                chol = np.linalg.cholesky(cov)
-            except np.linalg.LinAlgError:
-                raise SingularCovarianceError(
-                    f"coordinate pair ({j + 1}, {k + 1}) has singular covariance"
-                ) from None
-            w = np.linalg.solve(chol, pair.T)
-            theta = np.arctan2(w[1], w[0])  # (-pi, pi]
-            u = (theta + math.pi) / (2.0 * math.pi)
-            for test_name, stat, crit in _modified_statistics(u, "specified", n):
-                entries.append(
-                    GofEntry("angle", f"coord{j + 1}-coord{k + 1}", test_name, stat, crit)
-                )
+    # angle layer: uniformity of the whitened pair direction; the Cholesky
+    # factor of the pair covariance [[a, b], [b, c]] in closed form, every pair at once
+    j, k = np.triu_indices(d, 1)
+    a, b, c = sigma[j, j], sigma[j, k], sigma[k, k]
+    x, y = coords[:, j] - mu[j], coords[:, k] - mu[k]
+    theta = np.arctan2((y - (b / a) * x) / np.sqrt(c - b * b / a), x / np.sqrt(a))  # (-pi, pi]
+    for p, u in enumerate((theta.T + math.pi) / (2.0 * math.pi)):
+        for test_name, stat, crit in _modified_statistics(u, "specified", n):
+            entries.append(
+                GofEntry("angle", f"coord{j[p] + 1}-coord{k[p] + 1}", test_name, stat, crit)
+            )
 
     # radius layer: chi-square transform of squared Mahalanobis distances
     u = chdtr(d, _mahalanobis2(fitted, coords))

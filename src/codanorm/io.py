@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .errors import DatasetValidationError, DimensionMismatchError
+from .errors import DatasetValidationError, DimensionMismatchError, NumericalError
 from .grids import CoordinateDensityGrid, HistogramArtifact, TernaryDensityGrid
 from .inference import RPlusSample, SimplexSample
 from .laws import AlnLaw, LognormalLaw, NormalOnRPlus, NormalOnSimplex
@@ -243,9 +243,16 @@ def law_to_dict(law):
 
 
 def dumps_report(payload) -> str:
-    """Serialize a report dict with the schema version stamped in."""
+    """Serialize a report dict with the schema version stamped in.
+
+    Strict JSON: a NaN or infinite value raises :class:`NumericalError`
+    instead of being written as the non-JSON ``NaN`` or ``Infinity``.
+    """
     body = {"schema_version": SCHEMA_VERSION, "tool": "codanorm", **payload}
-    return json.dumps(body, indent=2, sort_keys=True)
+    try:
+        return json.dumps(body, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"report holds a non-finite number ({exc})") from None
 
 
 def write_report(payload, path) -> None:

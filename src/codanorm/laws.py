@@ -24,10 +24,12 @@ multivariate normal CDF with a fixed seed, so every call gives one number.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
+from numpy.polynomial.hermite_e import hermegauss
 from scipy.linalg import solve_triangular
 
 from . import simplex
@@ -39,7 +41,7 @@ from .errors import (
     NotSPDError,
     QuadratureUnstableError,
 )
-from .rplus import PositiveValue, as_positive
+from .rplus import PositiveValue, _exp_or_inf, as_positive
 from .simplex import Composition, ContrastBasis, PermutationMap, SelectionMatrix
 
 __all__ = [
@@ -216,11 +218,20 @@ class LebesgueMoments:
 
 def lognormal_moments(law: LognormalLaw) -> LebesgueMoments:
     """Classical moments: mean ``exp(mu + sigma2/2)``, median ``exp(mu)``,
-    mode ``exp(mu - sigma2)``, variance ``(exp(sigma2)-1) exp(2mu+sigma2)``."""
+    mode ``exp(mu - sigma2)``, variance ``(exp(sigma2)-1) exp(2mu+sigma2)``.
+    A moment past the largest float is ``math.inf``."""
     _require(law, LognormalLaw)
-    mean = math.exp(law.mu + 0.5 * law.sigma2)
-    var = math.expm1(law.sigma2) * math.exp(2.0 * law.mu + law.sigma2)
-    return LebesgueMoments(mean, math.exp(law.mu), math.exp(law.mu - law.sigma2), var)
+    mu, s2 = law.mu, law.sigma2
+    try:
+        var = math.expm1(s2) * math.exp(2.0 * mu + s2)
+    except OverflowError:  # the same in logs
+        var = _exp_or_inf(2.0 * mu + s2 + _log_abs_expm1(s2))
+    return LebesgueMoments(_exp_or_inf(mu + 0.5 * s2), _exp_or_inf(mu), _exp_or_inf(mu - s2), var)
+
+
+def _log_abs_expm1(x) -> float:
+    """``log|exp(x) - 1|`` for ``x != 0``, without overflow."""
+    return x if x > 700.0 else math.log(abs(math.expm1(x)))
 
 
 class NaiveInterval:
@@ -248,11 +259,17 @@ class NaiveInterval:
 
 
 def lognormal_naive_interval(law: LognormalLaw, k) -> NaiveInterval:
-    """Classical ``mean +/- k * sd`` interval for the lognormal law."""
+    """Classical ``mean +/- k * sd`` interval for the lognormal law; an
+    endpoint past the largest float is ``-math.inf`` or ``math.inf``."""
     k = float(k)
     if not math.isfinite(k) or k <= 0.0:
         raise BadIntervalError(f"k must be strictly positive, got {k!r}")
     m = lognormal_moments(law)
+    if math.isinf(m.mean) or math.isinf(m.variance):
+        # in logs: mean = exp(a) and k * sd = exp(a + r)
+        a, r = law.mu + 0.5 * law.sigma2, math.log(k) + 0.5 * _log_abs_expm1(law.sigma2)
+        lower = math.copysign(_exp_or_inf(a + _log_abs_expm1(r)), -r)
+        return NaiveInterval(lower, _exp_or_inf(a + max(r, 0.0) + math.log1p(math.exp(-abs(r)))))
     sd = math.sqrt(m.variance)
     return NaiveInterval(m.mean - k * sd, m.mean + k * sd)
 
@@ -540,71 +557,74 @@ def nsd_subcomposition(law, sel: SelectionMatrix, sub_basis: ContrastBasis | Non
 # classical mean of the additive logistic normal
 # --------------------------------------------------------------------------
 
-_MC_FALLBACK_DIM = 4
-_MC_FALLBACK_DRAWS = 1_000_000
-_FIXED_SEED = 20_413  # Monte Carlo mean and box CDF: one number per law, every call
-_MC_FALLBACK_BLOCK = 31_250  # draws per step: a few MB, not 60 MB paged in per call
+@functools.lru_cache(maxsize=None)
+def _gh_rule(level):
+    """Gauss-Hermite rule of ``2 level - 1`` nodes for a standard normal."""
+    z, w = hermegauss(2 * level - 1)
+    return z, w / w.sum()
 
 
-def _gh_mean(law, order):
-    """Tensor Gauss-Hermite estimate of E[parts] on the unit simplex."""
-    d = law.dim
-    t, w = hermgauss(order)
-    # Y = mu + sqrt(2) L z turns the weighted sum into an expectation
-    scale = math.sqrt(2.0) * law._chol
-    logw = np.log(w / math.sqrt(math.pi))
-    total = np.zeros(law.D)
-    # walk the first axis in blocks so the node tensor never materializes whole
-    # node indices on the other d - 1 axes, one row per node
-    rest = np.indices((order,) * (d - 1)).reshape(d - 1, order ** (d - 1)).T
-    z_rest, logw_rest = t[rest], logw[rest].sum(axis=1)
-    for k in range(order):
-        z = np.empty((z_rest.shape[0], d))
-        z[:, 0] = t[k]
-        z[:, 1:] = z_rest
-        coords = law.mu + z @ scale.T
-        parts = simplex.ilr_inv_rows(coords, law.basis)
-        total += np.exp(logw[k] + logw_rest) @ parts
-    return total
+def _layer_blocks(d, q, block=1 << 15):
+    """Nodes and weights of the tensor rules ``Q_{l_1} x ... x Q_{l_d}`` of all
+    multi-indices with ``|l| = q``, in blocks of ``block`` nodes (a few MB)."""
+    sizes = 2 * np.diff([(0, *c, q) for c in itertools.combinations(range(1, q), d - 1)]).T - 1
+    starts = (sizes // 2) ** 2  # where each rule begins in the tables below
+    ends = np.cumsum(np.prod(sizes, axis=0))
+    z_tab, w_tab = map(np.concatenate, zip(*map(_gh_rule, range(1, q - d + 2))))
+    for start in range(0, ends[-1], block):
+        node = np.arange(start, min(start + block, ends[-1]))
+        m = np.searchsorted(ends, node, side="right")
+        k, z, w = ends[m] - 1 - node, np.empty((d, node.size)), 1.0
+        for i in range(d):  # the mixed-radix digits of k pick one node per axis
+            k, digit = np.divmod(k, sizes[i][m])
+            j = starts[i][m] + digit
+            z[i], w = z_tab[j], w * w_tab[j]
+        yield z.T, w
+
+
+def _aln_mean_quadrature(law, order):
+    """Smolyak mean of the parts, ``(mean, level, nodes, drift)``: level ``k``
+    is ``sum (-1)**(q-|l|) C(d-1, q-|l|) Q_{l_1} x ... x Q_{l_d}`` over
+    ``q-d < |l| <= q = d+k-1``; each layer ``|l| = q`` is evaluated once."""
+    d, budget = law.dim, order**4 + math.ceil(1.5 * order) ** 4
+    layers, nodes, mean, drift = [], 0, None, math.nan
+    for level in itertools.count(1):
+        q = d + level - 1
+        # nodes with |l| = q: the coefficient of x**q in (x (1+x) / (1-x)**2)**d
+        nodes += sum(math.comb(d, k) * math.comb(q + d - 1 - k, 2 * d - 1) for k in range(d + 1))
+        # past level 150 (299 nodes) numpy's Gauss-Hermite weights soon underflow
+        if nodes > budget or level > 150 or (level > 2 and math.isnan(drift)):
+            raise QuadratureUnstableError(f"quadrature mean moved by {drift:.3g} at level "
+                                          f"{level - 1}; order {order} allows no further level")
+        layers.append(sum(w @ simplex.ilr_inv_rows(law.mu + z @ law._chol.T, law.basis)
+                          for z, w in _layer_blocks(d, q)))
+        prev, mean = mean, sum((-1) ** i * math.comb(d - 1, i) * s
+                               for i, s in enumerate(reversed(layers[-d:])))
+        drift = math.nan if prev is None else float(np.max(np.abs(mean - prev)))
+        # wide laws settle at a ratio near 0.7 per level, leaving about twice the last drift
+        if drift <= 2.5e-7:  # the signed weights leave ~1e-11 in the sum
+            return mean / mean.sum(), level, nodes, drift
 
 
 def aln_classical_mean(law, order=40) -> np.ndarray:
-    """Classical (Lebesgue) mean of the parts under a simplex law.
-
-    Unlike the geometric center, this depends on the whole law, has no closed
-    form, and is computed by tensor Gauss-Hermite quadrature over the
-    coordinate normal (default ``order`` nodes per axis).  The rule is
-    re-evaluated at 1.5x the order; if any component moves by more than 1e-6
-    the result is rejected as unstable.  For more than 4 coordinate axes the
-    tensor grid is traded for a fixed-seed Monte Carlo average of 1e6 draws.
-
-    Returns the length-``D`` mean on the unit simplex (components sum to 1).
-    """
+    """Classical (Lebesgue) mean of the parts under a simplex law, which has no
+    closed form: a deterministic Smolyak sparse grid of Gauss-Hermite rules,
+    raised in level until the estimate settles within 1e-6.  A law that needs
+    more than ``order**4 + ceil(1.5 order)**4`` nodes raises
+    :class:`QuadratureUnstableError`.  Returns the length-``D`` mean (sums to 1)."""
     _require(law, _SimplexGaussian)
     order = int(order)
     if order < 2:
         raise BadIntervalError(f"quadrature order must be at least 2, got {order}")
-    if law.dim > _MC_FALLBACK_DIM:
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=_FIXED_SEED))
-        total = np.zeros(law.D)
-        for _ in range(_MC_FALLBACK_DRAWS // _MC_FALLBACK_BLOCK):
-            z = rng.standard_normal((_MC_FALLBACK_BLOCK, law.dim))
-            total += simplex.ilr_inv_rows(law.mu + z @ law._chol.T, law.basis).sum(axis=0)
-        return total / _MC_FALLBACK_DRAWS
-    base = _gh_mean(law, order)
-    refined = _gh_mean(law, math.ceil(1.5 * order))
-    drift = float(np.max(np.abs(refined - base)))
-    if drift > 1e-6:
-        raise QuadratureUnstableError(
-            f"quadrature mean moved by {drift:.3g} when refined from order "
-            f"{order}; increase the order"
-        )
-    return refined
+    return _aln_mean_quadrature(law, order)[0]
 
 
 # --------------------------------------------------------------------------
 # probabilities of coordinate boxes
 # --------------------------------------------------------------------------
+
+_FIXED_SEED = 20_413  # box CDF: one number per law, every call
+
 
 def probability_of_box(law, lower, upper) -> float:
     """Probability that the coordinate vector lies in the axis-aligned box

@@ -36,6 +36,14 @@ __all__ = [
 LOG_EQ_TOL = 1e-12
 
 
+def _exp_or_inf(t) -> float:
+    """``math.exp(t)``, or ``math.inf`` where that passes the largest float."""
+    try:
+        return math.exp(t)
+    except OverflowError:
+        return math.inf
+
+
 class PositiveValue:
     """A strictly positive real, stored by its log coordinate.
 
@@ -74,8 +82,9 @@ class PositiveValue:
 
     @property
     def value(self):
-        """The plain float this object represents."""
-        return math.exp(self._log)
+        """The plain float this object represents: ``math.inf`` past the
+        largest float, 0.0 below the smallest."""
+        return _exp_or_inf(self._log)
 
     @property
     def log(self):

@@ -411,3 +411,46 @@ class TestImportPath:
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestStrictJson:
+    def test_dumps_report_refuses_non_finite_numbers(self):
+        from codanorm import NumericalError
+
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(NumericalError):
+                dumps_report({"value": bad})
+
+    def test_non_finite_report_value_exits_3(self, capsys, rplus_csv, monkeypatch):
+        import codanorm.cli
+
+        monkeypatch.setattr(codanorm.cli, "naive_lognormal_mean", lambda sample: math.nan)
+        code, out, err = run_cli(capsys, "fit", "--input", str(rplus_csv), "--space", "rplus")
+        assert code == 3
+        assert out == ""
+        assert "numerical failure" in err and "non-finite" in err
+
+    def test_extreme_rplus_fit_writes_overflow_as_null(self, capsys, tmp_path):
+        p = tmp_path / "extreme.csv"
+        p.write_text("value\n1e150\n1e-150\n1e100\n")
+        code, out, err = run_cli(capsys, "fit", "--input", str(p), "--space", "rplus")
+        assert code == 0, err
+        body = _strict_json(out)
+        mu = body["law"]["mu"]
+        # natural-geometry moments are finite and unchanged
+        assert body["moments"]["mean"] == math.exp(mu) == body["geometric_mean"]
+        baseline = body["lognormal_baseline"]
+        assert baseline["moments"]["mean"] is None and baseline["moments"]["variance"] is None
+        assert baseline["moments"]["median"] == math.exp(mu)
+        assert "mean" in baseline["moments"]["null_reason"]
+        assert baseline["naive_mean"] is None and "naive_mean" in baseline["null_reason"]
+        naive = baseline["naive_interval_1sd"]
+        assert naive["lower"] is None and naive["upper"] is None and naive["null_reason"]
+        assert body["ci_mean"]["upper"] is None and body["ci_mean"]["null_reason"]

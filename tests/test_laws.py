@@ -535,3 +535,121 @@ class TestProbabilityOfBox:
         law = NormalOnSimplex([0.5], [[4.0]], basis=default_basis(2))
         want = stats.norm.cdf((1.0 - 0.5) / 2.0) - stats.norm.cdf((-1.0 - 0.5) / 2.0)
         assert probability_of_box(law, [-1.0], [1.0]) == pytest.approx(want, abs=1e-14)
+
+
+def _tensor_gh_mean(law, order):
+    """Tensor Gauss-Hermite mean of the parts, one first-axis node at a time."""
+    z, w = np.polynomial.hermite_e.hermegauss(order)
+    w = w / w.sum()
+    d = law.dim
+    grids = np.meshgrid(*([z] * (d - 1)), indexing="ij")
+    rest = np.stack(grids, -1).reshape(-1, d - 1) if d > 1 else np.zeros((1, 0))
+    w_rest = np.ones(1)
+    for _ in range(d - 1):
+        w_rest = np.multiply.outer(w_rest, w).ravel()
+    total = np.zeros(law.D)
+    for z0, w0 in zip(z, w):
+        nodes = np.column_stack([np.full(len(rest), z0), rest])
+        total += w0 * (w_rest @ ilr_inv_rows(law.mu + nodes @ law._chol.T, law.basis))
+    return total
+
+
+def _benchmark_like_law(rng, d):
+    """The coordinate law shape of the benchmark's simplex inputs."""
+    a = rng.normal(0.0, 0.4, (d, d))
+    return rng.uniform(-0.5, 0.5, d), a @ a.T / d + 0.1 * np.eye(d)
+
+
+class TestSparseGridClassicalMean:
+    @pytest.mark.parametrize(
+        "d, s",
+        [(d, s) for d in (1, 2, 3) for s in (0.25, 1.0, 4.0)] + [(4, 0.25), (4, 1.0)],
+    )
+    def test_matches_tensor_gauss_hermite(self, d, s):
+        mu, _ = _benchmark_like_law(np.random.default_rng(600 + d), d)
+        law = AlnLaw(mu, s * np.eye(d))
+        ref40, ref60 = _tensor_gh_mean(law, 40), _tensor_gh_mean(law, 60)
+        assert np.max(np.abs(ref60 - ref40)) <= 1e-6  # the reference has settled
+        assert np.max(np.abs(aln_classical_mean(law) - ref60)) <= 1e-6
+
+    @pytest.mark.parametrize("d", [5, 7])
+    def test_matches_monte_carlo_in_high_dimension(self, d):
+        rng = np.random.default_rng(700 + d)
+        law = AlnLaw(*_benchmark_like_law(rng, d))
+        total, total2, n = np.zeros(law.D), np.zeros(law.D), 4_000_000
+        for _ in range(n // 500_000):
+            coords = law.mu + rng.standard_normal((500_000, d)) @ law._chol.T
+            parts = ilr_inv_rows(coords, law.basis)
+            total += parts.sum(axis=0)
+            total2 += (parts * parts).sum(axis=0)
+        mc = total / n
+        se = np.sqrt((total2 / n - mc * mc) / (n - 1))
+        assert np.all(np.abs(aln_classical_mean(law) - mc) < 3 * se)
+
+    def test_deterministic_one_result_for_both_labels(self, monkeypatch):
+        mu, sigma = _benchmark_like_law(np.random.default_rng(11), 5)
+        aln, nsd = AlnLaw(mu, sigma), NormalOnSimplex(mu, sigma)
+        state = np.random.get_state()
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("the classical mean must not draw")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        first = aln_classical_mean(aln)
+        for m in (aln_classical_mean(aln), aln_classical_mean(nsd)):
+            assert np.array_equal(m, first)
+        assert np.array_equal(np.random.get_state()[1], state[1])
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 7])
+    def test_a_composition_summing_to_one(self, d):
+        law = AlnLaw(*_benchmark_like_law(np.random.default_rng(800 + d), d))
+        m = aln_classical_mean(law)
+        assert m.shape == (d + 1,)
+        assert np.all(m > 0)
+        assert abs(m.sum() - 1.0) <= 1e-12
+
+    def test_node_budget_bounds_the_work(self):
+        from codanorm.laws import _aln_mean_quadrature
+
+        law = AlnLaw([0.3, -0.2], np.eye(2))
+        _, level, nodes, drift = _aln_mean_quadrature(law, 40)
+        assert nodes <= 40**4 + 60**4 and drift <= 1e-6 and level > 1
+        # a law too wide for the budget of a small order raises
+        wide = AlnLaw(np.zeros(3), 4.0 * np.eye(3))
+        with pytest.raises(QuadratureUnstableError):
+            aln_classical_mean(wide, order=5)
+
+    def test_nan_drift_raises(self):
+        # parts overflow at every node: the estimate is NaN from the first level
+        law = AlnLaw([2000.0, 0.0], np.eye(2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(QuadratureUnstableError):
+                aln_classical_mean(law)
+
+
+class TestClassicalMomentOverflow:
+    def test_moments_past_the_largest_float_are_inf(self):
+        law = LognormalLaw(76.75, 136965.7)
+        m = lognormal_moments(law)
+        assert m.mean == math.inf and m.variance == math.inf
+        assert m.median == pytest.approx(math.exp(76.75), rel=1e-14)
+        assert m.mode == 0.0
+        ni = lognormal_naive_interval(law, 1.0)
+        assert ni.lower == -math.inf and ni.upper == math.inf
+        assert not ni.lower_in_support and ni.upper_in_support
+
+    def test_variance_in_logs_when_a_factor_overflows(self):
+        # expm1(800) overflows, the variance exp(-400) does not
+        m = lognormal_moments(LognormalLaw(-1000.0, 800.0))
+        assert math.log(m.variance) == pytest.approx(-400.0, rel=1e-12)
+        assert math.log(m.mean) == pytest.approx(-600.0, rel=1e-12)
+
+    @pytest.mark.parametrize("a, s2", [(709.9, 0.04), (710.0, math.log(3.25))])
+    def test_naive_interval_in_logs_keeps_a_finite_lower_end(self, a, s2):
+        # the mean exp(a) overflows; mean - sd = exp(a) (1 - sqrt(expm1(s2)))
+        # does not, and keeps its sign
+        ni = lognormal_naive_interval(LognormalLaw(a - 0.5 * s2, s2), 1.0)
+        factor = 1.0 - math.sqrt(math.expm1(s2))
+        assert ni.upper == math.inf
+        assert math.copysign(1.0, ni.lower) == math.copysign(1.0, factor)
+        assert math.log(abs(ni.lower)) == pytest.approx(a + math.log(abs(factor)), rel=1e-12)
