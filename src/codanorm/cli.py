@@ -17,9 +17,9 @@ Four subcommands, all non-interactive, all deterministic given their flags:
 
 Exit codes: 0 on success, 2 for validation problems (bad flags, bad or
 unreadable files, degenerate data), 3 for numerical failures (singular
-covariance, unstable quadrature, a NaN or infinity reaching a report).  A
-classical moment too large for a float is written as ``null`` with a
-``null_reason``.  The default seed comes from ``CODANORM_SEED`` when set.
+covariance, a NaN or infinity reaching a report).  A classical moment too
+large for a float, or a classical simplex mean whose quadrature does not
+settle within its node budget, is written as ``null`` with a ``null_reason``.  The default seed comes from ``CODANORM_SEED`` when set.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, QuadratureUnstableError, ValidationError
 from .grids import coordinate_density_grid, histogram_artifact, ternary_density_grid
 from .inference import ci_mean_nrp, fit_nsd, fit_nrp, geometric_mean, gof_battery, naive_lognormal_mean
 from .io import (
@@ -176,8 +176,12 @@ def _fit_simplex_report(args):
             "center": center.parts.tolist(),
             "metric_variance": moments.metric_variance,
         },
-        "aln_classical_mean": aln_classical_mean(law).tolist(),
+        "aln_classical_mean": None,
     }
+    try:
+        report["aln_classical_mean"] = aln_classical_mean(law).tolist()
+    except QuadratureUnstableError as exc:  # a law too wide for the node budget
+        report["null_reason"] = f"aln_classical_mean: {exc}"
     if args.no_gof:
         report["gof"] = None
     elif sample.n < 8:

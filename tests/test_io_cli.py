@@ -275,6 +275,22 @@ class TestCliFit:
         assert code == 3
         assert "singular" in err.lower()
 
+    def test_eight_part_fit_too_wide_for_the_quadrature_exits_0(self, capsys, tmp_path):
+        # the coordinate covariance is about 6 I: too wide for the classical
+        # mean's node budget, so that mean is null with its reason
+        p = tmp_path / "wide.csv"
+        raw = np.exp(np.random.default_rng(88).normal(0.0, 2.5, size=(200, 8)))
+        rows = raw / raw.sum(axis=1, keepdims=True)
+        lines = ["a,b,c,d,e,f,g,h"] + [",".join(repr(float(v)) for v in row) for row in rows]
+        p.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "fit", "--input", str(p), "--space", "simplex",
+                                 "--no-gof")
+        assert code == 0, err
+        body = _strict_json(out)
+        assert body["aln_classical_mean"] is None
+        assert body["null_reason"].startswith("aln_classical_mean: ")
+        assert len(body["moments"]["center"]) == 8
+
     def test_report_to_file(self, capsys, rplus_csv, tmp_path):
         out_path = tmp_path / "report.json"
         code, out, _ = run_cli(capsys, "fit", "--input", str(rplus_csv),

@@ -5,6 +5,7 @@ independently; integrals are cross-checked against adaptive quadrature and
 Monte Carlo oracles computed inside the tests.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -619,6 +620,52 @@ class TestSparseGridClassicalMean:
         with pytest.raises(QuadratureUnstableError):
             aln_classical_mean(wide, order=5)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_merged_nodes_give_the_plain_smolyak_sum(self, d):
+        # every tensor rule Q_{l_1} x ... x Q_{l_d} of the combination, node for node
+        from codanorm.laws import _aln_mean_quadrature
+
+        law = AlnLaw(*_benchmark_like_law(np.random.default_rng(900 + d), d))
+        mean, level, nodes, _ = _aln_mean_quadrature(law, 40)
+        q, total, plain_nodes = d + level - 1, np.zeros(law.D), 0
+        for l in itertools.product(range(1, level + 1), repeat=d):
+            if not q - d < sum(l) <= q:
+                continue
+            rules = [np.polynomial.hermite_e.hermegauss(2 * m - 1) for m in l]
+            z = np.stack(np.meshgrid(*(r[0] for r in rules), indexing="ij"), -1).reshape(-1, d)
+            w = np.ones(1)
+            for r in rules:
+                w = np.multiply.outer(w, r[1] / r[1].sum()).ravel()
+            coef = (-1) ** (q - sum(l)) * math.comb(d - 1, q - sum(l))
+            total += coef * (w @ ilr_inv_rows(law.mu + z @ law._chol.T, law.basis))
+            plain_nodes += len(w)
+        assert np.max(np.abs(mean - total / total.sum())) <= 1e-13
+        assert nodes < plain_nodes or d == 1
+
+    @pytest.mark.parametrize("d, level", [(1, 6), (2, 5), (4, 4), (7, 3)])
+    def test_node_count_matches_the_distinct_nodes(self, d, level):
+        from codanorm.laws import _layer_blocks
+
+        law = AlnLaw(np.zeros(d), np.eye(d))
+        seen = []
+        for q in range(d, d + level):
+            layer = np.hstack(list(_layer_blocks(law, q, 0, np.eye(d + 3, 1, -d))))
+            count = sum(math.comb(d, k) * math.comb(q + d - 1 - 2 * k, 2 * d - 1)
+                        for k in range(min(d, (q - d) // 2) + 1))
+            assert layer.shape[1] == count
+            assert np.all(layer[-2] == q)  # first met in this layer
+            seen.append(layer[:d].T)
+        nodes = np.round(np.vstack(seen), 12)
+        assert len(np.unique(nodes, axis=0)) == len(nodes)
+
+    def test_wide_seven_dimensional_law_settles_within_the_budget(self):
+        from codanorm.laws import _aln_mean_quadrature
+
+        mu, _ = _benchmark_like_law(np.random.default_rng(707), 7)
+        mean, level, nodes, drift = _aln_mean_quadrature(AlnLaw(mu, 2.0 * np.eye(7)), 40)
+        assert nodes <= 40**4 + 60**4 and drift <= 2.5e-7
+        assert np.all(mean > 0) and abs(mean.sum() - 1.0) <= 1e-12
+
     def test_nan_drift_raises(self):
         # parts overflow at every node: the estimate is NaN from the first level
         law = AlnLaw([2000.0, 0.0], np.eye(2))
@@ -644,12 +691,17 @@ class TestClassicalMomentOverflow:
         assert math.log(m.variance) == pytest.approx(-400.0, rel=1e-12)
         assert math.log(m.mean) == pytest.approx(-600.0, rel=1e-12)
 
-    @pytest.mark.parametrize("a, s2", [(709.9, 0.04), (710.0, math.log(3.25))])
+    @pytest.mark.parametrize(
+        "a, s2", [(709.9, 0.04), (710.0, math.log(3.25)), (710.0, math.log(2.0))]
+    )
     def test_naive_interval_in_logs_keeps_a_finite_lower_end(self, a, s2):
         # the mean exp(a) overflows; mean - sd = exp(a) (1 - sqrt(expm1(s2)))
         # does not, and keeps its sign
         ni = lognormal_naive_interval(LognormalLaw(a - 0.5 * s2, s2), 1.0)
         factor = 1.0 - math.sqrt(math.expm1(s2))
         assert ni.upper == math.inf
+        if factor == 0.0:  # sd equals the mean: the lower end is exactly 0
+            assert ni.lower == 0.0
+            return
         assert math.copysign(1.0, ni.lower) == math.copysign(1.0, factor)
         assert math.log(abs(ni.lower)) == pytest.approx(a + math.log(abs(factor)), rel=1e-12)
