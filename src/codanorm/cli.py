@@ -17,9 +17,11 @@ Four subcommands, all non-interactive, all deterministic given their flags:
 
 Exit codes: 0 on success, 2 for validation problems (bad flags, bad or
 unreadable files, degenerate data), 3 for numerical failures (singular
-covariance, a NaN or infinity reaching a report).  A classical moment too
-large for a float, or a classical simplex mean whose quadrature does not
-settle within its node budget, is written as ``null`` with a ``null_reason``.  The default seed comes from ``CODANORM_SEED`` when set.
+covariance, a NaN or infinity reaching a report, a ``sample`` draw on the
+positive line past the float range, found before any file is written).  A
+classical moment too large for a float, or a classical simplex mean whose
+quadrature does not settle within its node budget, is written as ``null``
+with a ``null_reason``.  The default seed comes from ``CODANORM_SEED`` when set.
 """
 
 from __future__ import annotations
@@ -221,14 +223,18 @@ def _cmd_fit(args):
 
 def _cmd_sample(args):
     stream = SeededStream(args.seed, args.stream)
+    mu = _parse_vector(args.mu, "--mu")
     if args.law in ("nrp", "lognormal"):
         if args.sigma2 is None:
             raise ValidationError("--sigma2 is required for laws on the positive line")
-        mu = float(args.mu) if "," not in args.mu else None
-        if mu is None:
+        if mu.size != 1:
             raise ValidationError("--mu must be a single number for laws on the positive line")
-        law = NormalOnRPlus(mu, args.sigma2)
-        sample = sample_nrp(law, args.n, stream)
+        law = NormalOnRPlus(mu[0], args.sigma2)
+        with np.errstate(over="ignore"):
+            values = np.exp(sample_nrp(law, args.n, stream).logs)
+        outside = int(np.count_nonzero(~(np.isfinite(values) & (values > 0.0))))
+        if outside:  # inf or 0.0, which no reader of the file accepts
+            raise NumericalError(f"{outside} of {values.size} draws lie outside the float range")
         meta = {
             "law_family": "rplus_normal",
             "mu": law.mu,
@@ -237,9 +243,8 @@ def _cmd_sample(args):
             "seed": args.seed,
             "stream": args.stream,
         }
-        write_samples_csv(args.output, meta, ["value"], np.exp(sample.logs))
+        write_samples_csv(args.output, meta, ["value"], values)
     else:
-        mu = _parse_vector(args.mu, "--mu")
         if args.sigma is None:
             raise ValidationError("--sigma is required for simplex laws")
         sigma = _parse_matrix(args.sigma, mu.size, "--sigma")

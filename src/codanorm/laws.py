@@ -30,7 +30,6 @@ import math
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
-from scipy.linalg import solve_triangular
 
 from . import simplex
 from .errors import (
@@ -222,11 +221,8 @@ def lognormal_moments(law: LognormalLaw) -> LebesgueMoments:
     A moment past the largest float is ``math.inf``."""
     _require(law, LognormalLaw)
     mu, s2 = law.mu, law.sigma2
-    try:
-        var = math.expm1(s2) * math.exp(2.0 * mu + s2)
-    except OverflowError:  # the same in logs
-        var = _exp_or_inf(2.0 * mu + s2 + _log_abs_expm1(s2))
-    return LebesgueMoments(_exp_or_inf(mu + 0.5 * s2), _exp_or_inf(mu), _exp_or_inf(mu - s2), var)
+    return LebesgueMoments(_exp_or_inf(mu + 0.5 * s2), _exp_or_inf(mu), _exp_or_inf(mu - s2),
+                           _exp_or_inf(2.0 * mu + s2 + _log_abs_expm1(s2)))
 
 
 def _log_abs_expm1(x) -> float:
@@ -261,17 +257,14 @@ class NaiveInterval:
 def lognormal_naive_interval(law: LognormalLaw, k) -> NaiveInterval:
     """Classical ``mean +/- k * sd`` interval for the lognormal law; an
     endpoint past the largest float is ``-math.inf`` or ``math.inf``."""
+    _require(law, LognormalLaw)
     k = float(k)
     if not math.isfinite(k) or k <= 0.0:
         raise BadIntervalError(f"k must be strictly positive, got {k!r}")
-    m = lognormal_moments(law)
-    if math.isinf(m.mean) or math.isinf(m.variance):
-        # in logs: mean = exp(a) and k * sd = exp(a + r)
-        a, r = law.mu + 0.5 * law.sigma2, math.log(k) + 0.5 * _log_abs_expm1(law.sigma2)
-        lower = math.copysign(_exp_or_inf(a + _log_abs_expm1(r)), -r) if r else 0.0
-        return NaiveInterval(lower, _exp_or_inf(a + max(r, 0.0) + math.log1p(math.exp(-abs(r)))))
-    sd = math.sqrt(m.variance)
-    return NaiveInterval(m.mean - k * sd, m.mean + k * sd)
+    # in logs: mean = exp(a) and k * sd = exp(a + r)
+    a, r = law.mu + 0.5 * law.sigma2, math.log(k) + 0.5 * _log_abs_expm1(law.sigma2)
+    lower = math.copysign(_exp_or_inf(a + _log_abs_expm1(r)), -r) if r else 0.0
+    return NaiveInterval(lower, _exp_or_inf(a + max(r, 0.0) + math.log1p(math.exp(-abs(r)))))
 
 
 def probability_of_interval(law, a, b) -> float:
@@ -322,11 +315,12 @@ def nrp_transform(law, a, b):
 class _SimplexGaussian:
     """Shared parameter container: ilr coordinates ``Y ~ N(mu, sigma)``.
 
-    ``sigma`` must be symmetric positive definite; the Cholesky factor is
-    computed once at construction and reused by every density evaluation.
+    ``sigma`` must be symmetric positive definite; its Cholesky factor ``L`` (which
+    colours draws) and ``L**-1`` (which whitens coordinates for every density and
+    goodness-of-fit radius) are computed once at construction.
     """
 
-    __slots__ = ("mu", "sigma", "basis", "_chol", "_log_norm")
+    __slots__ = ("mu", "sigma", "basis", "_chol", "_chol_inv", "_log_norm")
 
     def __init__(self, mu, sigma, basis: ContrastBasis | None = None):
         mu = np.array(mu, dtype=float)
@@ -357,6 +351,7 @@ class _SimplexGaussian:
         self.sigma = sigma
         self.basis = basis
         self._chol = chol
+        self._chol_inv = np.linalg.inv(chol)
         self._log_norm = -0.5 * d * math.log(2.0 * math.pi) - float(
             np.sum(np.log(np.diag(chol)))
         )
@@ -449,9 +444,9 @@ def nsd_logpdf_coords(law, coords) -> np.ndarray:
 
 def _mahalanobis2(law, coords) -> np.ndarray:
     """Squared Mahalanobis distance of each coordinate row from ``law.mu``,
-    through the Cholesky factor computed at the law's construction."""
-    z = solve_triangular(law._chol, (coords - law.mu).T, lower=True)
-    return np.sum(z * z, axis=0)
+    through the whitening factor computed at the law's construction."""
+    z = (coords - law.mu) @ law._chol_inv.T
+    return np.sum(z * z, axis=1)
 
 
 def nsd_pdf(law: NormalOnSimplex, x: Composition) -> float:

@@ -35,6 +35,7 @@ from codanorm import (
     uniform,
 )
 from codanorm.inference import _CRITICAL_1PCT, _edf_statistics
+from codanorm.laws import nsd_logpdf_coords
 from codanorm.simplex import closure_rows, ilr_rows
 
 
@@ -274,6 +275,37 @@ class TestEdfStatistics:
         assert _CRITICAL_1PCT[("specified", "anderson_darling")] == 3.857
         assert _CRITICAL_1PCT[("specified", "cramer_von_mises")] == 0.743
         assert _CRITICAL_1PCT[("specified", "watson")] == 0.267
+
+
+class TestWhitening:
+    """Simplex log densities and the GOF radius whiten coordinates with the
+    law's inverse Cholesky factor; the references here solve with the
+    covariance itself, on laws whose eigenvalues span 1e-8 to 1."""
+
+    @pytest.mark.parametrize("d", [2, 4, 7])
+    def test_logpdf_and_radius_match_a_covariance_solve(self, d):
+        gen = np.random.default_rng(40 + d)
+        q, _ = np.linalg.qr(gen.standard_normal((d, d)))
+        law = NormalOnSimplex(gen.uniform(-0.5, 0.5, d), (q * np.logspace(-8, 0, d)) @ q.T)
+        s = sample_nsd(law, 400, SeededStream(d, 0))
+        r = s.coords - law.mu
+        m = np.sum(r * np.linalg.solve(law.sigma, r.T).T, axis=1)
+        ref = -0.5 * (d * math.log(2.0 * math.pi) + np.linalg.slogdet(law.sigma)[1] + m)
+        # factoring sigma moves a squared distance by up to about (d + 1) eps cond(sigma)
+        # relative, on both sides: 1e-9 is out of reach at cond 1e8 (measured gaps 2e-9
+        # to 3e-8).  On a log density, an absolute error is the density's relative error.
+        tol = 2 * (d + 1) * np.finfo(float).eps * np.linalg.cond(law.sigma)
+        assert nsd_logpdf_coords(law, s.coords) == pytest.approx(ref, rel=tol, abs=tol)
+
+        n = s.n
+        a2, w2, u2 = slow_edf_statistics(stats.chi2.cdf(m, df=d))
+        expected = [
+            a2,
+            (w2 - 0.4 / n + 0.6 / n**2) * (1.0 + 1.0 / n),
+            (u2 - 0.1 / n + 0.1 / n**2) * (1.0 + 0.8 / n),
+        ]
+        got = [e.statistic for e in gof_battery(s, law).layer("radius")]
+        assert got == pytest.approx(expected, rel=tol)
 
 
 class TestGofBattery:

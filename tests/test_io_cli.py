@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codanorm import (
     AlnLaw,
@@ -300,6 +304,15 @@ class TestCliFit:
         assert read_report(out_path)["command"] == "fit"
 
 
+# --mu= and --sigma2= texts: finite numbers, the ends of the float range, and
+# words that are no number at all
+_number_texts = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["1e308", "-1e308", "nan", "-nan", "inf", "abc", "", "1,2", "0x1p3"]),
+    st.text(max_size=8),
+)
+
+
 class TestCliSample:
     def test_same_law_same_bytes_on_the_line(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -355,6 +368,45 @@ class TestCliSample:
         meta, _, _ = read_samples_csv(path)
         assert meta["law_family"] == "rplus_normal"
         assert meta["seed"] == 19
+
+    @pytest.mark.parametrize("mu", ["abc", "0.5,1", ""])
+    def test_bad_mu_on_the_line_exits_2(self, capsys, tmp_path, mu):
+        code, _, err = run_cli(capsys, "sample", "--law", "nrp", f"--mu={mu}", "--sigma2", "1",
+                               "-n", "5", "-o", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert "--mu" in err
+
+    @pytest.mark.parametrize("mu, sigma2", [("1e308", "1e300"), ("-1e308", "1"), ("0", "1e6")])
+    def test_draws_past_the_float_range_exit_3_and_write_nothing(self, capsys, tmp_path,
+                                                                 mu, sigma2):
+        path = tmp_path / "x.csv"
+        code, out, err = run_cli(capsys, "sample", "--law", "lognormal", f"--mu={mu}",
+                                 f"--sigma2={sigma2}", "-n", "50", "-o", str(path))
+        assert code == 3 and out == ""
+        assert "draws lie outside the float range" in err
+        assert not path.exists()
+
+    @given(
+        law=st.sampled_from(["nrp", "lognormal"]),
+        mu=_number_texts,
+        sigma2=_number_texts,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_exit_contract_and_readable_output(self, law, mu, sigma2):
+        # hypothesis refuses function-scoped fixtures, hence no tmp_path
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "x.csv")
+            try:
+                code = main(["sample", "--law", law, f"--mu={mu}", f"--sigma2={sigma2}",
+                             "-n", "5", "-o", path])
+            except SystemExit as exc:  # argparse rejected the flag itself
+                code = exc.code
+            assert code in (0, 2, 3)
+            if code == 0:
+                sample, _ = read_rplus_csv(path)
+                assert sample.n == 5
+            else:
+                assert not os.path.exists(path)
 
     def test_missing_sigma2_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "sample", "--law", "nrp", "--mu", "0",
@@ -420,13 +472,14 @@ class TestConsoleScript:
 
 class TestImportPath:
     def test_cli_path_leaves_scipy_stats_unloaded(self):
-        # scipy.stats takes about a second to import; only probability_of_box
-        # at d >= 2 may load it, so no CLI job pays for it at start-up
+        # scipy.stats takes about a second to import and scipy.linalg about
+        # 0.1 s; only probability_of_box at d >= 2 may load them, so no CLI
+        # job pays for either at start-up
         code = ("import sys, codanorm, codanorm.cli, codanorm.io, codanorm.datasets; "
-                "print('scipy.stats' in sys.modules)")
+                "print([m for m in ('scipy.stats', 'scipy.linalg') if m in sys.modules])")
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "False"
+        assert result.stdout.strip() == "[]"
 
 
 def _strict_json(text):
