@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import chdtr, ndtr, stdtrit
 
 from . import simplex
 from .errors import (
@@ -229,6 +228,8 @@ def ci_mean_nrp(sample: RPlusSample, alpha) -> tuple[PositiveValue, PositiveValu
         raise DegenerateVarianceError(
             "all observations are identical; interval undefined"
         )
+    from scipy.special import stdtrit  # lazy: scipy.special costs ~0.3 s to import
+
     ybar = float(sample.logs.mean())
     half = float(stdtrit(sample.n - 1, 1.0 - alpha / 2.0)) * v / math.sqrt(sample.n)
     return PositiveValue.from_log(ybar - half), PositiveValue.from_log(ybar + half)
@@ -412,6 +413,8 @@ def gof_battery(sample: SimplexSample, fitted: NormalOnSimplex) -> GofReport:
         raise DimensionMismatchError(
             f"law has {fitted.dim} coordinates, data have {sample.D - 1}"
         )
+    from scipy.special import chdtr, ndtr  # lazy: scipy.special costs ~0.3 s to import
+
     coords = sample.coords
     n, d = coords.shape
     mu = fitted.mu

@@ -5,7 +5,9 @@ Conventions shared by everything below:
 * CSV files are UTF-8 with a header row and '.' decimals; lines starting
   with ``#`` are comments (the sample writer uses one to carry metadata) and
   blank lines are ignored.  One parser, ``_read_table``, reads every table;
-  each public reader adds only its own checks, vectorized.
+  each public reader adds only its own checks, vectorized.  numpy's C reader
+  takes a clean table; any other goes line by line through ``csv`` and
+  ``float``, which give every diagnostic and the same values.
 * Problems are collected per line and raised together, in line order, as a
   :class:`~codanorm.errors.DatasetValidationError`; so are a file that is
   not UTF-8 and JSON that is malformed, not an object or of another
@@ -65,12 +67,10 @@ def _read_text(path):
 def _read_table(text_lines, path):
     """The one CSV parser of ``path``'s lines: ``(columns, line_numbers, values, problems)``.
 
-    Comment and blank lines are skipped but counted.  One ``csv.reader``
-    splits the data records.  A wrong field count, a field ``float`` rejects,
-    a quote left open at the end of a line or a field ``csv`` refuses (over
-    its size limit) is a problem of that line (``problems`` maps line to
-    message); the reader restarts after such a line, so every other problem
-    keeps its own line.  The rows of ``values`` belong to ``line_numbers``.
+    Comment and blank lines are skipped but counted, and the first kept line
+    is the header.  A clean table (every data line ``width`` plain numbers)
+    parses in numpy's C reader, which gives ``float``'s values bit for bit;
+    any other table, and every problem, is left to :func:`_parse_lines`.
     """
     numbers, lines = [], []
     for lineno, line in enumerate(text_lines, start=1):
@@ -85,6 +85,33 @@ def _read_table(text_lines, path):
     except csv.Error as exc:
         raise DatasetValidationError([f"line {numbers[0]}: {exc}"]) from None
     width = len(columns)
+    data = lines[1:]
+    joined = "".join(data)
+    # loadtxt warns on no lines; a field past csv's size limit is a problem, and
+    # numpy strips the separators \x1c-\x1f as whitespace where float refuses them
+    if (data and max(map(len, data)) <= csv.field_size_limit()
+            and not any(c in joined for c in "\x1c\x1d\x1e\x1f")):
+        try:
+            values = np.loadtxt(data, delimiter=",", comments=None, dtype=float, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if values.shape == (len(data), width):
+                return columns, numbers[1:], values, {}
+    return (columns, *_parse_lines(lines, numbers, width))
+
+
+def _parse_lines(lines, numbers, width):
+    """The line-by-line parser behind :func:`_read_table`:
+    ``(line_numbers, values, problems)`` of the data records in ``lines[1:]``.
+
+    One ``csv.reader`` splits the data records.  A wrong field count, a field
+    ``float`` rejects, a quote left open at the end of a line or a field
+    ``csv`` refuses (over its size limit) is a problem of that line
+    (``problems`` maps line to message); the reader restarts after such a
+    line, so every other problem keeps its own line.  The rows of ``values``
+    belong to ``line_numbers``.
+    """
     kept, rows, problems = [], [], {}
     start, end = 1, len(lines)
     while start < end:
@@ -113,7 +140,7 @@ def _read_table(text_lines, path):
                 "quote left open at end of line" if start + reader.line_num > at + 1 else str(exc)
             )
         start = at + 1
-    return columns, kept, np.array(rows, dtype=float).reshape(len(rows), width), problems
+    return kept, np.array(rows, dtype=float).reshape(len(rows), width), problems
 
 
 def _raise_problems(problems):

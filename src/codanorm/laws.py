@@ -187,6 +187,7 @@ def nrp_interval(law: NormalOnRPlus, k) -> tuple[PositiveValue, PositiveValue]:
 
     Both endpoints are always inside the support, whatever ``k``.
     """
+    _require(law, NormalOnRPlus)
     k = float(k)
     if not math.isfinite(k) or k <= 0.0:
         raise BadIntervalError(f"k must be strictly positive, got {k!r}")

@@ -470,16 +470,46 @@ class TestConsoleScript:
         assert "codanorm" in result.stdout
 
 
+# the two calls that read scipy.special, the t interval and the GOF battery,
+# with their results bit for bit
+_SCIPY_SPECIAL_RESULTS = """
+from codanorm import (NormalOnRPlus, NormalOnSimplex, SeededStream, ci_mean_nrp, fit_nsd,
+                      gof_battery, sample_nrp, sample_nsd)
+
+def results():
+    rp = sample_nrp(NormalOnRPlus(0.5, 0.8), 50, SeededStream(7, 0))
+    sigma = [[1.0, 0.2, 0.0], [0.2, 0.5, 0.1], [0.0, 0.1, 0.7]]
+    sd = sample_nsd(NormalOnSimplex([0.3, -0.2, 0.1], sigma), 60, SeededStream(7, 1))
+    lo, hi = ci_mean_nrp(rp, 0.05)
+    report = gof_battery(sd, fit_nsd(sd))
+    return [lo.log.hex(), hi.log.hex()] + [e.statistic.hex() for e in report.entries]
+"""
+
+
 class TestImportPath:
     def test_cli_path_leaves_scipy_stats_unloaded(self):
-        # scipy.stats takes about a second to import and scipy.linalg about
-        # 0.1 s; only probability_of_box at d >= 2 may load them, so no CLI
-        # job pays for either at start-up
+        # scipy.special takes about 0.3 s to import and scipy.stats about a
+        # second; both load on first use, so a CLI job that runs no GOF
+        # battery and no t interval pays for no scipy module at all
         code = ("import sys, codanorm, codanorm.cli, codanorm.io, codanorm.datasets; "
-                "print([m for m in ('scipy.stats', 'scipy.linalg') if m in sys.modules])")
+                "print([m for m in sys.modules if m.startswith('scipy')])")
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
+
+    def test_first_call_in_a_fresh_interpreter_equals_later_calls(self):
+        code = _SCIPY_SPECIAL_RESULTS + (
+            "import json, sys\n"
+            "loaded = 'scipy.special' in sys.modules\n"
+            "print(json.dumps([loaded, results(), results()]))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        loaded, first, second = json.loads(result.stdout)
+        assert not loaded
+        scope = {}
+        exec(_SCIPY_SPECIAL_RESULTS, scope)
+        assert first == second == scope["results"]()
 
 
 def _strict_json(text):

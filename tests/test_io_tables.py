@@ -3,6 +3,8 @@ CLI's exit code for unreadable files."""
 
 import json
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codanorm import DatasetValidationError, NormalOnRPlus, NormalOnSimplex, SeededStream
+from codanorm import io as codanorm_io
 from codanorm.cli import main
 from codanorm.grids import (
     CoordinateDensityGrid,
@@ -39,13 +42,14 @@ def reference_row(row):
 # reader
 # ---------------------------------------------------------------------------
 
-_KINDS = ["good", "comment", "blank", "short", "long", "nonnum", "nonpos", "offsum"]
+_KINDS = ["good", "comment", "blank", "short", "long", "nonnum", "nonpos", "offsum", "oddnum"]
 
 
 @st.composite
 def malformed_tables(draw):
     """A compositional CSV mixing every kind of line, with the problems that
-    ``read_simplex_csv`` must report and those every table reader reports."""
+    ``read_simplex_csv`` must report, those every table reader reports, and
+    the rows every table reader parses."""
     D = draw(st.integers(2, 5))
     columns = [f"c{i}" for i in range(D)]
     lines = [draw(st.sampled_from(["# lead", "", "  "])) for _ in range(draw(st.integers(0, 2)))]
@@ -54,7 +58,7 @@ def malformed_tables(draw):
     quote_at = draw(st.none() | st.integers(0, len(kinds)))
     if quote_at is not None:
         kinds.insert(quote_at, "quote")
-    expected, shared = [], []
+    expected, shared, parsed = [], [], []
     for kind in kinds:
         weights = draw(st.lists(st.integers(1, 1000), min_size=D, max_size=D))
         vals = [w / sum(weights) for w in weights]
@@ -88,22 +92,32 @@ def malformed_tables(draw):
             total = sum(vals)
             problem = (f"row sums to {total!r}, not kappa=1.0 "
                        f"(relative error {abs(total - 1.0):.3g})")
+        elif kind == "oddnum":
+            # numbers that float reads and numpy's C reader refuses
+            k = draw(st.integers(0, D - 1))
+            head, _, tail = fields[k].partition(".")
+            if draw(st.booleans()) or len(tail) < 2:
+                fields[k] = f'"{fields[k]}"'
+            else:
+                fields[k] = f"{head}.{tail[0]}_{tail[1:]}"
         if fields is not None:
             lines.append(",".join(fields))
+            if kind in ("good", "nonpos", "offsum", "oddnum"):
+                parsed.append([float(f.strip('"')) for f in fields])
         if problem is not None:
             expected.append(f"line {lineno}: {problem}")
             if kind in ("short", "long", "nonnum", "quote"):
                 shared.append(f"line {lineno}: {problem}")
     eol = draw(st.sampled_from(["\n", "\r\n"]))
-    parsed = sum(kinds.count(k) for k in ("good", "nonpos", "offsum"))
-    return eol.join(lines) + eol, expected, shared, kinds.count("good"), parsed
+    n_good = kinds.count("good") + kinds.count("oddnum")
+    return eol.join(lines) + eol, expected, shared, n_good, parsed
 
 
 class TestSharedReader:
     @given(malformed_tables())
     @settings(max_examples=150, deadline=None)
     def test_problems_in_line_order(self, tmp_path_factory, table):
-        text, expected, shared, n_good, n_parsed = table
+        text, expected, shared, n_good, parsed = table
         path = tmp_path_factory.mktemp("table") / "t.csv"
         path.write_bytes(text.encode())
         if expected:
@@ -121,7 +135,38 @@ class TestSharedReader:
                 read_samples_csv(path)
             assert exc.value.problems == shared
         else:
-            assert read_samples_csv(path)[2].shape[0] == n_parsed
+            values = read_samples_csv(path)[2]
+            assert values.shape[0] == len(parsed)
+            if parsed:
+                assert np.array_equal(values.view(np.int64), np.array(parsed).view(np.int64))
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_clean_tables_parse_as_the_line_parser_does(self, data):
+        width = data.draw(st.integers(1, 4))
+        positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+        spell = st.sampled_from([repr, "%.25g".__mod__, "%.3e".__mod__])
+        pad = st.sampled_from(["", " ", "  "])
+        text_lines = ["# lead", ",".join(f"c{i}" for i in range(width))]
+        for _ in range(data.draw(st.integers(1, 30))):
+            if data.draw(st.integers(0, 4)) == 0:
+                text_lines.append(data.draw(st.sampled_from(["", "# a, comment", "  "])))
+            text_lines.append(",".join(
+                data.draw(pad) + data.draw(spell)(data.draw(positive)) + data.draw(pad)
+                for _ in range(width)))
+        eol = data.draw(st.sampled_from(["", "\r"]))
+        text_lines = [line + eol for line in text_lines]
+        numbers = [n for n, line in enumerate(text_lines, start=1)
+                   if line.strip() and not line.strip().startswith("#")]
+        kept = [text_lines[n - 1] for n in numbers]
+        # numpy's reader takes every such table: the line parser must not run
+        with mock.patch.object(codanorm_io, "_parse_lines", side_effect=AssertionError("not clean")):
+            columns, lines, values, problems = codanorm_io._read_table(text_lines, "t.csv")
+        ref_lines, ref_values, ref_problems = codanorm_io._parse_lines(kept, numbers, width)
+        assert columns == [f"c{i}" for i in range(width)]
+        assert (lines, problems) == (ref_lines, ref_problems) == (numbers[1:], {})
+        assert values.shape == ref_values.shape
+        assert np.array_equal(values.view(np.int64), ref_values.view(np.int64))
 
     def test_eight_part_total_is_summed_left_to_right(self, tmp_path):
         gen = np.random.default_rng(4)
@@ -180,6 +225,30 @@ class TestSharedReader:
         with pytest.raises(DatasetValidationError) as exc:
             read_rplus_csv(p)
         assert exc.value.problems == ["line 2: field larger than field limit (131072)"]
+        # a number csv refuses for its length, in a table numpy would read
+        p.write_text("a\n0." + "1" * 200_000 + "\n0.5\n")
+        with pytest.raises(DatasetValidationError) as exc:
+            read_rplus_csv(p)
+        assert exc.value.problems == ["line 2: field larger than field limit (131072)"]
+
+    @pytest.mark.parametrize("field", ["\x1c1.5", "1.5\x1d", "\x1e1.5\x1f"])
+    def test_separators_float_refuses(self, tmp_path, field):
+        # numpy strips \x1c-\x1f as whitespace; float, and so the reader, does not
+        p = tmp_path / "vals.csv"
+        p.write_text(f"flow\n1.5\n{field}\n")
+        with pytest.raises(DatasetValidationError) as exc:
+            read_rplus_csv(p)
+        assert exc.value.problems == [f"line 3: non-numeric field among {[field]!r}"]
+
+    @pytest.mark.parametrize("text", ["flow\n", "# c\nflow\n\n# d\n", "a,b\r\n"])
+    def test_header_only_file_has_no_data_rows_and_no_warning(self, tmp_path, text):
+        p = tmp_path / "empty.csv"
+        p.write_text(text)
+        reader = read_rplus_csv if "," not in text else read_simplex_csv
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DatasetValidationError, match="no data rows"):
+                reader(p)
 
     def test_not_utf8_names_the_path(self, tmp_path):
         p = tmp_path / "latin1.csv"

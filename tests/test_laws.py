@@ -31,12 +31,15 @@ from codanorm import (
     aln_classical_mean,
     aln_pdf,
     closure,
+    coordinate_density_grid,
     default_basis,
+    gof_battery,
     ilr,
     ilr_inv,
     lognormal_moments,
     lognormal_naive_interval,
     lognormal_pdf,
+    mc_expectation,
     nrp_interval,
     nrp_moments,
     nrp_pdf,
@@ -55,12 +58,16 @@ from codanorm import (
     rp_distance,
     rp_measure_ratio,
     sample_aln,
+    sample_lognormal,
+    sample_nrp,
+    sample_nsd,
     sd_measure_ratio,
+    ternary_density_grid,
     uniform,
     with_lebesgue_reference,
     with_natural_reference,
 )
-from codanorm.laws import nsd_logpdf_coords
+from codanorm.laws import aln_pdf_rows, nsd_logpdf_coords, nsd_pdf_rows
 from codanorm.simplex import ilr_inv_rows
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -705,3 +712,62 @@ class TestClassicalMomentOverflow:
             return
         assert math.copysign(1.0, ni.lower) == math.copysign(1.0, factor)
         assert math.log(abs(ni.lower)) == pytest.approx(a + math.log(abs(factor)), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# label guards
+# ---------------------------------------------------------------------------
+
+_RP, _LN = NormalOnRPlus(0.0, 1.0), LognormalLaw(0.0, 1.0)
+_NSD, _ALN = NormalOnSimplex(np.zeros(2), np.eye(2)), AlnLaw(np.zeros(2), np.eye(2))
+_X = closure([1.0, 2.0, 3.0])
+_STREAM = SeededStream(3, 0)
+
+# (call, a law of the wrong label or space, the kind the guard names)
+_GUARDED = {
+    "nrp_pdf": (lambda law: nrp_pdf(law, 1.0), _LN, "NormalOnRPlus"),
+    "nrp_moments": (nrp_moments, _LN, "NormalOnRPlus"),
+    "nrp_interval": (lambda law: nrp_interval(law, 1.0), _LN, "NormalOnRPlus"),
+    "nrp_interval_simplex": (lambda law: nrp_interval(law, 1.0), _NSD, "NormalOnRPlus"),
+    "nrp_transform": (lambda law: nrp_transform(law, 2.0, 1.0), _NSD, "a law on the positive line"),
+    "lognormal_pdf": (lambda law: lognormal_pdf(law, 1.0), _RP, "LognormalLaw"),
+    "lognormal_moments": (lognormal_moments, _RP, "LognormalLaw"),
+    "lognormal_naive_interval": (lambda law: lognormal_naive_interval(law, 1.0), _RP,
+                                 "LognormalLaw"),
+    "probability_of_interval": (lambda law: probability_of_interval(law, 1.0, 2.0), _NSD,
+                                "a law on the positive line"),
+    "nsd_pdf": (lambda law: nsd_pdf(law, _X), _ALN, "NormalOnSimplex"),
+    "nsd_pdf_rows": (lambda law: nsd_pdf_rows(law, _X.parts[None]), _ALN, "NormalOnSimplex"),
+    "nsd_logpdf_coords": (lambda law: nsd_logpdf_coords(law, np.zeros(2)), _RP, "a simplex law"),
+    "aln_pdf": (lambda law: aln_pdf(law, _X), _NSD, "AlnLaw"),
+    "aln_pdf_rows": (lambda law: aln_pdf_rows(law, _X.parts[None]), _NSD, "AlnLaw"),
+    "nsd_moments": (nsd_moments, _RP, "a simplex law"),
+    "nsd_transform": (lambda law: nsd_transform(law, None, 2.0), _RP, "a simplex law"),
+    "nsd_permute": (lambda law: nsd_permute(law, PermutationMap([2, 0, 1])), _RP,
+                    "a simplex law"),
+    "nsd_subcomposition": (lambda law: nsd_subcomposition(law, SelectionMatrix([0, 1], 3)), _RP,
+                           "a simplex law"),
+    "aln_classical_mean": (aln_classical_mean, _LN, "a simplex law"),
+    "probability_of_box": (lambda law: probability_of_box(law, np.zeros(2), np.ones(2)), _RP,
+                           "a simplex law"),
+    "with_lebesgue_reference": (with_lebesgue_reference, _ALN, "NormalOnSimplex"),
+    "with_natural_reference": (with_natural_reference, _NSD, "AlnLaw"),
+    "sample_nrp": (lambda law: sample_nrp(law, 5, _STREAM), _NSD, "a law on the positive line"),
+    "sample_lognormal": (lambda law: sample_lognormal(law, 5, _STREAM), _ALN,
+                         "a law on the positive line"),
+    "sample_nsd": (lambda law: sample_nsd(law, 5, _STREAM), _RP, "a simplex law"),
+    "sample_aln": (lambda law: sample_aln(law, 5, _STREAM), _LN, "a simplex law"),
+    "mc_expectation": (lambda law: mc_expectation(lambda x: 1.0, law, 100, _STREAM), _X,
+                       "one of the four laws"),
+    "ternary_density_grid": (ternary_density_grid, _RP, "a simplex law"),
+    "coordinate_density_grid": (coordinate_density_grid, _LN, "a simplex law"),
+    "gof_battery": (lambda law: gof_battery(sample_nsd(_NSD, 8, _STREAM), law), _ALN,
+                    "NormalOnSimplex"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GUARDED))
+def test_label_guard_names_the_expected_kind(name):
+    call, wrong, kind = _GUARDED[name]
+    with pytest.raises(TypeError, match=f"^expected {kind}, got {type(wrong).__name__}$"):
+        call(wrong)
