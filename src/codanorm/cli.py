@@ -231,10 +231,8 @@ def _cmd_sample(args):
             raise ValidationError("--mu must be a single number for laws on the positive line")
         law = NormalOnRPlus(mu[0], args.sigma2)
         with np.errstate(over="ignore"):
-            values = np.exp(sample_nrp(law, args.n, stream).logs)
-        outside = int(np.count_nonzero(~(np.isfinite(values) & (values > 0.0))))
-        if outside:  # inf or 0.0, which no reader of the file accepts
-            raise NumericalError(f"{outside} of {values.size} draws lie outside the float range")
+            draws = np.exp(sample_nrp(law, args.n, stream).logs)
+        columns = ["value"]
         meta = {
             "law_family": "rplus_normal",
             "mu": law.mu,
@@ -243,13 +241,13 @@ def _cmd_sample(args):
             "seed": args.seed,
             "stream": args.stream,
         }
-        write_samples_csv(args.output, meta, ["value"], values)
     else:
         if args.sigma is None:
             raise ValidationError("--sigma is required for simplex laws")
         sigma = _parse_matrix(args.sigma, mu.size, "--sigma")
         law = NormalOnSimplex(mu, sigma)
-        sample = sample_nsd(law, args.n, stream, kappa=args.kappa)
+        with np.errstate(over="ignore", invalid="ignore"):  # counted below
+            draws = sample_nsd(law, args.n, stream, kappa=args.kappa).rows
         meta = {
             "law_family": "simplex_normal",
             "mu": law.mu.tolist(),
@@ -259,8 +257,11 @@ def _cmd_sample(args):
             "seed": args.seed,
             "stream": args.stream,
         }
-        columns = [f"part{i + 1}" for i in range(sample.D)]
-        write_samples_csv(args.output, meta, columns, sample.rows)
+        columns = [f"part{i + 1}" for i in range(law.D)]
+    outside = np.count_nonzero(~(np.isfinite(draws) & (draws > 0.0)).reshape(len(draws), -1).all(1))
+    if outside:  # inf or 0.0 (a part), which no reader of the file accepts
+        raise NumericalError(f"{outside} of {len(draws)} draws lie outside the float range")
+    write_samples_csv(args.output, meta, columns, draws)
     print(args.output)
     return 0
 

@@ -96,44 +96,40 @@ class RPlusSample:
 
 
 class SimplexSample:
-    """Compositional observations, held as a matrix of part rows plus the
+    """Compositional observations, held as a matrix of clr rows plus the
     contrast basis in which they will be fitted."""
 
-    __slots__ = ("_rows", "_kappa", "_basis", "_coords")
+    __slots__ = ("_clr", "_kappa", "_basis")
 
     def __init__(self, compositions, basis: ContrastBasis | None = None):
         comps = list(compositions)
         if not comps:
             raise EmptyDataError("sample must contain at least one composition")
-        first = comps[0]
         for c in comps[1:]:
-            simplex._check_same_space(first, c, "sample members")
-        rows = np.stack([c.parts for c in comps])
-        self._init_from_rows(rows, first.kappa, basis)
-
-    def _init_from_rows(self, rows, kappa, basis):
-        rows.flags.writeable = False
-        self._rows = rows
-        self._kappa = float(kappa)
-        self._basis = simplex._as_basis(rows.shape[1], basis)
-        self._coords = None
+            simplex._check_same_space(comps[0], c, "sample members")
+        built = SimplexSample._from_clr(np.stack([c._clr for c in comps]), comps[0].kappa, basis)
+        self._clr, self._kappa, self._basis = built._clr, built._kappa, built._basis
 
     @classmethod
-    def _wrap(cls, rows, kappa, basis):
-        """Wrap rows that are already closed and checked, as they are."""
+    def _from_clr(cls, clr, kappa, basis):
+        """Wrap an ``(n, D)`` array of clr rows as it is."""
         obj = object.__new__(cls)
-        obj._init_from_rows(rows, kappa, basis)
+        clr.flags.writeable = False
+        obj._clr = clr
+        obj._kappa = simplex._checked_kappa(kappa)
+        obj._basis = simplex._as_basis(clr.shape[1], basis)
         return obj
 
     @classmethod
     def from_rows(cls, rows, kappa=1.0, basis: ContrastBasis | None = None):
         """Build from an ``(n, D)`` array of positive rows (each is closed)."""
-        return cls._wrap(simplex.closure_rows(rows, kappa), kappa, basis)
+        rows = simplex._checked_rows(np.asarray(rows, dtype=float), "parts")
+        return cls._from_clr(simplex.clr_rows(rows), kappa, basis)
 
     @property
     def rows(self):
-        """Read-only ``(n, D)`` matrix of closed part rows."""
-        return self._rows
+        """``(n, D)`` closed part rows; a part below about ``1e-308 * kappa`` is 0.0."""
+        return simplex._clr_inv_rows(self._clr, self._kappa)
 
     @property
     def kappa(self):
@@ -145,32 +141,28 @@ class SimplexSample:
 
     @property
     def n(self):
-        return self._rows.shape[0]
+        return self._clr.shape[0]
 
     @property
     def D(self):
-        return self._rows.shape[1]
+        return self._clr.shape[1]
 
     @property
     def coords(self):
-        """Orthonormal coordinates of the rows, computed once and cached."""
-        if self._coords is None:
-            coords = simplex.ilr_rows(self._rows, self._basis)
-            coords.flags.writeable = False
-            self._coords = coords
-        return self._coords
+        """Orthonormal coordinates of the rows."""
+        return self._clr @ self._basis.matrix
 
     def compositions(self):
         """The observations as :class:`Composition` objects."""
-        return [Composition(r, self._kappa) for r in self._rows]
+        return [Composition._from_clr(r, self._kappa) for r in self._clr]
 
     def with_basis(self, basis: ContrastBasis):
         """The same data viewed in another contrast basis."""
-        return SimplexSample._wrap(self._rows.copy(), self._kappa, basis)
+        return SimplexSample._from_clr(self._clr, self._kappa, basis)
 
     def center(self) -> Composition:
         """Closed geometric mean of the rows."""
-        return simplex._geometric_center(self._rows, self._kappa)
+        return Composition._from_clr(self._clr.mean(axis=0), self._kappa)
 
     def __len__(self):
         return self.n

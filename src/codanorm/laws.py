@@ -452,7 +452,8 @@ def _mahalanobis2(law, coords) -> np.ndarray:
 
 def nsd_pdf(law: NormalOnSimplex, x: Composition) -> float:
     """Density with respect to the natural simplex measure."""
-    return float(nsd_pdf_rows(law, x.parts[None])[0])
+    _require(law, NormalOnSimplex)
+    return float(np.exp(nsd_logpdf_coords(law, simplex.ilr(x, law.basis))[0]))
 
 
 def nsd_pdf_rows(law: NormalOnSimplex, rows) -> np.ndarray:
@@ -470,7 +471,9 @@ def aln_pdf(law: AlnLaw, x: Composition) -> float:
     of the free parts ``(x1, ..., x_{D-1})``; under it the flat (uniform
     Dirichlet) law has constant density ``(D-1)!``.
     """
-    return float(aln_pdf_rows(law, x.proportions[None])[0])
+    _require(law, AlnLaw)
+    log_coords = nsd_logpdf_coords(law, simplex.ilr(x, law.basis))[0]
+    return float(np.exp(log_coords + simplex._log_measure_ratio(x)))
 
 
 def aln_pdf_rows(law: AlnLaw, rows) -> np.ndarray:

@@ -21,7 +21,6 @@ import math
 
 import numpy as np
 
-from . import simplex
 from .errors import InsufficientDataError, NonPositivePartError
 from .inference import RPlusSample, SimplexSample
 from .laws import (
@@ -100,13 +99,12 @@ def sample_lognormal(law: LognormalLaw, n, stream: SeededStream) -> RPlusSample:
 
 
 def sample_nsd(law: NormalOnSimplex, n, stream: SeededStream, kappa=1.0) -> SimplexSample:
-    """``n`` compositional draws with coordinates ``mu + L Z``."""
+    """``n`` compositional draws held as their clr rows ``(mu + L Z) U'``."""
     _require(law, _SimplexGaussian)
     n = _check_n(n)
     z = stream.generator().standard_normal((n, law.dim))
-    coords = law.mu + z @ law._chol.T
-    rows = simplex.ilr_inv_rows(coords, law.basis, kappa)
-    return SimplexSample._wrap(simplex._checked_rows(rows, "closed parts"), kappa, law.basis)
+    clr = (law.mu + z @ law._chol.T) @ law.basis.matrix.T
+    return SimplexSample._from_clr(clr, kappa, law.basis)
 
 
 def sample_aln(law: AlnLaw, n, stream: SeededStream, kappa=1.0) -> SimplexSample:

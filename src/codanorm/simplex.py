@@ -16,18 +16,18 @@ works in orthonormal log-ratio coordinates: a contrast matrix ``U`` of shape
 an ordinary vector in R^(D-1), and every metric concept (inner product,
 norm, distance) agrees with the Euclidean one computed there.
 
-Functions ending in ``_rows`` operate on a 2-d array whose rows are part
-vectors (or coordinate vectors) and are the only implementation of each map:
-the scalar functions taking or returning a :class:`Composition` shape their
-argument as one row, call the ``_rows`` kernel and wrap the result.  One
-validator checks part rows, both on the way into a closure and on the closed
-output, where it rejects parts that underflow to zero.
+A :class:`Composition` holds only its clr image, as the positive line holds
+logs: perturbation adds clr images, powering scales them, and the metric and
+``ilr`` read them, with no closure.  Parts are computed on demand, each row
+shifted by its largest log before ``exp``: none overflows, and a part below
+about ``1e-308 * kappa`` reads as 0.0.  One validator checks part rows on the
+way into a closure and on its output, where it rejects parts that underflow.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -101,45 +101,45 @@ def _one_row(values, where):
 
 
 class Composition:
-    """A closed vector of ``D`` strictly positive parts summing to ``kappa``.
+    """``D`` strictly positive parts summing to ``kappa``, held as their clr image.
 
     The constructor demands a vector that is already closed up to a relative
-    tolerance of 1e-12 (it re-normalizes the residual rounding error exactly);
-    use :func:`closure` to close arbitrary positive vectors.
+    tolerance of 1e-12; use :func:`closure` to close arbitrary positive
+    vectors.  ``parts`` and ``proportions`` are computed on each access.
 
     Equality is geometric: two compositions with the same number of parts and
     the same ``kappa`` are equal when their Aitchison distance is below 1e-10.
     Instances are therefore unhashable.
     """
 
-    __slots__ = ("_parts", "_kappa")
+    __slots__ = ("_clr", "_kappa")
 
     def __init__(self, parts, kappa=1.0):
-        row = _one_row(parts, "parts")
-        closed = closure_rows(row, kappa)[0]
-        kappa = float(kappa)
-        total = row.sum()
-        if abs(total - kappa) > CLOSURE_TOL * kappa:
+        row = _one_row(parts, "parts")[0]
+        closed, total = closure(row, kappa), row.sum()
+        if abs(total - closed.kappa) > CLOSURE_TOL * closed.kappa:
             raise ClosureError(
-                f"parts sum to {total!r}, not kappa={kappa!r}; close the vector first"
+                f"parts sum to {total!r}, not kappa={closed.kappa!r}; close the vector first"
             )
-        closed.flags.writeable = False
-        self._parts = closed
-        self._kappa = kappa
+        self._clr, self._kappa = closed._clr, closed.kappa
 
     @classmethod
-    def _trusted(cls, parts, kappa):
-        """Wrap parts that a row kernel has already closed and checked."""
+    def _from_clr(cls, clr, kappa):
+        """Wrap a clr image as it is (any row offset reads the same parts)."""
+        if not np.isfinite(clr).all():
+            raise NonPositivePartError(f"the clr image must be finite, got {clr}")
         obj = object.__new__(cls)
-        parts.flags.writeable = False
-        obj._parts = parts
+        clr.flags.writeable = False
+        obj._clr = clr
         obj._kappa = float(kappa)
         return obj
 
     @property
     def parts(self):
         """Read-only array of the ``D`` parts."""
-        return self._parts
+        parts = _clr_inv_rows(self._clr[None], self._kappa)[0]
+        parts.flags.writeable = False
+        return parts
 
     @property
     def kappa(self):
@@ -149,12 +149,12 @@ class Composition:
     @property
     def D(self):
         """Number of parts."""
-        return self._parts.size
+        return self._clr.size
 
     @property
     def proportions(self):
         """Parts rescaled to sum to one (independent of ``kappa``)."""
-        return self._parts / self._kappa
+        return _clr_inv_rows(self._clr[None], 1.0)[0]
 
     def __eq__(self, other):
         if not isinstance(other, Composition):
@@ -168,7 +168,7 @@ class Composition:
     __hash__ = None
 
     def __repr__(self):
-        inner = ", ".join(f"{v:.6g}" for v in self._parts)
+        inner = ", ".join(f"{v:.6g}" for v in self.parts)
         if self._kappa == 1.0:
             return f"Composition([{inner}])"
         return f"Composition([{inner}], kappa={self._kappa:g})"
@@ -180,7 +180,7 @@ class Composition:
 
 def closure(values, kappa=1.0) -> Composition:
     """Close a vector of positive values to constant sum ``kappa``."""
-    return Composition._trusted(closure_rows(_one_row(values, "parts"), kappa)[0], kappa)
+    return Composition._from_clr(clr_rows(closure_rows(_one_row(values, "parts"), kappa))[0], kappa)
 
 
 def uniform(D, kappa=1.0) -> Composition:
@@ -188,7 +188,7 @@ def uniform(D, kappa=1.0) -> Composition:
     D = int(D)
     if D < 2:
         raise DimensionMismatchError(f"need at least 2 parts, got {D}")
-    return Composition(np.full(D, float(kappa) / D), kappa)
+    return Composition._from_clr(np.zeros(D), _checked_kappa(kappa))
 
 
 def _check_same_space(x: Composition, y: Composition, what="operands"):
@@ -207,35 +207,35 @@ def _check_same_space(x: Composition, y: Composition, what="operands"):
 # --------------------------------------------------------------------------
 
 def perturb(x: Composition, y: Composition) -> Composition:
-    """Perturbation (the group operation): componentwise product, then closure."""
+    """Perturbation (the group operation), ``C(x * y)``: adds the clr images."""
     _check_same_space(x, y)
-    return closure(x.parts * y.parts, x.kappa)
+    return Composition._from_clr(x._clr + y._clr, x.kappa)
 
 
 def power(a, x: Composition) -> Composition:
-    """Powering (the scalar action): componentwise power ``x**a``, then closure."""
+    """Powering (the scalar action), ``C(x**a)``: scales the clr image by ``a``."""
     a = float(a)
     if not np.isfinite(a):
         raise NonPositivePartError(f"exponent must be finite, got {a!r}")
-    return closure(x.parts ** a, x.kappa)
+    return Composition._from_clr(a * x._clr, x.kappa)
 
 
 def ait_inner(x: Composition, y: Composition) -> float:
     """Aitchison inner product, the Euclidean dot product of clr images."""
     _check_same_space(x, y)
-    return float(np.dot(clr(x), clr(y)))
+    return float(np.dot(x._clr, y._clr))
 
 
 def ait_norm(x: Composition) -> float:
     """Norm induced by :func:`ait_inner`."""
-    return float(np.linalg.norm(clr(x)))
+    return float(np.linalg.norm(x._clr))
 
 
 def ait_distance(x: Composition, y: Composition) -> float:
     """Distance between compositions; invariant under perturbation by a
     common composition and under permutation of the parts."""
     _check_same_space(x, y)
-    return float(np.linalg.norm(clr(x) - clr(y)))
+    return float(np.linalg.norm(x._clr - y._clr))
 
 
 # --------------------------------------------------------------------------
@@ -247,7 +247,7 @@ def clr(x: Composition) -> np.ndarray:
 
     Scale invariant, so the result does not depend on ``kappa``.
     """
-    return clr_rows(x.parts[None])[0]
+    return x._clr.copy()
 
 
 def clr_inv(v, kappa=1.0) -> Composition:
@@ -260,8 +260,7 @@ def alr(x: Composition) -> np.ndarray:
 
     Oblique coordinates: convenient, but they do not preserve the metric.
     """
-    logs = np.log(x.parts)
-    return logs[:-1] - logs[-1]
+    return x._clr[:-1] - x._clr[-1]
 
 
 def alr_inv(v, kappa=1.0) -> Composition:
@@ -316,7 +315,7 @@ class ContrastBasis:
         return f"ContrastBasis(D={self.D})"
 
 
-@lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)
 def default_basis(D) -> ContrastBasis:
     """The standard sequential-balance basis.
 
@@ -361,13 +360,13 @@ def _as_basis(D, basis):
 
 def ilr(x: Composition, basis: ContrastBasis | None = None) -> np.ndarray:
     """Orthonormal coordinates ``U.T @ clr(x)``; an isometry onto R^(D-1)."""
-    return ilr_rows(x.parts[None], basis)[0]
+    return x._clr @ _as_basis(x.D, basis).matrix
 
 
 def ilr_inv(coords, basis: ContrastBasis | None = None, kappa=1.0) -> Composition:
     """Composition with the given orthonormal coordinates."""
-    parts = ilr_inv_rows(_one_row(coords, "coordinates"), basis, kappa)
-    return Composition._trusted(_checked_rows(parts, "closed parts")[0], kappa)
+    row = _one_row(coords, "coordinates")[0]
+    return Composition._from_clr(_as_basis(row.size + 1, basis).matrix @ row, _checked_kappa(kappa))
 
 
 # --------------------------------------------------------------------------
@@ -415,7 +414,7 @@ def permute(x: Composition, p: PermutationMap) -> Composition:
     """Reorder the parts of ``x`` according to ``p``."""
     if p.D != x.D:
         raise DimensionMismatchError(f"permutation is on {p.D} parts, composition has {x.D}")
-    return Composition(x.parts[p.image], x.kappa)
+    return Composition._from_clr(x._clr[p.image], x.kappa)
 
 
 class SelectionMatrix:
@@ -466,7 +465,8 @@ def subcomposition(x: Composition, sel: SelectionMatrix) -> Composition:
     """Keep the selected parts and re-close to the same ``kappa``."""
     if sel.D != x.D:
         raise DimensionMismatchError(f"selection is on {sel.D} parts, composition has {x.D}")
-    return closure(x.parts[sel.indices], x.kappa)
+    kept = x._clr[sel.indices]
+    return Composition._from_clr(kept - kept.mean(), x.kappa)
 
 
 # --------------------------------------------------------------------------
@@ -485,12 +485,7 @@ def center_of(data) -> Composition:
     first = data[0]
     for x in data[1:]:
         _check_same_space(first, x, "collection members")
-    return _geometric_center(np.stack([x.parts for x in data]), first.kappa)
-
-
-def _geometric_center(rows, kappa) -> Composition:
-    """Closed geometric mean of the part rows of a positive ``(n, D)`` array."""
-    return closure(np.exp(np.log(rows).mean(axis=0)), kappa)
+    return Composition._from_clr(np.mean([x._clr for x in data], axis=0), first.kappa)
 
 
 def measure_ratio(x: Composition) -> float:
@@ -498,10 +493,17 @@ def measure_ratio(x: Composition) -> float:
     the unit simplex: ``1 / (sqrt(D) * x1 * ... * xD)``.
 
     Lebesgue measure here is the ``(D-1)``-dimensional volume of the free
-    parts (one part is redundant); the proportions are used, so the value
-    does not depend on ``kappa``.
+    parts (one part is redundant); it is computed from the clr image, so the
+    value does not depend on ``kappa``.
     """
-    return float(np.exp(_log_measure_ratio_rows(x.proportions[None])[0]))
+    return float(np.exp(_log_measure_ratio(x)))
+
+
+def _log_measure_ratio(x: Composition) -> float:
+    """Log of :func:`measure_ratio` from the clr image: as it sums to zero,
+    ``-sum(ln x_i) = D * logsumexp(clr)`` for the unit-simplex parts."""
+    top = x._clr.max()
+    return -0.5 * math.log(x.D) + x.D * (top + math.log(np.exp(x._clr - top).sum()))
 
 
 def _log_measure_ratio_rows(rows) -> np.ndarray:
@@ -534,8 +536,14 @@ def _checked_kappa(kappa) -> float:
 
 
 def _close_rows(rows, kappa) -> np.ndarray:
-    """The closure formula itself, without checks."""
-    return rows * (kappa / rows.sum(axis=1, keepdims=True))
+    """The closure formula itself, without checks (``@ ones`` sums short rows fastest)."""
+    return rows * (kappa / (rows @ np.ones(rows.shape[1])))[:, None]
+
+
+def _clr_inv_rows(logs, kappa) -> np.ndarray:
+    """Closed part rows of log rows, each shifted by its maximum (taken column by column,
+    which is fastest) before ``exp``: no part overflows, one below ``1e-308 * kappa`` is 0."""
+    return _close_rows(np.exp(logs - functools.reduce(np.maximum, logs.T)[:, None]), kappa)
 
 
 def clr_rows(rows) -> np.ndarray:
@@ -553,13 +561,11 @@ def ilr_rows(rows, basis: ContrastBasis | None = None) -> np.ndarray:
 
 
 def ilr_inv_rows(coords, basis: ContrastBasis | None = None, kappa=1.0) -> np.ndarray:
-    """Part rows with the given coordinate rows; returns ``(n, D)``.
-
-    Unchecked, to stay cheap over quadrature grids and large samples: a row
-    whose parts overflow or underflow comes back with NaN or zero parts.
-    """
+    """Part rows with the given coordinate rows; returns ``(n, D)``.  Unchecked, to stay
+    cheap over quadrature grids and large samples: a part below about ``1e-308 * kappa``
+    is 0.0, and only a row whose clr image overflows (coordinates near 1e308) is NaN."""
     coords = np.asarray(coords, dtype=float)
     if coords.ndim != 2:
         raise DimensionMismatchError(f"expected an (n, d) array, got {coords.shape}")
     basis = _as_basis(coords.shape[1] + 1, basis)
-    return _close_rows(np.exp(coords @ basis.matrix.T), _checked_kappa(kappa))
+    return _clr_inv_rows(coords @ basis.matrix.T, _checked_kappa(kappa))

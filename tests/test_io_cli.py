@@ -386,6 +386,19 @@ class TestCliSample:
         assert "draws lie outside the float range" in err
         assert not path.exists()
 
+    @pytest.mark.parametrize("law", ["nsd", "aln"])
+    @pytest.mark.parametrize("mu", ["800,0", "1e308,1e308"])
+    def test_simplex_draws_past_the_float_range_exit_3_and_write_nothing(
+        self, capsys, tmp_path, law, mu
+    ):
+        # a part of e^-1131 reads as 0.0, an overflowing clr as NaN
+        path = tmp_path / "x.csv"
+        code, out, err = run_cli(capsys, "sample", "--law", law, f"--mu={mu}",
+                                 "--sigma", "0.1,0,0,0.1", "-n", "50", "-o", str(path))
+        assert code == 3 and out == ""
+        assert "50 of 50 draws lie outside the float range" in err
+        assert not path.exists()
+
     @given(
         law=st.sampled_from(["nrp", "lognormal"]),
         mu=_number_texts,

@@ -322,6 +322,18 @@ class TestSimplexDensities:
                 nsd_pdf(law, x), rel=1e-12
             )
 
+    def test_aln_density_where_a_part_reads_as_zero(self):
+        # the Lebesgue factor comes from the clr image, not from the parts
+        x = ilr_inv([530.0, 0.0])
+        assert x.parts[1] == 0.0
+        clr = 530.0 / math.sqrt(2.0) * np.array([1.0, -1.0, 0.0])
+        top = clr.max()
+        log_parts = clr - top - math.log(np.exp(clr - top).sum())
+        want = -math.log(2.0 * math.pi) - 0.5 * 30.0**2 - 0.5 * math.log(3.0) - log_parts.sum()
+        got = math.log(aln_pdf(AlnLaw([500.0, 0.0], np.eye(2)), x))
+        assert got == pytest.approx(want, rel=1e-9)
+        assert got == pytest.approx(671.912598875, rel=1e-11)
+
     def test_aln_is_not_perturbation_invariant(self):
         # witness: unlike the natural-measure density, the Lebesgue density
         # changes when both the law and the point are perturbed
@@ -674,11 +686,16 @@ class TestSparseGridClassicalMean:
         assert np.all(mean > 0) and abs(mean.sum() - 1.0) <= 1e-12
 
     def test_nan_drift_raises(self):
-        # parts overflow at every node: the estimate is NaN from the first level
-        law = AlnLaw([2000.0, 0.0], np.eye(2))
+        # the clr overflows at every node: the estimate is NaN from the first level
+        law = AlnLaw([1.7e308, 1.7e308], np.eye(2))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(QuadratureUnstableError):
                 aln_classical_mean(law)
+
+    def test_law_far_from_the_centre_has_its_mean_at_a_vertex(self):
+        # each row is shifted by its largest log before exp, so no part overflows
+        mean = aln_classical_mean(AlnLaw([2000.0, 0.0], np.eye(2)))
+        assert np.max(np.abs(mean - [1.0, 0.0, 0.0])) <= 1e-12
 
 
 class TestClassicalMomentOverflow:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codanorm import (
     AlnLaw,
@@ -17,6 +19,7 @@ from codanorm import (
     fit_nsd,
     mc_expectation,
     nsd_moments,
+    random_basis,
     sample_aln,
     sample_lognormal,
     sample_nrp,
@@ -124,6 +127,21 @@ class TestSimplexSampling:
         # variance entries: se ~ sigma_jj * sqrt(2/(n-1))
         se_var = np.diag(sigma) * math.sqrt(2.0 / 99_999)
         assert np.all(np.abs(np.diag(fitted.sigma) - np.diag(sigma)) < 3 * se_var)
+
+    @given(
+        D=st.integers(min_value=2, max_value=6),
+        seed=st.integers(0, 2**32 - 1),
+        signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=5, max_size=5),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_parameter_recovery_far_from_the_centre(self, D, seed, signs):
+        # one stream and one sigma: the standardized errors of the fitted mean
+        # do not depend on mu or the basis, so the 3 SE check is not left to chance
+        rng = np.random.default_rng(seed)
+        mu = np.array(signs[:D - 1]) * rng.uniform(790.0, 810.0, D - 1)
+        law = NormalOnSimplex(mu, 0.5 * np.eye(D - 1), random_basis(D, rng))
+        fitted = fit_nsd(sample_nsd(law, 20_000, SeededStream(31, 0)))
+        assert np.all(np.abs(fitted.mu - mu) < 3 * math.sqrt(0.5 / 20_000))
 
     @pytest.mark.parametrize("kappa", [1.0, 100.0])
     def test_rows_are_the_kernel_rows(self, kappa):

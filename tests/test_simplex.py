@@ -516,3 +516,35 @@ class TestClosureOutputCheck:
             closure([1e300, 1e-100])
         with pytest.raises(NonPositivePartError):
             closure_rows([[1.0, 2.0], [1e300, 1e-100]])
+
+
+# hypothesis strategy: a random basis and two coordinate vectors up to +-1e3,
+# where most parts lie below the smallest float and read as 0.0
+@st.composite
+def far_coordinates(draw):
+    D = draw(st.integers(min_value=2, max_value=6))
+    basis = random_basis(D, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    box = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+    y1 = np.array(draw(st.lists(box, min_size=D - 1, max_size=D - 1)))
+    y2 = np.array(draw(st.lists(box, min_size=D - 1, max_size=D - 1)))
+    return basis, y1, y2
+
+
+class TestFarCoordinates:
+    @given(far=far_coordinates())
+    @settings(max_examples=200, deadline=None)
+    def test_ilr_inverts_ilr_inv(self, far):
+        basis, y, _ = far
+        back = ilr(ilr_inv(y, basis), basis)
+        assert np.max(np.abs(back - y)) <= 1e-12 * max(1.0, np.max(np.abs(y)))
+
+    @given(far=far_coordinates(), a=scalars)
+    @settings(max_examples=200, deadline=None)
+    def test_operations_are_vector_operations_on_coordinates(self, far, a):
+        basis, y1, y2 = far
+        x1, x2 = ilr_inv(y1, basis), ilr_inv(y2, basis)
+        scale = 1e-12 * max(1.0, np.max(np.abs(y1)), np.max(np.abs(y2)))
+        assert np.max(np.abs(ilr(perturb(x1, x2), basis) - (y1 + y2))) <= scale
+        assert np.max(np.abs(ilr(power(a, x1), basis) - a * y1)) <= max(1.0, abs(a)) * scale
+        assert abs(ait_distance(x1, x2) - np.linalg.norm(y1 - y2)) <= scale
+
