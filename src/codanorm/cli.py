@@ -296,32 +296,15 @@ def _cmd_hist(args):
 def _cmd_density_grid(args):
     mu = _parse_vector(args.mu, "--mu")
     sigma = _parse_matrix(args.sigma, mu.size, "--sigma")
-    cls = AlnLaw if args.law == "aln" else NormalOnSimplex
-    law = cls(mu, sigma)
+    law = (AlnLaw if args.law == "aln" else NormalOnSimplex)(mu, sigma)
+    summary = {"command": "density-grid", "grid_space": args.grid_space, "law": law_to_dict(law)}
     if args.grid_space == "coords":
         artifact = coordinate_density_grid(law, resolution=args.resolution)
-        files = write_grid_artifact(artifact, args.output)
-        summary = {
-            "command": "density-grid",
-            "grid_space": "coords",
-            "law": law_to_dict(law),
-            "files": files,
-        }
     else:
-        artifact = ternary_density_grid(
-            law, resolution=args.resolution, margin=args.margin
-        )
-        files = write_grid_artifact(artifact, args.output)
-        summary = {
-            "command": "density-grid",
-            "grid_space": "ternary",
-            "law": law_to_dict(law),
-            "n_maxima": len(artifact.maxima),
-            "maxima": [
-                {"parts": c.parts.tolist(), "density": v} for c, v in artifact.maxima
-            ],
-            "files": files,
-        }
+        artifact = ternary_density_grid(law, resolution=args.resolution, margin=args.margin)
+        maxima = [{"parts": c.parts.tolist(), "density": v} for c, v in artifact.maxima]
+        summary.update(n_maxima=len(maxima), maxima=maxima)
+    summary["files"] = write_grid_artifact(artifact, args.output)
     print(dumps_report(summary))
     return 0
 

@@ -12,6 +12,9 @@ numbers that a plotting tool (or a golden test) can consume:
   Lebesgue-referred density reveals its spurious multimodality.
 * :func:`coordinate_density_grid` — the same law evaluated on a rectangular
   grid in coordinate space, where it is just a normal surface.
+
+Each density is the ``exp`` of one vectorised call of the space's log-density
+kernel in :mod:`codanorm.laws`, which reads the law's reference-measure tag.
 """
 
 from __future__ import annotations
@@ -29,15 +32,12 @@ from .errors import (
 )
 from .inference import RPlusSample, fit_nrp
 from .laws import (
-    AlnLaw,
     LognormalLaw,
-    _SimplexGaussian,
+    _line_logpdf,
     _require,
-    aln_pdf_rows,
-    lognormal_pdf,
-    nrp_pdf,
+    _simplex_logpdf,
+    _SimplexGaussian,
     nsd_logpdf_coords,
-    nsd_pdf_rows,
 )
 
 __all__ = [
@@ -98,7 +98,8 @@ def histogram_artifact(sample: RPlusSample, metric, bins=20) -> HistogramArtifac
 
     ``metric='euclidean'`` gives arithmetic-progression edges,
     ``metric='logratio'`` geometric-progression edges (equal length in the
-    line's own distance).  The fitted law provides the two density columns.
+    line's own distance, midpoints taken in logs).  The fitted law provides the
+    two density columns; a Lebesgue density past the largest float is ``inf``.
     """
     if metric not in ("euclidean", "logratio"):
         raise BadIntervalError(f"metric must be 'euclidean' or 'logratio', got {metric!r}")
@@ -110,17 +111,20 @@ def histogram_artifact(sample: RPlusSample, metric, bins=20) -> HistogramArtifac
     lo, hi = float(values.min()), float(values.max())
     if metric == "euclidean":
         edges = np.linspace(lo, hi, bins + 1)
-        midpoints = 0.5 * (edges[:-1] + edges[1:])
         measure = np.diff(edges)
+        midpoints = edges[:-1] + 0.5 * measure  # no sum of edges, which can overflow
+        log_mid = np.log(midpoints)
     else:
-        edges = np.geomspace(lo, hi, bins + 1)
-        midpoints = np.sqrt(edges[:-1] * edges[1:])
-        measure = np.diff(np.log(edges))
+        edges = np.geomspace(lo, hi, bins + 1)  # pins lo and hi, so every value is binned
+        log_edges = np.log(edges)
+        log_mid = 0.5 * (log_edges[:-1] + log_edges[1:])
+        midpoints = np.exp(log_mid)
+        measure = np.diff(log_edges)
     counts, _ = np.histogram(values, edges)
-    nrp_density = np.array([nrp_pdf(law, m) for m in midpoints])
-    ln_law = LognormalLaw(law.mu, law.sigma2)
-    ln_density = np.array([lognormal_pdf(ln_law, m) for m in midpoints])
-    empirical = counts / (sample.n * measure)
+    nrp_density = np.exp(_line_logpdf(law, log_mid))
+    with np.errstate(over="ignore"):  # a Lebesgue density past the largest float is inf
+        ln_density = np.exp(_line_logpdf(LognormalLaw(law.mu, law.sigma2), log_mid))
+        empirical = counts / (sample.n * measure)
     return HistogramArtifact(
         metric, edges, midpoints, counts, measure, empirical,
         nrp_density, ln_density, sample.n, law,
@@ -181,15 +185,10 @@ def ternary_density_grid(law, resolution=400, margin=1e-4) -> TernaryDensityGrid
 
     r = resolution
     lo = int(math.ceil(margin * r))
-    i, j = np.meshgrid(np.arange(r + 1), np.arange(r + 1), indexing="ij")
-    keep = (i >= lo) & (j >= lo) & (i + j <= r - lo)
-    ii = i[keep]
-    jj = j[keep]
+    k = np.arange(r + 1)
+    ii, jj = np.nonzero((k[:, None] >= lo) & (k >= lo) & (k[:, None] + k <= r - lo))
     points = np.column_stack([ii, jj, r - ii - jj]) / r
-    if isinstance(law, AlnLaw):
-        values = aln_pdf_rows(law, points)
-    else:
-        values = nsd_pdf_rows(law, points)
+    values = np.exp(_simplex_logpdf(law, simplex.clr_rows(points)))
 
     maxima = _lattice_maxima(r, ii, jj, points, values)
     return TernaryDensityGrid(r, margin, ii, jj, points, values, maxima, law)

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import DatasetValidationError, DimensionMismatchError, NumericalError
 from .grids import CoordinateDensityGrid, HistogramArtifact, TernaryDensityGrid
 from .inference import RPlusSample, SimplexSample
-from .laws import AlnLaw, LognormalLaw, NormalOnRPlus, NormalOnSimplex
+from .laws import _ScalarLogGaussian, _SimplexGaussian
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -258,15 +258,14 @@ def read_samples_csv(path):
 
 def law_to_dict(law):
     """JSON-ready description of any of the four laws."""
-    if isinstance(law, (NormalOnRPlus, LognormalLaw)):
+    if isinstance(law, _ScalarLogGaussian):
         body = {"family": "rplus_normal", "mu": law.mu, "sigma2": law.sigma2}
-    elif isinstance(law, (NormalOnSimplex, AlnLaw)):
+    elif isinstance(law, _SimplexGaussian):
         body = {"family": "simplex_normal", "mu": law.mu.tolist(), "sigma": law.sigma.tolist(),
                 "basis": law.basis.matrix.tolist()}
     else:
         raise TypeError(f"not a law: {type(law).__name__}")
-    lebesgue = isinstance(law, (LognormalLaw, AlnLaw))
-    return {**body, "reference_measure": "lebesgue" if lebesgue else "natural"}
+    return {**body, "reference_measure": "lebesgue" if law._lebesgue else "natural"}
 
 
 def dumps_report(payload) -> str:

@@ -14,8 +14,10 @@ multivariate normal density of its coordinates; against Lebesgue measure on
 the unit simplex (the (D-1)-dimensional volume of the free parts, any one
 part being redundant) the density picks up the factor
 ``1 / (sqrt(D) x1...xD)`` and is the additive-logistic-normal density.  The
-four law classes here pin down which reference measure a density value
-refers to; probabilities of events never depend on that choice.
+four law classes tag the reference measure a density refers to (``_lebesgue``).
+One log-density kernel per space reads log coordinates (the log on the line,
+clr rows on the simplex) and adds the log measure ratio under the Lebesgue
+tag; every density is its ``exp``.  Probabilities of events never read the tag.
 
 All probabilities of intervals and boxes are computed through the normal CDF
 of the coordinates, never by integrating a density; boxes of d >= 2 use the
@@ -80,23 +82,19 @@ _SQRT2 = math.sqrt(2.0)
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def _check_scalar_params(mu, sigma2):
-    mu = float(mu)
-    sigma2 = float(sigma2)
-    if not math.isfinite(mu):
-        raise DegenerateScaleError(f"mu must be finite, got {mu!r}")
-    if not math.isfinite(sigma2) or sigma2 <= 0.0:
-        raise DegenerateScaleError(f"sigma2 must be strictly positive, got {sigma2!r}")
-    return mu, sigma2
-
-
 class _ScalarLogGaussian:
     """Shared parameter container: ``ln X ~ N(mu, sigma2)``."""
 
     __slots__ = ("mu", "sigma2")
+    _lebesgue = False  # the reference measure: natural unless a label says Lebesgue
 
     def __init__(self, mu, sigma2):
-        self.mu, self.sigma2 = _check_scalar_params(mu, sigma2)
+        mu, sigma2 = float(mu), float(sigma2)
+        if not math.isfinite(mu):
+            raise DegenerateScaleError(f"mu must be finite, got {mu!r}")
+        if not math.isfinite(sigma2) or sigma2 <= 0.0:
+            raise DegenerateScaleError(f"sigma2 must be strictly positive, got {sigma2!r}")
+        self.mu, self.sigma2 = mu, sigma2
 
     @property
     def sigma(self):
@@ -113,10 +111,12 @@ class _ScalarLogGaussian:
     __hash__ = None
 
 
-def _log_gauss(law, t) -> float:
-    """Log of the ``N(mu, sigma2)`` density of ``law`` at the log value ``t``."""
+def _line_logpdf(law, t):
+    """The line's log-density kernel at the log value(s) ``t`` (a float or an array):
+    the ``N(mu, sigma2)`` log density, less ``t`` under the Lebesgue tag."""
     z = (t - law.mu) / law.sigma
-    return -0.5 * z * z - math.log(law.sigma) - _HALF_LOG_2PI
+    log_density = -0.5 * z * z - math.log(law.sigma) - _HALF_LOG_2PI
+    return log_density - t if law._lebesgue else log_density
 
 
 class NormalOnRPlus(_ScalarLogGaussian):
@@ -134,24 +134,27 @@ class LognormalLaw(_ScalarLogGaussian):
     and mode are all different.
     """
 
+    _lebesgue = True
+
 
 def nrp_pdf(law: NormalOnRPlus, x) -> float:
     """Density of ``law`` at ``x`` with respect to the natural measure."""
     _require(law, NormalOnRPlus)
-    return math.exp(_log_gauss(law, as_positive(x).log))
+    return math.exp(_line_logpdf(law, as_positive(x).log))
 
 
 def lognormal_pdf(law: LognormalLaw, x) -> float:
     """Density of ``law`` at ``x`` with respect to Lebesgue measure.
 
-    Defined on the whole real line: zero off the support ``x > 0``.
+    Defined on the whole real line: zero off the support ``x > 0``.  A density
+    past the largest float (``x`` near 0 under a law concentrated there) is
+    ``math.inf``.
     """
     _require(law, LognormalLaw)
     x = float(x)
     if x <= 0.0:
         return 0.0
-    t = math.log(x)
-    return math.exp(_log_gauss(law, t) - t)
+    return _exp_or_inf(_line_logpdf(law, math.log(x)))
 
 
 class RPlusMoments:
@@ -322,6 +325,7 @@ class _SimplexGaussian:
     """
 
     __slots__ = ("mu", "sigma", "basis", "_chol", "_chol_inv", "_log_norm")
+    _lebesgue = False  # the reference measure: natural unless a label says Lebesgue
 
     def __init__(self, mu, sigma, basis: ContrastBasis | None = None):
         mu = np.array(mu, dtype=float)
@@ -353,9 +357,7 @@ class _SimplexGaussian:
         self.basis = basis
         self._chol = chol
         self._chol_inv = np.linalg.inv(chol)
-        self._log_norm = -0.5 * d * math.log(2.0 * math.pi) - float(
-            np.sum(np.log(np.diag(chol)))
-        )
+        self._log_norm = -d * _HALF_LOG_2PI - float(np.sum(np.log(np.diag(chol))))
 
     @property
     def dim(self):
@@ -398,6 +400,8 @@ class AlnLaw(_SimplexGaussian):
     """The same probability law referred to Lebesgue measure on the unit
     simplex: the additive logistic normal density, with its familiar
     distortions (it can be multimodal even for round coordinates)."""
+
+    _lebesgue = True
 
 
 # how a label guard names a law base; a concrete class goes by its own name
@@ -450,17 +454,25 @@ def _mahalanobis2(law, coords) -> np.ndarray:
     return np.sum(z * z, axis=1)
 
 
+def _simplex_logpdf(law, clr) -> np.ndarray:
+    """The simplex's log-density kernel at clr rows ``(n, D)``: the coordinate normal
+    log density of ``clr @ U``, plus the log measure ratio under the Lebesgue tag."""
+    U = simplex._as_basis(clr.shape[1], law.basis).matrix
+    log_density = nsd_logpdf_coords(law, clr @ U)
+    return log_density + simplex._log_measure_ratio(clr) if law._lebesgue else log_density
+
+
 def nsd_pdf(law: NormalOnSimplex, x: Composition) -> float:
-    """Density with respect to the natural simplex measure."""
+    """Density with respect to the natural simplex measure (``math.inf`` past the
+    largest float)."""
     _require(law, NormalOnSimplex)
-    return float(np.exp(nsd_logpdf_coords(law, simplex.ilr(x, law.basis))[0]))
+    return _exp_or_inf(float(_simplex_logpdf(law, x._clr[None])[0]))
 
 
 def nsd_pdf_rows(law: NormalOnSimplex, rows) -> np.ndarray:
     """Vectorized :func:`nsd_pdf` over an ``(n, D)`` array of part rows."""
     _require(law, NormalOnSimplex)
-    coords = simplex.ilr_rows(rows, law.basis)
-    return np.exp(nsd_logpdf_coords(law, coords))
+    return np.exp(_simplex_logpdf(law, simplex.clr_rows(rows)))
 
 
 def aln_pdf(law: AlnLaw, x: Composition) -> float:
@@ -469,20 +481,18 @@ def aln_pdf(law: AlnLaw, x: Composition) -> float:
 
     "Lebesgue measure on the unit simplex" is the (D-1)-dimensional volume
     of the free parts ``(x1, ..., x_{D-1})``; under it the flat (uniform
-    Dirichlet) law has constant density ``(D-1)!``.
+    Dirichlet) law has constant density ``(D-1)!``.  A density past the largest
+    float is ``math.inf``.
     """
     _require(law, AlnLaw)
-    log_coords = nsd_logpdf_coords(law, simplex.ilr(x, law.basis))[0]
-    return float(np.exp(log_coords + simplex._log_measure_ratio(x)))
+    return _exp_or_inf(float(_simplex_logpdf(law, x._clr[None])[0]))
 
 
 def aln_pdf_rows(law: AlnLaw, rows) -> np.ndarray:
     """Vectorized :func:`aln_pdf` over an ``(n, D)`` array of part rows
     (rows are taken as unit-simplex points)."""
     _require(law, AlnLaw)
-    rows = np.asarray(rows, dtype=float)
-    coords = simplex.ilr_rows(rows, law.basis)
-    return np.exp(nsd_logpdf_coords(law, coords) + simplex._log_measure_ratio_rows(rows))
+    return np.exp(_simplex_logpdf(law, simplex.clr_rows(rows)))
 
 
 class SimplexMoments:

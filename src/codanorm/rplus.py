@@ -149,8 +149,9 @@ def rp_coord_inv(coord) -> PositiveValue:
 
 
 def measure_ratio(x) -> float:
-    """Density ``1/x`` of the natural measure relative to Lebesgue measure."""
-    return math.exp(-as_positive(x).log)
+    """Density ``1/x`` of the natural measure relative to Lebesgue measure;
+    ``math.inf`` past the largest float (``x`` below about 5.6e-309)."""
+    return _exp_or_inf(-as_positive(x).log)
 
 
 def interval_measure(a, b) -> float:

@@ -38,6 +38,7 @@ from .errors import (
     InvalidSelectionError,
     NonPositivePartError,
 )
+from .rplus import _exp_or_inf
 
 __all__ = [
     "Composition",
@@ -251,8 +252,15 @@ def clr(x: Composition) -> np.ndarray:
 
 
 def clr_inv(v, kappa=1.0) -> Composition:
-    """Close ``exp(v)``; inverts :func:`clr` for zero-sum ``v``."""
-    return closure(np.exp(np.asarray(v, dtype=float)), kappa)
+    """The closure of ``exp(v)``, built as the clr image ``v - mean(v)``; inverts
+    :func:`clr`.  With no ``exp`` taken, entries far from the centre (``[800, -800]``)
+    are valid; a non-finite image raises :class:`NonPositivePartError`."""
+    row = _one_row(v, "clr image")[0]
+    if row.size < 2:
+        raise DimensionMismatchError(f"need at least 2 parts, got {row.size}")
+    with np.errstate(over="ignore", invalid="ignore"):  # _from_clr rejects inf and NaN
+        centred = row - row.mean()
+    return Composition._from_clr(centred, _checked_kappa(kappa))
 
 
 def alr(x: Composition) -> np.ndarray:
@@ -264,9 +272,9 @@ def alr(x: Composition) -> np.ndarray:
 
 
 def alr_inv(v, kappa=1.0) -> Composition:
-    """Inverse of :func:`alr`: append a unit last part and close."""
-    row = _one_row(v, "coordinates")[0]
-    return closure(np.exp(np.append(row, 0.0)), kappa)
+    """Inverse of :func:`alr`: :func:`clr_inv` of ``v`` with a last log part 0
+    appended, so it too takes entries far from the centre."""
+    return clr_inv(np.append(_one_row(v, "coordinates")[0], 0.0), kappa)
 
 
 class ContrastBasis:
@@ -494,23 +502,19 @@ def measure_ratio(x: Composition) -> float:
 
     Lebesgue measure here is the ``(D-1)``-dimensional volume of the free
     parts (one part is redundant); it is computed from the clr image, so the
-    value does not depend on ``kappa``.
+    value does not depend on ``kappa``.  Past the largest float it is ``math.inf``.
     """
-    return float(np.exp(_log_measure_ratio(x)))
+    return _exp_or_inf(float(_log_measure_ratio(x._clr[None])[0]))
 
 
-def _log_measure_ratio(x: Composition) -> float:
-    """Log of :func:`measure_ratio` from the clr image: as it sums to zero,
-    ``-sum(ln x_i) = D * logsumexp(clr)`` for the unit-simplex parts."""
-    top = x._clr.max()
-    return -0.5 * math.log(x.D) + x.D * (top + math.log(np.exp(x._clr - top).sum()))
-
-
-def _log_measure_ratio_rows(rows) -> np.ndarray:
-    """Log of :func:`measure_ratio` for each row of unit-simplex points,
-    ``-ln(D)/2 - sum(ln x_i)``: the log-factor turning a natural density
-    into a Lebesgue one."""
-    return -0.5 * math.log(rows.shape[1]) - np.sum(np.log(rows), axis=1)
+def _log_measure_ratio(clr) -> np.ndarray:
+    """Log of :func:`measure_ratio` for each clr row: as a clr row sums to zero,
+    ``-sum(ln x_i) = D * logsumexp(clr)`` for the unit-simplex parts, taken with each
+    row shifted by its maximum so that no ``exp`` overflows.  Column by column is
+    fastest and leaves no ``(n, D)`` temporary."""
+    top = functools.reduce(np.maximum, clr.T)
+    total = sum(np.exp(column - top) for column in clr.T)
+    return -0.5 * math.log(clr.shape[1]) + clr.shape[1] * (top + np.log(total))
 
 
 # --------------------------------------------------------------------------

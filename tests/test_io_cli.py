@@ -441,6 +441,26 @@ class TestCliHistAndGrid:
         assert meta["kind"] == "histogram"
         assert payload.shape == (9, 8)
 
+    @pytest.mark.parametrize("values, metric", [
+        ("1e-200,1,1e200", "logratio"),
+        ("1e-320,1e-310,1e-300", "logratio"),
+        # the Euclidean midpoints of values near the largest float
+        ("1e308,1.7e308,1.2e308", "euclidean"),
+    ])
+    def test_hist_on_values_spanning_the_float_range(self, capsys, tmp_path, values, metric):
+        p = tmp_path / "extreme.csv"
+        p.write_text("x\n" + values.replace(",", "\n") + "\n")
+        prefix = tmp_path / "arte"
+        code, out, err = run_cli(capsys, "hist", "--input", str(p), "--metric", metric,
+                                 "--bins", "6", "-o", str(prefix))
+        assert code == 0, err
+        body = _strict_json(out)
+        assert body["counts_sum"] == body["n"] == 3
+        _, payload = read_grid_artifact(prefix)
+        lo, hi, mid, nrp_density = payload[:, 0], payload[:, 1], payload[:, 2], payload[:, 6]
+        assert np.all((lo <= mid) & (mid <= hi) & (mid > 0.0) & np.isfinite(mid))
+        assert np.all(np.isfinite(nrp_density))
+
     def test_density_grid_reports_trimodality(self, capsys, tmp_path):
         prefix = tmp_path / "tern"
         code, out, err = run_cli(capsys, "density-grid", "--law", "aln",

@@ -10,8 +10,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
-from scipy.special import ndtr
+from scipy.special import logsumexp, ndtr
 
 from codanorm import (
     AlnLaw,
@@ -67,7 +69,13 @@ from codanorm import (
     with_lebesgue_reference,
     with_natural_reference,
 )
-from codanorm.laws import aln_pdf_rows, nsd_logpdf_coords, nsd_pdf_rows
+from codanorm.laws import (
+    _line_logpdf,
+    _simplex_logpdf,
+    aln_pdf_rows,
+    nsd_logpdf_coords,
+    nsd_pdf_rows,
+)
 from codanorm.simplex import ilr_inv_rows
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -144,6 +152,13 @@ class TestLognormalDensity:
         law = LognormalLaw(-0.3, 1.6)
         val, _ = integrate.quad(lambda x: lognormal_pdf(law, x), 0, np.inf)
         assert val == pytest.approx(1.0, abs=1e-8)
+
+    def test_density_past_the_float_range_is_inf(self):
+        # ln f = -ln(2 pi)/2 + 712 at the median: past ln(1.8e308) = 709.78
+        assert lognormal_pdf(LognormalLaw(-712.0, 1.0), math.exp(-712.0)) == math.inf
+        assert lognormal_pdf(LognormalLaw(-700.0, 1.0), math.exp(-700.0)) == pytest.approx(
+            INV_SQRT_2PI * math.exp(700.0), rel=1e-12
+        )
 
 
 class TestScalarMoments:
@@ -379,6 +394,72 @@ class TestSimplexDensities:
         est = weights.mean()
         se = weights.std(ddof=1) / math.sqrt(len(weights))
         assert abs(est - 1.0) < 3 * se
+
+
+# hypothesis strategy: a simplex law's D (2..6), random basis and a coordinate row
+# up to +-1e3, where most parts lie below the smallest float and read as 0.0
+@st.composite
+def far_simplex_points(draw):
+    D = draw(st.integers(min_value=2, max_value=6))
+    basis = random_basis(D, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    box = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+    return basis, np.array(draw(st.lists(box, min_size=D - 1, max_size=D - 1)))
+
+
+class TestLogDensityKernels:
+    """One kernel per space; the Lebesgue tag adds the log measure ratio."""
+
+    # the difference of two kernel values of size (t - mu)**2 / (2 sigma2) carries their
+    # rounding, so sigma2 >= 1 (as sigma = I on the simplex) keeps it below the tolerance
+    @given(t=st.floats(min_value=-700.0, max_value=700.0),
+           mu=st.floats(min_value=-50.0, max_value=50.0),
+           sigma2=st.floats(min_value=1.0, max_value=100.0))
+    @settings(max_examples=300, deadline=None)
+    def test_line_kernels_differ_by_minus_t(self, t, mu, sigma2):
+        natural = _line_logpdf(NormalOnRPlus(mu, sigma2), t)
+        lebesgue = _line_logpdf(LognormalLaw(mu, sigma2), t)
+        assert math.isfinite(natural) and math.isfinite(lebesgue)
+        assert abs((lebesgue - natural) - (-t)) <= 1e-12 * max(1.0, abs(t))
+
+    @given(far=far_simplex_points())
+    @settings(max_examples=300, deadline=None)
+    def test_simplex_kernels_differ_by_the_log_measure_ratio(self, far):
+        basis, y = far
+        D = basis.D
+        clr = basis.matrix @ y
+        mu, sigma = np.zeros(D - 1), np.eye(D - 1)
+        natural = _simplex_logpdf(NormalOnSimplex(mu, sigma, basis), clr[None])[0]
+        lebesgue = _simplex_logpdf(AlnLaw(mu, sigma, basis), clr[None])[0]
+        ref = -0.5 * math.log(D) + D * logsumexp(clr)
+        assert math.isfinite(natural) and math.isfinite(lebesgue)
+        assert abs((lebesgue - natural) - ref) <= 1e-12 * max(1.0, abs(ref))
+
+    def test_kernels_are_finite_where_the_densities_underflow(self):
+        x = closure([1e-300, 1.0, 1.0])
+        nsd = NormalOnSimplex([0.0, 0.0], np.eye(2))
+        aln = with_lebesgue_reference(nsd)
+        assert nsd_pdf(nsd, x) == 0.0
+        assert aln_pdf(aln, x) == 0.0
+        assert nsd_pdf_rows(nsd, x.parts[None])[0] == 0.0
+        assert aln_pdf_rows(aln, x.parts[None])[0] == 0.0
+        # the clr image of x, whose squared norm is the squared coordinate norm
+        clr = math.log(1e-300) * np.array([2.0, -1.0, -1.0]) / 3.0
+        natural = _simplex_logpdf(nsd, clr[None])[0]
+        lebesgue = _simplex_logpdf(aln, clr[None])[0]
+        want = -math.log(2.0 * math.pi) - 0.5 * float(np.sum(clr**2))
+        assert natural == pytest.approx(want, rel=1e-12)
+        assert lebesgue == pytest.approx(want - 0.5 * math.log(3.0) - math.log(1e-300 / 8.0),
+                                         rel=1e-12)
+        line = _line_logpdf(NormalOnRPlus(0.0, 1.0), math.log(1e-300))
+        assert nrp_pdf(NormalOnRPlus(0.0, 1.0), 1e-300) == 0.0
+        assert line == pytest.approx(-0.5 * math.log(1e-300) ** 2 - 0.5 * math.log(2 * math.pi),
+                                     rel=1e-12)
+
+    def test_simplex_values_past_the_float_range_are_inf(self):
+        # as on the line; ilr_inv([800, 0]) has clr (566, -566, 0), so the ratio is near exp(1697)
+        far = ilr_inv([800.0, 0.0])
+        assert sd_measure_ratio(far) == math.inf
+        assert aln_pdf(AlnLaw([800.0, 0.0], 1e-4 * np.eye(2)), far) == math.inf
 
 
 class TestSimplexMoments:

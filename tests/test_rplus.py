@@ -109,6 +109,12 @@ class TestOperations:
         assert rp_measure_ratio(1) == 1.0
         assert rp_measure_ratio(2) == 0.5
 
+    def test_measure_ratio_past_the_float_range_is_inf(self):
+        # 1/x passes the largest float below x = 1/1.8e308, a subnormal x
+        assert rp_measure_ratio(1e-310) == math.inf
+        assert rp_measure_ratio(5e-324) == math.inf
+        assert rp_measure_ratio(1e-308) == pytest.approx(1e308, rel=1e-12)
+
     def test_interval_measure_against_quadrature(self):
         # lambda_+(a, b) is the integral of the density ratio 1/x over (a, b).
         val, err = integrate.quad(lambda t: 1.0 / t, 1.0, math.e)

@@ -49,7 +49,6 @@ from codanorm import (
 )
 from codanorm.laws import aln_pdf_rows, nsd_pdf_rows
 from codanorm.simplex import (
-    _log_measure_ratio_rows,
     closure_rows,
     clr_rows,
     ilr_inv_rows,
@@ -484,7 +483,7 @@ class TestScalarMapsAreOneRowKernels:
         _assert_rel_close(nsd_pdf(nsd, x), nsd_pdf_rows(nsd, x.parts[None])[0])
         _assert_rel_close(aln_pdf(aln, x), aln_pdf_rows(aln, x.proportions[None])[0])
         _assert_rel_close(
-            sd_measure_ratio(x), np.exp(_log_measure_ratio_rows(x.proportions[None]))[0]
+            sd_measure_ratio(x), np.exp(-0.5 * np.log(D) - np.sum(np.log(x.proportions)))
         )
 
 
@@ -537,6 +536,31 @@ class TestFarCoordinates:
         basis, y, _ = far
         back = ilr(ilr_inv(y, basis), basis)
         assert np.max(np.abs(back - y)) <= 1e-12 * max(1.0, np.max(np.abs(y)))
+
+    @given(far=far_coordinates())
+    @settings(max_examples=200, deadline=None)
+    def test_clr_inv_and_alr_inv_invert_far_images(self, far):
+        basis, y, _ = far
+        x = ilr_inv(y, basis)
+        scale = 1e-12 * max(1.0, np.max(np.abs(y)))
+        assert np.max(np.abs(ilr(clr_inv(clr(x)), basis) - y)) <= scale
+        assert np.max(np.abs(ilr(alr_inv(alr(x)), basis) - y)) <= scale
+
+    def test_clr_inv_and_alr_inv_build_the_clr_image(self):
+        # clr (800, -800) is coordinate 800 sqrt(2) in the default basis; exp(800)
+        # passes the largest float
+        assert clr_inv([800.0, -800.0]) == ilr_inv([800.0 * math.sqrt(2.0)])
+        assert alr_inv([800.0]) == clr_inv([400.0, -400.0])
+        assert alr_inv([800.0], kappa=5.0).kappa == 5.0
+        for bad in ([math.inf, 0.0], [math.nan, 1.0], [-math.inf, 2.0, 3.0]):
+            with pytest.raises(NonPositivePartError):
+                clr_inv(bad)
+            with pytest.raises(NonPositivePartError):
+                alr_inv(bad)
+        with pytest.raises(DimensionMismatchError):
+            clr_inv([1.0])
+        with pytest.raises(DimensionMismatchError):
+            alr_inv([])
 
     @given(far=far_coordinates(), a=scalars)
     @settings(max_examples=200, deadline=None)
