@@ -63,9 +63,7 @@ _DEFAULT_SEED_ENV = "CODANORM_SEED"
 
 
 def _default_seed():
-    raw = os.environ.get(_DEFAULT_SEED_ENV)
-    if raw is None:
-        return 0
+    raw = os.environ.get(_DEFAULT_SEED_ENV, "0")
     try:
         return int(raw)
     except ValueError:
@@ -210,10 +208,8 @@ def _fit_simplex_report(args):
 
 
 def _cmd_fit(args):
-    if args.space == "rplus":
-        _emit(_fit_rplus_report(args), args.output)
-    else:
-        _emit(_fit_simplex_report(args), args.output)
+    report = _fit_rplus_report if args.space == "rplus" else _fit_simplex_report
+    _emit(report(args), args.output)
     return 0
 
 
@@ -233,14 +229,7 @@ def _cmd_sample(args):
         with np.errstate(over="ignore"):
             draws = np.exp(sample_nrp(law, args.n, stream).logs)
         columns = ["value"]
-        meta = {
-            "law_family": "rplus_normal",
-            "mu": law.mu,
-            "sigma2": law.sigma2,
-            "n": args.n,
-            "seed": args.seed,
-            "stream": args.stream,
-        }
+        meta = {"law_family": "rplus_normal", "mu": law.mu, "sigma2": law.sigma2}
     else:
         if args.sigma is None:
             raise ValidationError("--sigma is required for simplex laws")
@@ -248,19 +237,13 @@ def _cmd_sample(args):
         law = NormalOnSimplex(mu, sigma)
         with np.errstate(over="ignore", invalid="ignore"):  # counted below
             draws = sample_nsd(law, args.n, stream, kappa=args.kappa).rows
-        meta = {
-            "law_family": "simplex_normal",
-            "mu": law.mu.tolist(),
-            "sigma": law.sigma.tolist(),
-            "kappa": args.kappa,
-            "n": args.n,
-            "seed": args.seed,
-            "stream": args.stream,
-        }
+        meta = {"law_family": "simplex_normal", "mu": law.mu.tolist(),
+                "sigma": law.sigma.tolist(), "kappa": args.kappa}
         columns = [f"part{i + 1}" for i in range(law.D)]
     outside = np.count_nonzero(~(np.isfinite(draws) & (draws > 0.0)).reshape(len(draws), -1).all(1))
     if outside:  # inf or 0.0 (a part), which no reader of the file accepts
         raise NumericalError(f"{outside} of {len(draws)} draws lie outside the float range")
+    meta.update(n=args.n, seed=args.seed, stream=args.stream)
     write_samples_csv(args.output, meta, columns, draws)
     print(args.output)
     return 0
@@ -274,18 +257,14 @@ def _cmd_hist(args):
     sample, _ = read_rplus_csv(args.input)
     artifact = histogram_artifact(sample, args.metric, args.bins)
     files = write_grid_artifact(artifact, args.output)
-    print(
-        dumps_report(
-            {
-                "command": "hist",
-                "metric": artifact.metric,
-                "n": artifact.n,
-                "bins": int(artifact.counts.size),
-                "counts_sum": int(artifact.counts.sum()),
-                "files": files,
-            }
-        )
-    )
+    print(dumps_report({
+        "command": "hist",
+        "metric": artifact.metric,
+        "n": artifact.n,
+        "bins": int(artifact.counts.size),
+        "counts_sum": int(artifact.counts.sum()),
+        "files": files,
+    }))
     return 0
 
 

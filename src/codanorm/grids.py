@@ -115,7 +115,8 @@ def histogram_artifact(sample: RPlusSample, metric, bins=20) -> HistogramArtifac
         midpoints = edges[:-1] + 0.5 * measure  # no sum of edges, which can overflow
         log_mid = np.log(midpoints)
     else:
-        edges = np.geomspace(lo, hi, bins + 1)  # pins lo and hi, so every value is binned
+        with np.errstate(over="ignore"):  # the last power may round past the largest float
+            edges = np.geomspace(lo, hi, bins + 1)  # pins lo and hi, so every value is binned
         log_edges = np.log(edges)
         log_mid = 0.5 * (log_edges[:-1] + log_edges[1:])
         midpoints = np.exp(log_mid)

@@ -301,26 +301,22 @@ _CRITICAL_1PCT = {
 
 
 def _modified_statistics(u, case, n):
-    """Return the three (modified statistic, 1% critical value) pairs."""
+    """The three modified statistics of ``u``, by test name."""
     a2, w2, u2 = _edf_statistics(u)
     if case == "estimated":
         # Stephens' modifications for normality with mean and variance
         # estimated from the data
-        mods = {
+        return {
             "anderson_darling": a2 * (1.0 + 0.75 / n + 2.25 / n**2),
             "cramer_von_mises": w2 * (1.0 + 0.5 / n),
             "watson": u2 * (1.0 + 0.5 / n),
         }
-    else:
-        # Stephens' modifications for a fully specified null distribution
-        mods = {
-            "anderson_darling": a2,  # unmodified for n >= 5
-            "cramer_von_mises": (w2 - 0.4 / n + 0.6 / n**2) * (1.0 + 1.0 / n),
-            "watson": (u2 - 0.1 / n + 0.1 / n**2) * (1.0 + 0.8 / n),
-        }
-    return [
-        (name, stat, _CRITICAL_1PCT[(case, name)]) for name, stat in mods.items()
-    ]
+    # Stephens' modifications for a fully specified null distribution
+    return {
+        "anderson_darling": a2,  # unmodified for n >= 5
+        "cramer_von_mises": (w2 - 0.4 / n + 0.6 / n**2) * (1.0 + 1.0 / n),
+        "watson": (u2 - 0.1 / n + 0.1 / n**2) * (1.0 + 0.8 / n),
+    }
 
 
 class GofEntry:
@@ -411,29 +407,26 @@ def gof_battery(sample: SimplexSample, fitted: NormalOnSimplex) -> GofReport:
     n, d = coords.shape
     mu = fitted.mu
     sigma = fitted.sigma
-    entries = []
-
-    # marginal layer: composite normality per coordinate
-    for j in range(d):
-        u = ndtr((coords[:, j] - mu[j]) / math.sqrt(sigma[j, j]))
-        for test_name, stat, crit in _modified_statistics(u, "estimated", n):
-            entries.append(GofEntry("marginal", f"coord{j + 1}", test_name, stat, crit))
-
+    # (layer, target, case, u) of every layer in turn; marginal: normality per coordinate
+    layers = [
+        ("marginal", f"coord{j + 1}", "estimated",
+         ndtr((coords[:, j] - mu[j]) / math.sqrt(sigma[j, j])))
+        for j in range(d)
+    ]
     # angle layer: uniformity of the whitened pair direction; the Cholesky
     # factor of the pair covariance [[a, b], [b, c]] in closed form, every pair at once
     j, k = np.triu_indices(d, 1)
     a, b, c = sigma[j, j], sigma[j, k], sigma[k, k]
     x, y = coords[:, j] - mu[j], coords[:, k] - mu[k]
     theta = np.arctan2((y - (b / a) * x) / np.sqrt(c - b * b / a), x / np.sqrt(a))  # (-pi, pi]
-    for p, u in enumerate((theta.T + math.pi) / (2.0 * math.pi)):
-        for test_name, stat, crit in _modified_statistics(u, "specified", n):
-            entries.append(
-                GofEntry("angle", f"coord{j[p] + 1}-coord{k[p] + 1}", test_name, stat, crit)
-            )
-
+    layers += [
+        ("angle", f"coord{j[p] + 1}-coord{k[p] + 1}", "specified", u)
+        for p, u in enumerate((theta.T + math.pi) / (2.0 * math.pi))
+    ]
     # radius layer: chi-square transform of squared Mahalanobis distances
-    u = chdtr(d, _mahalanobis2(fitted, coords))
-    for test_name, stat, crit in _modified_statistics(u, "specified", n):
-        entries.append(GofEntry("radius", "all", test_name, stat, crit))
-
-    return GofReport(entries)
+    layers.append(("radius", "all", "specified", chdtr(d, _mahalanobis2(fitted, coords))))
+    return GofReport([
+        GofEntry(layer, target, test_name, stat, _CRITICAL_1PCT[case, test_name])
+        for layer, target, case, u in layers
+        for test_name, stat in _modified_statistics(u, case, n).items()
+    ])

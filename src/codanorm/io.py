@@ -6,8 +6,9 @@ Conventions shared by everything below:
   with ``#`` are comments (the sample writer uses one to carry metadata) and
   blank lines are ignored.  One parser, ``_read_table``, reads every table;
   each public reader adds only its own checks, vectorized.  numpy's C reader
-  takes a clean table; any other goes line by line through ``csv`` and
-  ``float``, which give every diagnostic and the same values.
+  takes a clean table; any other goes line by line, one ``csv`` reader per
+  line and ``float`` per field, which give every diagnostic and the same
+  values.
 * Problems are collected per line and raised together, in line order, as a
   :class:`~codanorm.errors.DatasetValidationError`; so are a file that is
   not UTF-8 and JSON that is malformed, not an object or of another
@@ -20,7 +21,6 @@ Conventions shared by everything below:
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 
@@ -105,41 +105,31 @@ def _parse_lines(lines, numbers, width):
     """The line-by-line parser behind :func:`_read_table`:
     ``(line_numbers, values, problems)`` of the data records in ``lines[1:]``.
 
-    One ``csv.reader`` splits the data records.  A wrong field count, a field
-    ``float`` rejects, a quote left open at the end of a line or a field
-    ``csv`` refuses (over its size limit) is a problem of that line
-    (``problems`` maps line to message); the reader restarts after such a
-    line, so every other problem keeps its own line.  The rows of ``values``
-    belong to ``line_numbers``.
+    Each data line gets a ``csv.reader`` of its own, so no record runs past
+    its line.  A wrong field count, a field ``float`` rejects, a quote left
+    open at the end of the line or a field ``csv`` refuses (over its size
+    limit) is a problem of that line (``problems`` maps line to message).
+    The rows of ``values`` belong to ``line_numbers``.
     """
     kept, rows, problems = [], [], {}
-    start, end = 1, len(lines)
-    while start < end:
-        # an empty sentinel line lets a quote left open on the last line run past it
-        reader = csv.reader(itertools.chain(itertools.islice(lines, start, None), [""]))
-        at = start - 1
+    for number, line in zip(numbers[1:], lines[1:]):
+        # a quote left open runs on into the empty second line, past line_num 1
+        reader = csv.reader([line, ""])
         try:
-            for fields in reader:
-                at += 1
-                if start + reader.line_num > at + 1:  # the record ran past line ``at``
-                    problems[numbers[at]] = "quote left open at end of line"
-                    break
-                if at == end:
-                    break
-                if len(fields) != width:
-                    problems[numbers[at]] = f"expected {width} fields, got {len(fields)}"
-                    continue
-                try:
-                    rows.append(list(map(float, fields)))
-                    kept.append(numbers[at])
-                except ValueError:
-                    problems[numbers[at]] = f"non-numeric field among {fields!r}"
+            fields = next(reader)
         except csv.Error as exc:  # a field past csv's size limit, maybe from an open quote
-            at += 1
-            problems[numbers[at]] = (
-                "quote left open at end of line" if start + reader.line_num > at + 1 else str(exc)
-            )
-        start = at + 1
+            problems[number] = "quote left open at end of line" if reader.line_num > 1 else str(exc)
+            continue
+        if reader.line_num > 1:
+            problems[number] = "quote left open at end of line"
+        elif len(fields) != width:
+            problems[number] = f"expected {width} fields, got {len(fields)}"
+        else:
+            try:
+                rows.append(list(map(float, fields)))
+                kept.append(number)
+            except ValueError:
+                problems[number] = f"non-numeric field among {fields!r}"
     return kept, np.array(rows, dtype=float).reshape(len(rows), width), problems
 
 
@@ -372,6 +362,5 @@ def read_grid_artifact(prefix):
     meta = _load_meta(_read_text(where), where)
     if meta.get("kind") not in ("histogram", "ternary_density", "coordinate_density"):
         raise DatasetValidationError([f"{where}: unknown grid kind {meta.get('kind')!r}"])
-    skip = 1 if meta["kind"] == "histogram" else 0
-    payload = np.genfromtxt(f"{prefix}.csv", delimiter=",", skip_header=skip)
-    return meta, np.atleast_2d(payload)
+    skip = int(meta["kind"] == "histogram")  # the histogram's column header
+    return meta, np.loadtxt(f"{prefix}.csv", delimiter=",", skiprows=skip, ndmin=2)

@@ -253,14 +253,20 @@ def clr(x: Composition) -> np.ndarray:
 
 def clr_inv(v, kappa=1.0) -> Composition:
     """The closure of ``exp(v)``, built as the clr image ``v - mean(v)``; inverts
-    :func:`clr`.  With no ``exp`` taken, entries far from the centre (``[800, -800]``)
-    are valid; a non-finite image raises :class:`NonPositivePartError`."""
+    :func:`clr`.  With no ``exp`` taken, entries far from the centre (``[800, -800]``,
+    ``[1e308, 1e308]``) are valid; a non-finite image raises :class:`NonPositivePartError`."""
     row = _one_row(v, "clr image")[0]
     if row.size < 2:
         raise DimensionMismatchError(f"need at least 2 parts, got {row.size}")
-    with np.errstate(over="ignore", invalid="ignore"):  # _from_clr rejects inf and NaN
-        centred = row - row.mean()
-    return Composition._from_clr(centred, _checked_kappa(kappa))
+    return Composition._from_clr(_centred(row), _checked_kappa(kappa))
+
+
+def _centred(v) -> np.ndarray:
+    """``v - mean(v)`` with the mean of ``v / k``, ``k`` a power of two ``>= D``: exact scaling
+    (above the subnormals), so the sum cannot overflow and the result is otherwise the same."""
+    k = 2.0 ** (v.size - 1).bit_length()
+    with np.errstate(over="ignore", invalid="ignore"):
+        return v - k * (v / k).mean()
 
 
 def alr(x: Composition) -> np.ndarray:
@@ -473,8 +479,7 @@ def subcomposition(x: Composition, sel: SelectionMatrix) -> Composition:
     """Keep the selected parts and re-close to the same ``kappa``."""
     if sel.D != x.D:
         raise DimensionMismatchError(f"selection is on {sel.D} parts, composition has {x.D}")
-    kept = x._clr[sel.indices]
-    return Composition._from_clr(kept - kept.mean(), x.kappa)
+    return Composition._from_clr(_centred(x._clr[sel.indices]), x.kappa)
 
 
 # --------------------------------------------------------------------------

@@ -444,6 +444,8 @@ class TestCliHistAndGrid:
     @pytest.mark.parametrize("values, metric", [
         ("1e-200,1,1e200", "logratio"),
         ("1e-320,1e-310,1e-300", "logratio"),
+        # geomspace's last power rounds past the largest float before it is pinned
+        ("1e300,1e308,1.7976931348623157e308", "logratio"),
         # the Euclidean midpoints of values near the largest float
         ("1e308,1.7e308,1.2e308", "euclidean"),
     ])

@@ -55,9 +55,8 @@ def malformed_tables(draw):
     lines = [draw(st.sampled_from(["# lead", "", "  "])) for _ in range(draw(st.integers(0, 2)))]
     lines.append(",".join(columns))
     kinds = draw(st.lists(st.sampled_from(_KINDS), max_size=25))
-    quote_at = draw(st.none() | st.integers(0, len(kinds)))
-    if quote_at is not None:
-        kinds.insert(quote_at, "quote")
+    for _ in range(draw(st.integers(0, 2))):  # up to two quotes left open, maybe consecutive
+        kinds.insert(draw(st.integers(0, len(kinds))), "quote")
     expected, shared, parsed = [], [], []
     for kind in kinds:
         weights = draw(st.lists(st.integers(1, 1000), min_size=D, max_size=D))

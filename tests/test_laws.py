@@ -33,6 +33,7 @@ from codanorm import (
     aln_classical_mean,
     aln_pdf,
     closure,
+    clr,
     coordinate_density_grid,
     default_basis,
     gof_battery,
@@ -869,3 +870,81 @@ def test_label_guard_names_the_expected_kind(name):
     call, wrong, kind = _GUARDED[name]
     with pytest.raises(TypeError, match=f"^expected {kind}, got {type(wrong).__name__}$"):
         call(wrong)
+
+
+# ---------------------------------------------------------------------------
+# label pairs: one law, two densities
+# ---------------------------------------------------------------------------
+
+@st.composite
+def label_pairs(draw):
+    """A line law and a simplex law of at most 3 coordinates (covariance
+    eigenvalues in [0.1, 1]), each as a (natural, Lebesgue) pair."""
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    eig = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=d, max_size=d)))
+    mu = draw(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d))
+    nsd = NormalOnSimplex(mu, (q * eig) @ q.T)
+    rp = NormalOnRPlus(draw(st.floats(-2.0, 2.0)), draw(st.floats(0.1, 1.0)))
+    return (rp, LognormalLaw(rp.mu, rp.sigma2)), (nsd, with_lebesgue_reference(nsd))
+
+
+_SAMPLERS = {NormalOnRPlus: sample_nrp, LognormalLaw: sample_lognormal,
+             NormalOnSimplex: sample_nsd, AlnLaw: sample_aln}
+
+
+def _bits(value):
+    """The bytes of every float in a result: a number, an array or a tuple of them."""
+    if isinstance(value, tuple):
+        return b"".join(map(_bits, value))
+    return np.asarray(value, dtype=float).tobytes()
+
+
+@given(pairs=label_pairs(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_both_labels_give_bit_identical_results(pairs, seed):
+    (rp, ln), (nsd, aln) = pairs
+    d = nsd.dim
+    at = np.linspace(-3.0, 3.0, 4 * d).reshape(4, d)
+
+    def sample(law):
+        return _SAMPLERS[type(law)](law, 50, SeededStream(seed))
+
+    def mc(law, f):
+        m = mc_expectation(f, law, 200, SeededStream(seed), vectorized=True)
+        return m.estimate, m.standard_error, m.n
+
+    line_calls = [
+        lambda law: probability_of_interval(law, 0.5, 3.0),
+        lambda law: nrp_transform(law, 2.0, -1.5),
+        lambda law: sample(law).logs,
+        lambda law: mc(law, np.cos),
+    ]
+    simplex_calls = [
+        lambda law: probability_of_box(law, law.mu - 1.0, law.mu + 0.5),
+        lambda law: (clr(nsd_moments(law).center), nsd_moments(law).metric_variance),
+        lambda law: nsd_transform(law, ilr_inv(np.linspace(-1.0, 1.0, d)), -1.5),
+        lambda law: nsd_permute(law, PermutationMap(list(range(d, -1, -1)))),
+        aln_classical_mean,
+        lambda law: sample(law).coords,
+        lambda law: mc(law, lambda rows: rows[:, 0]),
+        lambda law: nsd_logpdf_coords(law, at),
+    ]
+    if d >= 2:
+        simplex_calls.append(lambda law: nsd_subcomposition(law, SelectionMatrix([0, 1], d + 1)))
+    if d == 2:
+        simplex_calls.append(lambda law: coordinate_density_grid(law, resolution=9).values)
+    for calls, natural, lebesgue in ((line_calls, rp, ln), (simplex_calls, nsd, aln)):
+        for call in calls:
+            want, got = call(natural), call(lebesgue)
+            if isinstance(want, (NormalOnRPlus, NormalOnSimplex)):  # a transport keeps the class
+                assert type(got) is type(lebesgue)
+                want, got = (want.mu, want.sigma), (got.mu, got.sigma)
+            assert _bits(got) == _bits(want)
+    if d == 2:  # the densities differ by the log measure ratio
+        g_nsd = ternary_density_grid(nsd, resolution=12)
+        g_aln = ternary_density_grid(aln, resolution=12)
+        ratio = np.log([sd_measure_ratio(closure(p)) for p in g_nsd.points])
+        diff = np.log(g_aln.values) - np.log(g_nsd.values)
+        assert np.all(np.abs(diff - ratio) <= 1e-12 * np.maximum(1.0, np.abs(ratio)))

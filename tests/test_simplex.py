@@ -562,6 +562,15 @@ class TestFarCoordinates:
         with pytest.raises(DimensionMismatchError):
             alr_inv([])
 
+    def test_centring_does_not_overflow_near_the_largest_float(self):
+        # the plain mean of these entries passes the largest float
+        top = np.finfo(float).max
+        assert clr_inv([1e308, 1e308]) == uniform(2)
+        assert clr_inv([top] * 3) == uniform(3)
+        assert np.all(np.isfinite(alr_inv([1e308, 1e308]).parts))
+        x = clr_inv([1.0e308, 0.9e308, -0.95e308, -0.95e308])
+        assert np.all(np.isfinite(subcomposition(x, SelectionMatrix([0, 1], 4)).parts))
+
     @given(far=far_coordinates(), a=scalars)
     @settings(max_examples=200, deadline=None)
     def test_operations_are_vector_operations_on_coordinates(self, far, a):
