@@ -30,6 +30,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -119,8 +120,6 @@ def _fit_rplus_report(args):
     lo, hi = ci_mean_nrp(sample, args.alpha)
     moments = nrp_moments(law)
     ln_law = LognormalLaw(law.mu, law.sigma2)
-    ln_m = lognormal_moments(ln_law)
-    naive = lognormal_naive_interval(ln_law, 1.0)
     return {
         "command": "fit",
         "space": "rplus",
@@ -139,19 +138,9 @@ def _fit_rplus_report(args):
         "ci_mean": _nulls_for_overflow({"alpha": args.alpha, "lower": lo.value, "upper": hi.value}),
         "lognormal_baseline": _nulls_for_overflow({
             "law": law_to_dict(ln_law),
-            "moments": _nulls_for_overflow({
-                "mean": ln_m.mean,
-                "median": ln_m.median,
-                "mode": ln_m.mode,
-                "variance": ln_m.variance,
-            }),
+            "moments": _nulls_for_overflow(asdict(lognormal_moments(ln_law))),
             "naive_mean": naive_lognormal_mean(sample),
-            "naive_interval_1sd": _nulls_for_overflow({
-                "lower": naive.lower,
-                "upper": naive.upper,
-                "lower_in_support": naive.lower_in_support,
-                "upper_in_support": naive.upper_in_support,
-            }),
+            "naive_interval_1sd": _nulls_for_overflow(asdict(lognormal_naive_interval(ln_law, 1.0))),
         }),
     }
 

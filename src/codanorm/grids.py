@@ -8,8 +8,9 @@ numbers that a plotting tool (or a golden test) can consume:
   log-ratio metric (geometric edges), and attaches both fitted density
   curves, each against its own reference measure.
 * :func:`ternary_density_grid` — evaluates a three-part simplex law on a
-  barycentric lattice and locates its strict local maxima, which is how the
-  Lebesgue-referred density reveals its spurious multimodality.
+  barycentric lattice and locates its strict local maxima on the log
+  densities, which is how the Lebesgue-referred density reveals its spurious
+  multimodality.
 * :func:`coordinate_density_grid` — the same law evaluated on a rectangular
   grid in coordinate space, where it is just a normal surface.
 
@@ -20,6 +21,7 @@ kernel in :mod:`codanorm.laws`, which reads the law's reference-measure tag.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +35,7 @@ from .errors import (
 from .inference import RPlusSample, fit_nrp
 from .laws import (
     LognormalLaw,
+    NormalOnRPlus,
     _line_logpdf,
     _require,
     _simplex_logpdf,
@@ -50,6 +53,7 @@ __all__ = [
 ]
 
 
+@dataclass(slots=True, eq=False, repr=False)
 class HistogramArtifact:
     """Binned positive data plus the two fitted density curves.
 
@@ -60,31 +64,16 @@ class HistogramArtifact:
     one.
     """
 
-    __slots__ = (
-        "metric",
-        "edges",
-        "midpoints",
-        "counts",
-        "bin_measure",
-        "empirical_density",
-        "nrp_density",
-        "lognormal_density",
-        "n",
-        "law",
-    )
-
-    def __init__(self, metric, edges, midpoints, counts, bin_measure,
-                 empirical_density, nrp_density, lognormal_density, n, law):
-        self.metric = metric
-        self.edges = edges
-        self.midpoints = midpoints
-        self.counts = counts
-        self.bin_measure = bin_measure
-        self.empirical_density = empirical_density
-        self.nrp_density = nrp_density
-        self.lognormal_density = lognormal_density
-        self.n = n
-        self.law = law
+    metric: str
+    edges: np.ndarray
+    midpoints: np.ndarray
+    counts: np.ndarray
+    bin_measure: np.ndarray
+    empirical_density: np.ndarray
+    nrp_density: np.ndarray
+    lognormal_density: np.ndarray
+    n: int
+    law: NormalOnRPlus
 
     def __repr__(self):
         return (
@@ -132,30 +121,27 @@ def histogram_artifact(sample: RPlusSample, metric, bins=20) -> HistogramArtifac
     )
 
 
+@dataclass(slots=True, eq=False, repr=False)
 class TernaryDensityGrid:
     """Density values of a three-part law on a barycentric lattice.
 
     ``resolution`` is the number of lattice steps per axis, so parts move in
     increments of ``1/resolution``; points with any part below ``margin``
     are excluded.  ``maxima`` holds one ``(parts, density)`` pair per local
-    maximum: a lattice point no smaller than all its first- and second-ring
-    triangular-lattice neighbours, with ties grouped so a flat peak is
-    reported once (see ``_lattice_maxima``).
+    maximum: a lattice point whose log density is no smaller than its first-
+    and second-ring triangular-lattice neighbours', with ties grouped so a
+    flat peak is reported once (see ``_lattice_maxima``).  Logs keep the mode
+    of a law whose grid densities underflow to 0.0.
     """
 
-    __slots__ = ("resolution", "margin", "i_index", "j_index", "points",
-                 "values", "maxima", "law")
-
-    def __init__(self, resolution, margin, i_index, j_index, points, values,
-                 maxima, law):
-        self.resolution = resolution
-        self.margin = margin
-        self.i_index = i_index
-        self.j_index = j_index
-        self.points = points
-        self.values = values
-        self.maxima = maxima
-        self.law = law
+    resolution: int
+    margin: float
+    i_index: np.ndarray
+    j_index: np.ndarray
+    points: np.ndarray
+    values: np.ndarray
+    maxima: list
+    law: _SimplexGaussian
 
     def matrix(self) -> np.ndarray:
         """Dense ``(resolution+1)**2`` value matrix, NaN off the lattice."""
@@ -189,9 +175,9 @@ def ternary_density_grid(law, resolution=400, margin=1e-4) -> TernaryDensityGrid
     k = np.arange(r + 1)
     ii, jj = np.nonzero((k[:, None] >= lo) & (k >= lo) & (k[:, None] + k <= r - lo))
     points = np.column_stack([ii, jj, r - ii - jj]) / r
-    values = np.exp(_simplex_logpdf(law, simplex.clr_rows(points)))
-
-    maxima = _lattice_maxima(r, ii, jj, points, values)
+    log_values = _simplex_logpdf(law, simplex.clr_rows(points))
+    values = np.exp(log_values)
+    maxima = _lattice_maxima(r, ii, jj, log_values, values)
     return TernaryDensityGrid(r, margin, ii, jj, points, values, maxima, law)
 
 
@@ -207,15 +193,17 @@ _NEIGHBOR_STEPS = [
 ]
 
 
-def _lattice_maxima(r, ii, jj, points, values):
-    """Local maxima of a sampled field on the barycentric lattice.
+def _lattice_maxima(r, ii, jj, log_values, values):
+    """Local maxima of a log density on the barycentric lattice, as ``(parts,
+    density)`` pairs from the highest down, each density read from ``values``.
 
-    A cell qualifies when no neighbor exceeds it; neighboring qualifying
-    cells are grouped so a plateau (e.g. a symmetric mode falling exactly
-    between lattice points) is reported once, at its highest cell.
+    A cell qualifies when no neighbor's log exceeds its own (logs stay distinct
+    where densities underflow to 0.0); neighboring qualifying cells are grouped
+    so a plateau (e.g. a symmetric mode falling exactly between lattice points)
+    is reported once, at its highest cell.
     """
     field = np.full((r + 5, r + 5), -np.inf)
-    field[ii + 2, jj + 2] = values
+    field[ii + 2, jj + 2] = log_values
     core = field[2: r + 3, 2: r + 3]
     best_neighbor = np.full((r + 1, r + 1), -np.inf)
     for di, dj in _NEIGHBOR_STEPS:
@@ -224,7 +212,9 @@ def _lattice_maxima(r, ii, jj, points, values):
     candidate = core >= best_neighbor
     cand_cells = {(int(i), int(j)) for i, j in zip(ii[candidate[ii, jj]],
                                                    jj[candidate[ii, jj]])}
-    maxima = []
+    density = np.zeros((r + 1, r + 1))
+    density[ii, jj] = values
+    peaks = []
     seen = set()
     for cell in sorted(cand_cells):
         if cell in seen:
@@ -241,23 +231,20 @@ def _lattice_maxima(r, ii, jj, points, values):
                     seen.add(nb)
                     group.append(nb)
                     queue.append(nb)
-        gi, gj = max(group, key=lambda c: core[c])
-        parts = np.array([gi, gj, r - gi - gj], dtype=float) / r
-        maxima.append((simplex.Composition(parts), float(core[gi, gj])))
-    maxima.sort(key=lambda pair: -pair[1])
-    return maxima
+        peaks.append(max(group, key=lambda c: core[c]))
+    peaks.sort(key=lambda c: -core[c])
+    return [(simplex.Composition(np.array([gi, gj, r - gi - gj], dtype=float) / r),
+             float(density[gi, gj])) for gi, gj in peaks]
 
 
+@dataclass(slots=True, eq=False, repr=False)
 class CoordinateDensityGrid:
     """Coordinate-space density surface of a two-coordinate simplex law."""
 
-    __slots__ = ("x_axis", "y_axis", "values", "law")
-
-    def __init__(self, x_axis, y_axis, values, law):
-        self.x_axis = x_axis
-        self.y_axis = y_axis
-        self.values = values
-        self.law = law
+    x_axis: np.ndarray
+    y_axis: np.ndarray
+    values: np.ndarray
+    law: _SimplexGaussian
 
     def __repr__(self):
         return f"CoordinateDensityGrid(shape={self.values.shape})"

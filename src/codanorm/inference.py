@@ -19,6 +19,7 @@ radius (chi-square probability integral transform).
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -207,8 +208,9 @@ def ci_mean_nrp(sample: RPlusSample, alpha) -> tuple[PositiveValue, PositiveValu
 
     The classical ``t`` interval for the mean of the logs, mapped back:
     ``exp(ybar -/+ t_{alpha/2, n-1} * V / sqrt(n))`` with ``V`` the log
-    standard deviation (divisor ``n - 1``).  Both endpoints always lie in the
-    support, and the fitted mean always lies strictly between them.
+    standard deviation (divisor ``n - 1``); ``t`` comes from the lower tail,
+    as ``1 - alpha/2`` rounds to 1 for tiny ``alpha``.  Both endpoints always
+    lie in the support, and the fitted mean always lies strictly between them.
     """
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
@@ -223,7 +225,7 @@ def ci_mean_nrp(sample: RPlusSample, alpha) -> tuple[PositiveValue, PositiveValu
     from scipy.special import stdtrit  # lazy: scipy.special costs ~0.3 s to import
 
     ybar = float(sample.logs.mean())
-    half = float(stdtrit(sample.n - 1, 1.0 - alpha / 2.0)) * v / math.sqrt(sample.n)
+    half = -float(stdtrit(sample.n - 1, alpha / 2.0)) * v / math.sqrt(sample.n)
     return PositiveValue.from_log(ybar - half), PositiveValue.from_log(ybar + half)
 
 
@@ -319,18 +321,19 @@ def _modified_statistics(u, case, n):
     }
 
 
+@dataclass(slots=True, eq=False, repr=False)
 class GofEntry:
     """One test of the battery: which layer and target it examined, the
     modified statistic, and the 1% decision."""
 
-    __slots__ = ("layer", "target", "test_name", "statistic", "critical_1pct")
+    layer: str
+    target: str
+    test_name: str
+    statistic: float
+    critical_1pct: float
 
-    def __init__(self, layer, target, test_name, statistic, critical_1pct):
-        self.layer = layer
-        self.target = target
-        self.test_name = test_name
-        self.statistic = float(statistic)
-        self.critical_1pct = float(critical_1pct)
+    def __post_init__(self):
+        self.statistic, self.critical_1pct = float(self.statistic), float(self.critical_1pct)
 
     @property
     def passed_at_1pct(self):

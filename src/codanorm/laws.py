@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
@@ -82,33 +83,24 @@ _SQRT2 = math.sqrt(2.0)
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
+@dataclass(slots=True)  # equal when the class and both parameters are; unhashable
 class _ScalarLogGaussian:
     """Shared parameter container: ``ln X ~ N(mu, sigma2)``."""
 
-    __slots__ = ("mu", "sigma2")
+    mu: float
+    sigma2: float
     _lebesgue = False  # the reference measure: natural unless a label says Lebesgue
 
-    def __init__(self, mu, sigma2):
-        mu, sigma2 = float(mu), float(sigma2)
-        if not math.isfinite(mu):
-            raise DegenerateScaleError(f"mu must be finite, got {mu!r}")
-        if not math.isfinite(sigma2) or sigma2 <= 0.0:
-            raise DegenerateScaleError(f"sigma2 must be strictly positive, got {sigma2!r}")
-        self.mu, self.sigma2 = mu, sigma2
+    def __post_init__(self):
+        self.mu, self.sigma2 = float(self.mu), float(self.sigma2)
+        if not math.isfinite(self.mu):
+            raise DegenerateScaleError(f"mu must be finite, got {self.mu!r}")
+        if not math.isfinite(self.sigma2) or self.sigma2 <= 0.0:
+            raise DegenerateScaleError(f"sigma2 must be strictly positive, got {self.sigma2!r}")
 
     @property
     def sigma(self):
         return math.sqrt(self.sigma2)
-
-    def __repr__(self):
-        return f"{type(self).__name__}(mu={self.mu:g}, sigma2={self.sigma2:g})"
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.mu == other.mu and self.sigma2 == other.sigma2
-
-    __hash__ = None
 
 
 def _line_logpdf(law, t):
@@ -157,24 +149,19 @@ def lognormal_pdf(law: LognormalLaw, x) -> float:
     return _exp_or_inf(_line_logpdf(law, math.log(x)))
 
 
+@dataclass(slots=True, eq=False)
 class RPlusMoments:
     """Moments of a :class:`NormalOnRPlus` law, all native to the positive
     line: the three location summaries coincide at ``exp(mu)`` and the
     spread is measured by the squared natural distance."""
 
-    __slots__ = ("mean", "median", "mode", "metric_variance")
+    mean: PositiveValue
+    median: PositiveValue
+    mode: PositiveValue
+    metric_variance: float
 
-    def __init__(self, mean, median, mode, metric_variance):
-        self.mean = mean
-        self.median = median
-        self.mode = mode
-        self.metric_variance = float(metric_variance)
-
-    def __repr__(self):
-        return (
-            f"RPlusMoments(mean={self.mean.value:g}, median={self.median.value:g}, "
-            f"mode={self.mode.value:g}, metric_variance={self.metric_variance:g})"
-        )
+    def __post_init__(self):
+        self.metric_variance = float(self.metric_variance)
 
 
 def nrp_moments(law: NormalOnRPlus) -> RPlusMoments:
@@ -201,22 +188,18 @@ def nrp_interval(law: NormalOnRPlus, k) -> tuple[PositiveValue, PositiveValue]:
     )
 
 
+@dataclass(slots=True, eq=False)
 class LebesgueMoments:
     """Classical (Lebesgue) moments of a lognormal law."""
 
-    __slots__ = ("mean", "median", "mode", "variance")
+    mean: float
+    median: float
+    mode: float
+    variance: float
 
-    def __init__(self, mean, median, mode, variance):
-        self.mean = float(mean)
-        self.median = float(median)
-        self.mode = float(mode)
-        self.variance = float(variance)
-
-    def __repr__(self):
-        return (
-            f"LebesgueMoments(mean={self.mean:g}, median={self.median:g}, "
-            f"mode={self.mode:g}, variance={self.variance:g})"
-        )
+    def __post_init__(self):
+        self.mean, self.median = float(self.mean), float(self.median)
+        self.mode, self.variance = float(self.mode), float(self.variance)
 
 
 def lognormal_moments(law: LognormalLaw) -> LebesgueMoments:
@@ -234,6 +217,7 @@ def _log_abs_expm1(x) -> float:
     return x if x > 700.0 else math.log(abs(math.expm1(x)))
 
 
+@dataclass(slots=True, eq=False)
 class NaiveInterval:
     """Mean +/- k standard deviations computed with classical moments.
 
@@ -243,19 +227,14 @@ class NaiveInterval:
     geometry.
     """
 
-    __slots__ = ("lower", "upper", "lower_in_support", "upper_in_support")
+    lower: float
+    upper: float
+    lower_in_support: bool = field(init=False)
+    upper_in_support: bool = field(init=False)
 
-    def __init__(self, lower, upper):
-        self.lower = float(lower)
-        self.upper = float(upper)
-        self.lower_in_support = self.lower > 0.0
-        self.upper_in_support = self.upper > 0.0
-
-    def __repr__(self):
-        return (
-            f"NaiveInterval(lower={self.lower:g}, upper={self.upper:g}, "
-            f"lower_in_support={self.lower_in_support})"
-        )
+    def __post_init__(self):
+        self.lower, self.upper = float(self.lower), float(self.upper)
+        self.lower_in_support, self.upper_in_support = self.lower > 0.0, self.upper > 0.0
 
 
 def lognormal_naive_interval(law: LognormalLaw, k) -> NaiveInterval:
@@ -495,21 +474,16 @@ def aln_pdf_rows(law: AlnLaw, rows) -> np.ndarray:
     return np.exp(_simplex_logpdf(law, simplex.clr_rows(rows)))
 
 
+@dataclass(slots=True, eq=False)
 class SimplexMoments:
     """Geometric moments of a simplex law: the center (simultaneously the
     metric mean, median and mode) and the total metric variance."""
 
-    __slots__ = ("center", "metric_variance")
+    center: Composition
+    metric_variance: float
 
-    def __init__(self, center, metric_variance):
-        self.center = center
-        self.metric_variance = float(metric_variance)
-
-    def __repr__(self):
-        return (
-            f"SimplexMoments(center={self.center!r}, "
-            f"metric_variance={self.metric_variance:g})"
-        )
+    def __post_init__(self):
+        self.metric_variance = float(self.metric_variance)
 
 
 def nsd_moments(law) -> SimplexMoments:

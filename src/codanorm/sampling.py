@@ -18,6 +18,7 @@ replication-parallel work.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,6 +45,7 @@ __all__ = [
 ]
 
 
+@dataclass(slots=True, eq=False)
 class SeededStream:
     """A named, replayable source of randomness.
 
@@ -53,11 +55,12 @@ class SeededStream:
     makes sampling functions pure.
     """
 
-    __slots__ = ("seed", "stream_id")
+    seed: int
+    stream_id: int = 0
 
-    def __init__(self, seed, stream_id=0):
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
+    def __post_init__(self):
+        seed, stream_id = self.seed, self.stream_id
+        self.seed, self.stream_id = int(seed), int(stream_id)
         if self.seed < 0:
             raise NonPositivePartError(f"seed must be non-negative, got {seed!r}")
         if self.stream_id < 0:
@@ -72,9 +75,6 @@ class SeededStream:
     def child(self, stream_id) -> "SeededStream":
         """The sibling stream with another id (same seed)."""
         return SeededStream(self.seed, stream_id)
-
-    def __repr__(self):
-        return f"SeededStream(seed={self.seed}, stream_id={self.stream_id})"
 
 
 def _check_n(n, minimum=1):
@@ -113,21 +113,17 @@ def sample_aln(law: AlnLaw, n, stream: SeededStream, kappa=1.0) -> SimplexSample
     return sample_nsd(law, n, stream, kappa)
 
 
+@dataclass(slots=True, eq=False)
 class McEstimate:
     """A Monte-Carlo average and its standard error."""
 
-    __slots__ = ("estimate", "standard_error", "n")
+    estimate: float
+    standard_error: float
+    n: int
 
-    def __init__(self, estimate, standard_error, n):
-        self.estimate = float(estimate)
-        self.standard_error = float(standard_error)
-        self.n = int(n)
-
-    def __repr__(self):
-        return (
-            f"McEstimate({self.estimate:.6g} +/- {self.standard_error:.2g}, "
-            f"n={self.n})"
-        )
+    def __post_init__(self):
+        self.estimate, self.standard_error = float(self.estimate), float(self.standard_error)
+        self.n = int(self.n)
 
 
 def mc_expectation(f, law, n, stream: SeededStream, vectorized=False) -> McEstimate:

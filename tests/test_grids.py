@@ -24,6 +24,7 @@ from codanorm import (
     with_lebesgue_reference,
 )
 from codanorm.laws import LognormalLaw, nsd_logpdf_coords
+from codanorm.simplex import ilr_rows
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +125,19 @@ class TestTernaryGrid:
             AlnLaw([-1.0, 0.5], 0.1 * np.eye(2)), resolution=200
         )
         assert len(grid.maxima) == 1
+
+    @pytest.mark.parametrize("scale, resolution", [(0.01, 400), (1e-300, 50)])
+    def test_underflowing_densities_leave_one_maximum_at_the_mode(self, scale, resolution):
+        # most of the grid's densities underflow to 0.0; their logs still rank the cells
+        law = NormalOnSimplex([0.0, 0.0], scale * np.eye(2))
+        grid = ternary_density_grid(law, resolution=resolution)
+        assert np.any(grid.values == 0.0)
+        assert len(grid.maxima) == 1
+        comp, value = grid.maxima[0]
+        logs = nsd_logpdf_coords(law, ilr_rows(grid.points))
+        at = np.argmin(np.abs(grid.points - comp.parts).sum(axis=1))
+        assert logs[at] == pytest.approx(logs.max(), rel=1e-12)
+        assert value == grid.values.max()
 
     def test_grid_ratio_is_measure_ratio(self):
         nsd = NormalOnSimplex([0.3, -0.2], [[0.9, 0.1], [0.1, 0.7]])

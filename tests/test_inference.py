@@ -136,6 +136,16 @@ class TestCiMeanNrp:
         with pytest.raises(DegenerateVarianceError):
             ci_mean_nrp(RPlusSample([2.0, 2.0, 2.0]), alpha=0.10)
 
+    @pytest.mark.parametrize("alpha", [1e-17, 1e-300])
+    def test_tiny_alpha_keeps_finite_endpoints(self, rng, alpha):
+        # 1 - alpha/2 rounds to 1.0 here, whose t quantile is infinite
+        sample = RPlusSample(np.exp(rng.normal(0.0, 1.0, size=300)))
+        lo, hi = ci_mean_nrp(sample, alpha)
+        gm = geometric_mean(sample).value
+        assert 0.0 < lo.value < gm < hi.value < math.inf
+        half = stats.t.isf(alpha / 2.0, df=299) * float(sample.logs.std(ddof=1)) / math.sqrt(300)
+        assert math.log(hi.value / gm) == pytest.approx(half, rel=1e-12)
+
     def test_quick_coverage(self):
         # a small-scale version of the full coverage criterion
         truth = NormalOnRPlus(1.0, 0.25)

@@ -247,6 +247,17 @@ class TestCliFit:
         assert body["ci_mean"]["lower"] < body["geometric_mean"] < body["ci_mean"]["upper"]
         assert body["lognormal_baseline"]["naive_mean"] > body["geometric_mean"]
 
+    @pytest.mark.parametrize("alpha", ["1e-17", "1e-300"])
+    def test_rplus_report_at_tiny_alpha(self, capsys, tmp_path, alpha):
+        p = tmp_path / "flow.csv"
+        values = np.exp(np.random.default_rng(7).normal(1.0, 0.7, size=300))
+        p.write_text("flow\n" + "\n".join(repr(float(v)) for v in values) + "\n")
+        code, out, err = run_cli(capsys, "fit", "--input", str(p), "--space", "rplus",
+                                 "--alpha", alpha)
+        assert code == 0, err
+        body = json.loads(out)
+        assert body["ci_mean"]["lower"] < body["geometric_mean"] < body["ci_mean"]["upper"]
+
     def test_simplex_report_with_gof(self, capsys, simplex_csv):
         code, out, err = run_cli(capsys, "fit", "--input", str(simplex_csv),
                                  "--space", "simplex")
@@ -474,6 +485,13 @@ class TestCliHistAndGrid:
         meta, payload = read_grid_artifact(prefix)
         assert meta["kind"] == "ternary_density"
         assert payload.shape == (151, 151)
+
+    def test_density_grid_of_a_narrow_law_has_one_maximum(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "density-grid", "--law", "nsd",
+                                 "--mu", "0,0", "--sigma", "0.01,0,0,0.01",
+                                 "--resolution", "400", "-o", str(tmp_path / "narrow"))
+        assert code == 0, err
+        assert json.loads(out)["n_maxima"] == 1
 
     def test_density_grid_non_spd_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "density-grid", "--law", "nsd",
