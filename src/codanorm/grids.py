@@ -128,10 +128,10 @@ class TernaryDensityGrid:
     ``resolution`` is the number of lattice steps per axis, so parts move in
     increments of ``1/resolution``; points with any part below ``margin``
     are excluded.  ``maxima`` holds one ``(parts, density)`` pair per local
-    maximum: a lattice point whose log density is no smaller than its first-
-    and second-ring triangular-lattice neighbours', with ties grouped so a
-    flat peak is reported once (see ``_lattice_maxima``).  Logs keep the mode
-    of a law whose grid densities underflow to 0.0.
+    maximum, highest first: a lattice point that outranks its first- and
+    second-ring neighbours, ranked by log density with ties to the first in
+    ``(i, j)`` order, so a flat peak is reported once, at its first cell (see
+    ``_lattice_maxima``).  Logs keep the mode of densities that underflow to 0.
     """
 
     resolution: int
@@ -197,44 +197,24 @@ def _lattice_maxima(r, ii, jj, log_values, values):
     """Local maxima of a log density on the barycentric lattice, as ``(parts,
     density)`` pairs from the highest down, each density read from ``values``.
 
-    A cell qualifies when no neighbor's log exceeds its own (logs stay distinct
-    where densities underflow to 0.0); neighboring qualifying cells are grouped
-    so a plateau (e.g. a symmetric mode falling exactly between lattice points)
-    is reported once, at its highest cell.
+    Cells are ranked by log density (logs stay distinct where densities
+    underflow to 0.0), ties going to the first cell in ``(i, j)`` order; a cell
+    is a maximum when it outranks every neighbor on the lattice.  So a plateau
+    (e.g. a symmetric mode falling exactly between lattice points) is reported
+    once, at its first cell, and a cell whose log is ``-inf`` never is.
     """
     field = np.full((r + 5, r + 5), -np.inf)
     field[ii + 2, jj + 2] = log_values
     core = field[2: r + 3, 2: r + 3]
-    best_neighbor = np.full((r + 1, r + 1), -np.inf)
+    peak = np.ones((r + 1, r + 1), dtype=bool)
     for di, dj in _NEIGHBOR_STEPS:
         shifted = field[2 + di: r + 3 + di, 2 + dj: r + 3 + dj]
-        np.maximum(best_neighbor, shifted, out=best_neighbor)
-    candidate = core >= best_neighbor
-    cand_cells = {(int(i), int(j)) for i, j in zip(ii[candidate[ii, jj]],
-                                                   jj[candidate[ii, jj]])}
-    density = np.zeros((r + 1, r + 1))
-    density[ii, jj] = values
-    peaks = []
-    seen = set()
-    for cell in sorted(cand_cells):
-        if cell in seen:
-            continue
-        # flood the connected group of qualifying cells around this one
-        group = [cell]
-        seen.add(cell)
-        queue = [cell]
-        while queue:
-            ci, cj = queue.pop()
-            for di, dj in _NEIGHBOR_STEPS:
-                nb = (ci + di, cj + dj)
-                if nb in cand_cells and nb not in seen:
-                    seen.add(nb)
-                    group.append(nb)
-                    queue.append(nb)
-        peaks.append(max(group, key=lambda c: core[c]))
-    peaks.sort(key=lambda c: -core[c])
-    return [(simplex.Composition(np.array([gi, gj, r - gi - gj], dtype=float) / r),
-             float(density[gi, gj])) for gi, gj in peaks]
+        # strictly above a neighbor that comes first, no lower than one after
+        peak &= core > shifted if (di, dj) < (0, 0) else core >= shifted
+    at = np.flatnonzero(peak[ii, jj])
+    at = at[np.argsort(-log_values[at], kind="stable")]
+    return [(simplex.Composition(np.array([ii[k], jj[k], r - ii[k] - jj[k]], dtype=float) / r),
+             float(values[k])) for k in at]
 
 
 @dataclass(slots=True, eq=False, repr=False)
@@ -262,8 +242,8 @@ def coordinate_density_grid(law, resolution=200, reach=4.0) -> CoordinateDensity
     if resolution < 2:
         raise InsufficientDataError(f"resolution must be at least 2, got {resolution}")
     reach = float(reach)
-    if reach <= 0.0:
-        raise NonPositivePartError(f"reach must be positive, got {reach!r}")
+    if not 0.0 < reach < math.inf:
+        raise NonPositivePartError(f"reach must be positive and finite, got {reach!r}")
     sd = np.sqrt(np.diag(law.sigma))
     x = np.linspace(law.mu[0] - reach * sd[0], law.mu[0] + reach * sd[0], resolution)
     y = np.linspace(law.mu[1] - reach * sd[1], law.mu[1] + reach * sd[1], resolution)

@@ -31,6 +31,7 @@ from .errors import (
     InsufficientDataError,
     NonPositivePartError,
     NotSPDError,
+    NumericalError,
     SingularCovarianceError,
 )
 from .laws import NormalOnRPlus, NormalOnSimplex, _mahalanobis2, _require
@@ -209,8 +210,8 @@ def ci_mean_nrp(sample: RPlusSample, alpha) -> tuple[PositiveValue, PositiveValu
     The classical ``t`` interval for the mean of the logs, mapped back:
     ``exp(ybar -/+ t_{alpha/2, n-1} * V / sqrt(n))`` with ``V`` the log
     standard deviation (divisor ``n - 1``); ``t`` comes from the lower tail,
-    as ``1 - alpha/2`` rounds to 1 for tiny ``alpha``.  Both endpoints always
-    lie in the support, and the fitted mean always lies strictly between them.
+    as ``1 - alpha/2`` rounds to 1 for tiny ``alpha``.  The fitted mean lies strictly
+    between the endpoints; a half-width past the float range is a NumericalError.
     """
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
@@ -226,6 +227,8 @@ def ci_mean_nrp(sample: RPlusSample, alpha) -> tuple[PositiveValue, PositiveValu
 
     ybar = float(sample.logs.mean())
     half = -float(stdtrit(sample.n - 1, alpha / 2.0)) * v / math.sqrt(sample.n)
+    if not math.isfinite(half):
+        raise NumericalError(f"t interval past the float range for alpha={alpha!r}, n={sample.n}")
     return PositiveValue.from_log(ybar - half), PositiveValue.from_log(ybar + half)
 
 

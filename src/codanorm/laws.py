@@ -428,9 +428,10 @@ def nsd_logpdf_coords(law, coords) -> np.ndarray:
 
 def _mahalanobis2(law, coords) -> np.ndarray:
     """Squared Mahalanobis distance of each coordinate row from ``law.mu``,
-    through the whitening factor computed at the law's construction."""
+    through the law's whitening factor; ``inf`` past the largest float."""
     z = (coords - law.mu) @ law._chol_inv.T
-    return np.sum(z * z, axis=1)
+    with np.errstate(over="ignore"):
+        return np.sum(z * z, axis=1)
 
 
 def _simplex_logpdf(law, clr) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Tests for histogram and density-grid artifacts."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from codanorm import (
     AlnLaw,
     DegenerateVarianceError,
     DimensionMismatchError,
+    NonPositivePartError,
     NormalOnRPlus,
     NormalOnSimplex,
     RPlusSample,
@@ -23,7 +25,9 @@ from codanorm import (
     uniform,
     with_lebesgue_reference,
 )
-from codanorm.laws import LognormalLaw, nsd_logpdf_coords
+from codanorm import simplex
+from codanorm.grids import _NEIGHBOR_STEPS
+from codanorm.laws import LognormalLaw, _simplex_logpdf, nsd_logpdf_coords
 from codanorm.simplex import ilr_rows
 
 
@@ -106,7 +110,89 @@ class TestHistogram:
             histogram_artifact(rplus_sample, "manhattan", bins=4)
 
 
+def flood_fill_maxima(r, ii, jj, log_values, values):
+    """Reference rule: a cell qualifies when no neighbor's log exceeds its own;
+    each connected group of qualifying cells is one maximum, at its highest
+    (first of equal) cell, and maxima are sorted by log, highest first."""
+    field = np.full((r + 5, r + 5), -np.inf)
+    field[ii + 2, jj + 2] = log_values
+    core = field[2: r + 3, 2: r + 3]
+    best_neighbor = np.full((r + 1, r + 1), -np.inf)
+    for di, dj in _NEIGHBOR_STEPS:
+        np.maximum(best_neighbor, field[2 + di: r + 3 + di, 2 + dj: r + 3 + dj],
+                   out=best_neighbor)
+    candidate = (core >= best_neighbor)[ii, jj]
+    cand_cells = {(int(i), int(j)) for i, j in zip(ii[candidate], jj[candidate])}
+    density = np.zeros((r + 1, r + 1))
+    density[ii, jj] = values
+    peaks, seen = [], set()
+    for cell in sorted(cand_cells):
+        if cell in seen:
+            continue
+        group, queue = [cell], [cell]
+        seen.add(cell)
+        while queue:
+            ci, cj = queue.pop()
+            for di, dj in _NEIGHBOR_STEPS:
+                nb = (ci + di, cj + dj)
+                if nb in cand_cells and nb not in seen:
+                    seen.add(nb)
+                    group.append(nb)
+                    queue.append(nb)
+        peaks.append(max(group, key=lambda c: core[c]))
+    peaks.sort(key=lambda c: -core[c])
+    return [(simplex.Composition(np.array([gi, gj, r - gi - gj], dtype=float) / r),
+             float(density[gi, gj])) for gi, gj in peaks]
+
+
+def _reference_laws():
+    gen = np.random.default_rng(1914)
+    laws = []
+    for k in range(24):
+        a = gen.normal(size=(2, 2))
+        sigma = a @ a.T * 10 ** gen.uniform(-2, 0.7) + 0.02 * np.eye(2)
+        laws.append((AlnLaw if k % 2 else NormalOnSimplex)(gen.normal(0, 1.5, 2), sigma))
+    # round and mirror-symmetric laws (the first ilr coordinate contrasts the
+    # first two parts), whose logs tie across the mirror line to an ulp or
+    # exactly, and at scale 1e300 a natural law whose logs are all one float
+    for mu, shape in (([0.0, 0.0], np.eye(2)), ([0.0, 0.7], np.diag([1.0, 3.0]))):
+        for scale in (1e-300, 1e-10, 1.0, 1e10, 1e300):
+            laws += [NormalOnSimplex(mu, scale * shape), AlnLaw(mu, scale * shape)]
+    return laws
+
+
 class TestTernaryGrid:
+    @pytest.mark.parametrize("resolution", [4, 7, 12, 30])
+    def test_maxima_equal_the_flood_fill_rule(self, resolution):
+        for law in _reference_laws():
+            grid = ternary_density_grid(law, resolution=resolution)
+            logs = _simplex_logpdf(law, simplex.clr_rows(grid.points))
+            expected = flood_fill_maxima(resolution, grid.i_index, grid.j_index, logs,
+                                         grid.values)
+            assert len(grid.maxima) == len(expected)
+            for (comp, value), (want_comp, want) in zip(grid.maxima, expected):
+                assert np.array_equal(comp.parts, want_comp.parts) and value == want
+
+    def test_flat_law_reports_its_first_cell_quickly(self):
+        # every log density is the same float, so the whole lattice is one plateau
+        law = NormalOnSimplex([0.0, 0.0], 1e30 * np.eye(2))
+        start = time.perf_counter()
+        grid = ternary_density_grid(law, resolution=1000)
+        elapsed = time.perf_counter() - start
+        assert len(grid.maxima) == 1
+        assert np.allclose(grid.maxima[0][0].parts, [0.001, 0.001, 0.998], atol=1e-15)
+        assert elapsed < 2.0
+
+    def test_overflowing_distances_leave_one_maximum(self):
+        # most squared distances pass the largest float, so those logs are -inf
+        grid = ternary_density_grid(
+            NormalOnSimplex([10.0, 10.0], 1e-306 * np.eye(2)), resolution=20
+        )
+        assert len(grid.maxima) == 1
+        comp, value = grid.maxima[0]
+        assert np.allclose(comp.parts, [0.9, 0.05, 0.05], atol=1e-15)
+        assert value == 0.0
+
     def test_round_lebesgue_law_has_three_maxima(self):
         grid = ternary_density_grid(AlnLaw([0.0, 0.0], np.eye(2)), resolution=200)
         assert len(grid.maxima) == 3
@@ -202,3 +288,8 @@ class TestCoordinateGrid:
         law = NormalOnSimplex([0.0, 0.0, 0.0], np.eye(3))
         with pytest.raises(DimensionMismatchError):
             coordinate_density_grid(law)
+
+    @pytest.mark.parametrize("reach", [0.0, -1.0, math.nan, math.inf])
+    def test_reach_must_be_positive_and_finite(self, reach):
+        with pytest.raises(NonPositivePartError):
+            coordinate_density_grid(NormalOnSimplex([0.0, 0.0], np.eye(2)), reach=reach)

@@ -13,6 +13,7 @@ from codanorm import (
     InsufficientDataError,
     NormalOnRPlus,
     NormalOnSimplex,
+    NumericalError,
     PositiveValue,
     RPlusSample,
     SeededStream,
@@ -145,6 +146,14 @@ class TestCiMeanNrp:
         assert 0.0 < lo.value < gm < hi.value < math.inf
         half = stats.t.isf(alpha / 2.0, df=299) * float(sample.logs.std(ddof=1)) / math.sqrt(300)
         assert math.log(hi.value / gm) == pytest.approx(half, rel=1e-12)
+
+    @pytest.mark.parametrize("values, alpha", [([1.0, 2.0], 1e-309),
+                                               ([1e-300, 1e300], 1e-306)])
+    def test_interval_past_the_float_range_is_a_numerical_error(self, values, alpha):
+        # stdtrit(1, p) is inf below p ~ 1.8e-309; at 1e-306 the quantile is
+        # finite but its product with the log spread is not
+        with pytest.raises(NumericalError, match="alpha.*n=2"):
+            ci_mean_nrp(RPlusSample(values), alpha)
 
     def test_quick_coverage(self):
         # a small-scale version of the full coverage criterion

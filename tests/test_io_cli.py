@@ -258,6 +258,14 @@ class TestCliFit:
         body = json.loads(out)
         assert body["ci_mean"]["lower"] < body["geometric_mean"] < body["ci_mean"]["upper"]
 
+    def test_rplus_interval_past_the_float_range_exits_3(self, capsys, tmp_path):
+        p = tmp_path / "two.csv"
+        p.write_text("x\n1.0\n2.0\n")
+        code, out, err = run_cli(capsys, "fit", "--input", str(p), "--space", "rplus",
+                                 "--alpha", "1e-309")
+        assert code == 3 and out == ""
+        assert "alpha" in err and "n=2" in err
+
     def test_simplex_report_with_gof(self, capsys, simplex_csv):
         code, out, err = run_cli(capsys, "fit", "--input", str(simplex_csv),
                                  "--space", "simplex")
