@@ -28,6 +28,7 @@ import numpy as np
 from . import simplex
 from .errors import (
     BadIntervalError,
+    DegenerateVarianceError,
     DimensionMismatchError,
     InsufficientDataError,
     NonPositivePartError,
@@ -36,6 +37,7 @@ from .inference import RPlusSample, fit_nrp
 from .laws import (
     LognormalLaw,
     NormalOnRPlus,
+    _exp_rows,
     _line_logpdf,
     _require,
     _simplex_logpdf,
@@ -89,6 +91,8 @@ def histogram_artifact(sample: RPlusSample, metric, bins=20) -> HistogramArtifac
     ``metric='logratio'`` geometric-progression edges (equal length in the
     line's own distance, midpoints taken in logs).  The fitted law provides the
     two density columns; a Lebesgue density past the largest float is ``inf``.
+    Values too close together for ``bins`` distinct edges raise
+    :class:`DegenerateVarianceError`.
     """
     if metric not in ("euclidean", "logratio"):
         raise BadIntervalError(f"metric must be 'euclidean' or 'logratio', got {metric!r}")
@@ -110,10 +114,12 @@ def histogram_artifact(sample: RPlusSample, metric, bins=20) -> HistogramArtifac
         log_mid = 0.5 * (log_edges[:-1] + log_edges[1:])
         midpoints = np.exp(log_mid)
         measure = np.diff(log_edges)
+    if not np.all(measure > 0.0):  # edges repeat where the spread is below float spacing
+        raise DegenerateVarianceError(f"the values span too narrow a range for {bins} bins")
     counts, _ = np.histogram(values, edges)
-    nrp_density = np.exp(_line_logpdf(law, log_mid))
-    with np.errstate(over="ignore"):  # a Lebesgue density past the largest float is inf
-        ln_density = np.exp(_line_logpdf(LognormalLaw(law.mu, law.sigma2), log_mid))
+    nrp_density = _exp_rows(_line_logpdf(law, log_mid))
+    ln_density = _exp_rows(_line_logpdf(LognormalLaw(law.mu, law.sigma2), log_mid))
+    with np.errstate(over="ignore"):  # the density of a subnormal-width bin may be inf
         empirical = counts / (sample.n * measure)
     return HistogramArtifact(
         metric, edges, midpoints, counts, measure, empirical,
@@ -176,7 +182,7 @@ def ternary_density_grid(law, resolution=400, margin=1e-4) -> TernaryDensityGrid
     ii, jj = np.nonzero((k[:, None] >= lo) & (k >= lo) & (k[:, None] + k <= r - lo))
     points = np.column_stack([ii, jj, r - ii - jj]) / r
     log_values = _simplex_logpdf(law, simplex.clr_rows(points))
-    values = np.exp(log_values)
+    values = _exp_rows(log_values)
     maxima = _lattice_maxima(r, ii, jj, log_values, values)
     return TernaryDensityGrid(r, margin, ii, jj, points, values, maxima, law)
 
@@ -249,5 +255,5 @@ def coordinate_density_grid(law, resolution=200, reach=4.0) -> CoordinateDensity
     y = np.linspace(law.mu[1] - reach * sd[1], law.mu[1] + reach * sd[1], resolution)
     gx, gy = np.meshgrid(x, y, indexing="ij")
     pts = np.column_stack([gx.ravel(), gy.ravel()])
-    values = np.exp(nsd_logpdf_coords(law, pts)).reshape(resolution, resolution)
+    values = _exp_rows(nsd_logpdf_coords(law, pts)).reshape(resolution, resolution)
     return CoordinateDensityGrid(x, y, values, law)

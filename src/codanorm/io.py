@@ -13,9 +13,12 @@ Conventions shared by everything below:
   :class:`~codanorm.errors.DatasetValidationError`; so are a file that is
   not UTF-8 and JSON that is malformed, not an object or of another
   ``schema_version``.  ``OSError`` (missing file, directory) propagates.
-* One formatter, ``_write_rows``, writes every float row as its shortest
-  round-trip ``repr``, so output is byte-stable.  Grid artifacts are a
-  numeric CSV payload plus a ``.meta.json`` sidecar.
+* One serializer, ``_json``, makes every JSON document written (report,
+  sample header, sidecar): stamped, sorted and strict.  One writer,
+  ``_write_file``, writes every file from finished text and float rows, each
+  cell its shortest round-trip ``repr`` (byte-stable output); so a failed
+  serialization writes nothing.  Grid artifacts are a numeric CSV payload
+  plus a ``.meta.json`` sidecar.
 """
 
 from __future__ import annotations
@@ -199,14 +202,27 @@ def read_simplex_csv(path, kappa=1.0, auto_close=True):
 
 
 # --------------------------------------------------------------------------
-# sample emission
+# writing
 # --------------------------------------------------------------------------
 
-def _write_rows(fh, rows):
-    """The one float-row formatter: each cell as its shortest round-trip
-    ``repr``, so output is byte-stable and re-parses to the same floats."""
-    for row in np.atleast_2d(np.asarray(rows, dtype=float)).tolist():
-        fh.write(",".join(map(repr, row)) + "\n")
+def _json(body, indent=None) -> str:
+    """The one JSON serializer: ``body`` stamped with ``schema_version``, keys
+    sorted; a NaN or infinity raises :class:`NumericalError`, never non-JSON."""
+    try:
+        return json.dumps({"schema_version": SCHEMA_VERSION, **body}, indent=indent,
+                          sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"report holds a non-finite number ({exc})") from None
+
+
+def _write_file(path, text, rows=None):
+    """The one file writer: finished ``text``, then each float row of ``rows``
+    as shortest round-trip ``repr`` cells, which re-parse to the same floats."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+        if rows is not None:
+            for row in np.atleast_2d(np.asarray(rows, dtype=float)).tolist():
+                fh.write(",".join(map(repr, row)) + "\n")
 
 
 def write_samples_csv(path, meta, columns, rows):
@@ -222,11 +238,7 @@ def write_samples_csv(path, meta, columns, rows):
         raise DimensionMismatchError(
             f"{len(columns)} column names for {rows.shape[1]} columns"
         )
-    meta = {"schema_version": SCHEMA_VERSION, **meta}
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_SAMPLES_TAG + json.dumps(meta, sort_keys=True) + "\n")
-        fh.write(",".join(columns) + "\n")
-        _write_rows(fh, rows)
+    _write_file(path, f"{_SAMPLES_TAG}{_json(meta)}\n{','.join(columns)}\n", rows)
 
 
 def read_samples_csv(path):
@@ -264,16 +276,11 @@ def dumps_report(payload) -> str:
     Strict JSON: a NaN or infinite value raises :class:`NumericalError`
     instead of being written as the non-JSON ``NaN`` or ``Infinity``.
     """
-    body = {"schema_version": SCHEMA_VERSION, "tool": "codanorm", **payload}
-    try:
-        return json.dumps(body, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        raise NumericalError(f"report holds a non-finite number ({exc})") from None
+    return _json({"tool": "codanorm", **payload}, indent=2)
 
 
 def write_report(payload, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_report(payload) + "\n")
+    _write_file(path, dumps_report(payload) + "\n")
 
 
 def _load_meta(text, where):
@@ -304,56 +311,36 @@ def write_grid_artifact(artifact, prefix) -> list[str]:
 
     Returns the list of paths written.
     """
-    csv_path = f"{prefix}.csv"
-    meta_path = f"{prefix}.meta.json"
     header = ""
     if isinstance(artifact, HistogramArtifact):
-        meta = {
-            "kind": "histogram",
-            "metric": artifact.metric,
-            "n": int(artifact.n),
-            "law": law_to_dict(artifact.law),
-            "columns": [
-                "bin_lo", "bin_hi", "midpoint", "count", "bin_measure",
-                "empirical_density", "nrp_density", "lognormal_density",
-            ],
+        columns = {
+            "bin_lo": artifact.edges[:-1], "bin_hi": artifact.edges[1:],
+            "midpoint": artifact.midpoints, "count": artifact.counts,
+            "bin_measure": artifact.bin_measure, "empirical_density": artifact.empirical_density,
+            "nrp_density": artifact.nrp_density, "lognormal_density": artifact.lognormal_density,
         }
-        header = ",".join(meta["columns"]) + "\n"
-        payload = np.column_stack([
-            artifact.edges[:-1], artifact.edges[1:], artifact.midpoints,
-            artifact.counts, artifact.bin_measure, artifact.empirical_density,
-            artifact.nrp_density, artifact.lognormal_density,
-        ])
+        meta = {"kind": "histogram", "metric": artifact.metric, "n": int(artifact.n),
+                "columns": list(columns)}
+        header = ",".join(columns) + "\n"
+        payload = np.column_stack(list(columns.values()))
     elif isinstance(artifact, TernaryDensityGrid):
-        meta = {
-            "kind": "ternary_density",
-            "resolution": int(artifact.resolution),
-            "margin": artifact.margin,
-            "law": law_to_dict(artifact.law),
-            "maxima": [
-                {"parts": c.parts.tolist(), "density": v} for c, v in artifact.maxima
-            ],
-            "axes": "matrix[i, j] is density at parts (i/r, j/r, 1 - i/r - j/r)",
-        }
+        meta = {"kind": "ternary_density", "resolution": int(artifact.resolution),
+                "margin": artifact.margin,
+                "maxima": [{"parts": c.parts.tolist(), "density": v} for c, v in artifact.maxima],
+                "axes": "matrix[i, j] is density at parts (i/r, j/r, 1 - i/r - j/r)"}
         payload = artifact.matrix()
     elif isinstance(artifact, CoordinateDensityGrid):
-        meta = {
-            "kind": "coordinate_density",
-            "x_axis": artifact.x_axis.tolist(),
-            "y_axis": artifact.y_axis.tolist(),
-            "law": law_to_dict(artifact.law),
-            "axes": "matrix[i, j] is density at (x_axis[i], y_axis[j])",
-        }
+        meta = {"kind": "coordinate_density", "x_axis": artifact.x_axis.tolist(),
+                "y_axis": artifact.y_axis.tolist(),
+                "axes": "matrix[i, j] is density at (x_axis[i], y_axis[j])"}
         payload = artifact.values
     else:
         raise TypeError(f"not a grid artifact: {type(artifact).__name__}")
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header)
-        _write_rows(fh, payload)
-    meta = {"schema_version": SCHEMA_VERSION, **meta}
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    return [csv_path, meta_path]
+    sidecar = _json({**meta, "law": law_to_dict(artifact.law)}, indent=2) + "\n"
+    paths = [f"{prefix}.csv", f"{prefix}.meta.json"]
+    _write_file(paths[0], header, payload)
+    _write_file(paths[1], sidecar)
+    return paths
 
 
 def read_grid_artifact(prefix):

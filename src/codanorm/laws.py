@@ -434,6 +434,12 @@ def _mahalanobis2(law, coords) -> np.ndarray:
         return np.sum(z * z, axis=1)
 
 
+def _exp_rows(t) -> np.ndarray:
+    """``np.exp(t)``, silently ``inf`` where that passes the largest float."""
+    with np.errstate(over="ignore"):
+        return np.exp(t)
+
+
 def _simplex_logpdf(law, clr) -> np.ndarray:
     """The simplex's log-density kernel at clr rows ``(n, D)``: the coordinate normal
     log density of ``clr @ U``, plus the log measure ratio under the Lebesgue tag."""
@@ -452,7 +458,7 @@ def nsd_pdf(law: NormalOnSimplex, x: Composition) -> float:
 def nsd_pdf_rows(law: NormalOnSimplex, rows) -> np.ndarray:
     """Vectorized :func:`nsd_pdf` over an ``(n, D)`` array of part rows."""
     _require(law, NormalOnSimplex)
-    return np.exp(_simplex_logpdf(law, simplex.clr_rows(rows)))
+    return _exp_rows(_simplex_logpdf(law, simplex.clr_rows(rows)))
 
 
 def aln_pdf(law: AlnLaw, x: Composition) -> float:
@@ -472,7 +478,7 @@ def aln_pdf_rows(law: AlnLaw, rows) -> np.ndarray:
     """Vectorized :func:`aln_pdf` over an ``(n, D)`` array of part rows
     (rows are taken as unit-simplex points)."""
     _require(law, AlnLaw)
-    return np.exp(_simplex_logpdf(law, simplex.clr_rows(rows)))
+    return _exp_rows(_simplex_logpdf(law, simplex.clr_rows(rows)))
 
 
 @dataclass(slots=True, eq=False)

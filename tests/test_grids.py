@@ -103,6 +103,13 @@ class TestHistogram:
         with pytest.raises(DegenerateVarianceError):
             histogram_artifact(RPlusSample([2.0] * 20), "euclidean", bins=4)
 
+    @pytest.mark.parametrize("values", [[1.0, 1.0000000000000002], [5e-324, 1e-323, 1.5e-323]])
+    @pytest.mark.parametrize("metric", ["euclidean", "logratio"])
+    def test_range_too_narrow_for_the_bins_rejected(self, values, metric):
+        # the edges would repeat, leaving bins of zero measure and NaN densities
+        with pytest.raises(DegenerateVarianceError, match="too narrow a range for 20 bins"):
+            histogram_artifact(RPlusSample(values), metric, bins=20)
+
     def test_bad_metric_rejected(self, rplus_sample):
         from codanorm import ValidationError
 
@@ -192,6 +199,12 @@ class TestTernaryGrid:
         comp, value = grid.maxima[0]
         assert np.allclose(comp.parts, [0.9, 0.05, 0.05], atol=1e-15)
         assert value == 0.0
+
+    def test_densities_past_the_float_range_are_inf(self):
+        # the centre's density is about 1.6e309; pytest makes numpy's overflow warning an error
+        grid = ternary_density_grid(NormalOnSimplex([0.0, 0.0], 1e-310 * np.eye(2)), resolution=6)
+        assert grid.values.max() == math.inf
+        assert [d for _, d in grid.maxima] == [math.inf]
 
     def test_round_lebesgue_law_has_three_maxima(self):
         grid = ternary_density_grid(AlnLaw([0.0, 0.0], np.eye(2)), resolution=200)
@@ -283,6 +296,11 @@ class TestCoordinateGrid:
             nsd_logpdf_coords(law, np.array([[grid.x_axis[3], grid.y_axis[8]]]))
         )[0]
         assert grid.values[3, 8] == pytest.approx(mid, rel=1e-12)
+
+    def test_densities_past_the_float_range_are_inf(self):
+        grid = coordinate_density_grid(NormalOnSimplex([0.0, 0.0], 1e-320 * np.eye(2)),
+                                       resolution=3)
+        assert np.all(grid.values == math.inf)
 
     def test_dimension_guard(self):
         law = NormalOnSimplex([0.0, 0.0, 0.0], np.eye(3))

@@ -482,6 +482,21 @@ class TestCliHistAndGrid:
         assert np.all((lo <= mid) & (mid <= hi) & (mid > 0.0) & np.isfinite(mid))
         assert np.all(np.isfinite(nrp_density))
 
+    @pytest.mark.parametrize("values, metric", [
+        ("1.0,1.0000000000000002", "euclidean"),
+        ("5e-324,1e-323,1.5e-323", "euclidean"),
+        ("5e-324,1e-323,1.5e-323", "logratio"),
+    ])
+    def test_hist_on_a_range_too_narrow_for_the_bins_exits_2(self, capsys, tmp_path,
+                                                              values, metric):
+        p = tmp_path / "narrow.csv"
+        p.write_text("x\n" + values.replace(",", "\n") + "\n")
+        code, out, err = run_cli(capsys, "hist", "--input", str(p), "--metric", metric,
+                                 "-o", str(tmp_path / "arte"))
+        assert code == 2 and out == ""
+        assert "too narrow a range for 20 bins" in err
+        assert not list(tmp_path.glob("arte*"))
+
     def test_density_grid_reports_trimodality(self, capsys, tmp_path):
         prefix = tmp_path / "tern"
         code, out, err = run_cli(capsys, "density-grid", "--law", "aln",
@@ -596,6 +611,74 @@ class TestStrictJson:
         assert code == 3
         assert out == ""
         assert "numerical failure" in err and "non-finite" in err
+
+    def test_non_finite_report_value_writes_no_report_file(self, capsys, rplus_csv,
+                                                           monkeypatch, tmp_path):
+        import codanorm.cli
+
+        monkeypatch.setattr(codanorm.cli, "naive_lognormal_mean", lambda sample: math.nan)
+        path = tmp_path / "rep.json"
+        code, out, err = run_cli(capsys, "fit", "--input", str(rplus_csv), "--space", "rplus",
+                                 "-o", str(path))
+        assert code == 3 and out == ""
+        assert "non-finite" in err
+        assert not path.exists()
+
+    def test_non_finite_grid_density_exits_3_and_writes_nothing(self, capsys, tmp_path):
+        # the centre's density passes the largest float, so the sidecar cannot be JSON
+        code, out, err = run_cli(capsys, "density-grid", "--law", "nsd", "--mu", "0,0",
+                                 "--sigma", "1e-310,0,0,1e-310", "--resolution", "6",
+                                 "-o", str(tmp_path / "g"))
+        assert code == 3 and out == ""
+        assert "non-finite" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("write", [
+        lambda path: write_report({"value": math.nan}, path),
+        lambda path: write_samples_csv(path, {"mu": math.inf}, ["x"], [1.0]),
+        lambda path: write_grid_artifact(
+            ternary_density_grid(NormalOnSimplex([0.0, 0.0], 1e-310 * np.eye(2)), resolution=6),
+            path),
+    ], ids=["report", "samples", "grid"])
+    def test_writers_refuse_non_finite_json_and_write_nothing(self, tmp_path, write):
+        from codanorm import NumericalError
+
+        with pytest.raises(NumericalError, match="non-finite"):
+            write(tmp_path / "out")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_every_json_document_the_cli_writes_is_strict(self, capsys, rplus_csv,
+                                                         simplex_csv, tmp_path):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        jobs = [
+            ["fit", "--input", str(rplus_csv), "--space", "rplus"],
+            ["fit", "--input", str(simplex_csv), "--space", "simplex"],
+            ["fit", "--input", str(rplus_csv), "--space", "rplus", "-o", str(out_dir / "r.json")],
+            ["fit", "--input", str(simplex_csv), "--space", "simplex",
+             "-o", str(out_dir / "s.json")],
+            ["sample", "--law", "aln", "--mu", "0.2,-0.1", "--sigma", "1,0.3,0.3,0.8",
+             "-n", "5", "-o", str(out_dir / "d.csv")],
+            ["hist", "--input", str(rplus_csv), "--metric", "logratio", "-o", str(out_dir / "h")],
+            ["density-grid", "--law", "aln", "--mu", "0,0", "--sigma", "1,0,0,1",
+             "--resolution", "20", "-o", str(out_dir / "t")],
+            ["density-grid", "--law", "nsd", "--mu", "0,0", "--sigma", "1,0,0,1",
+             "--grid-space", "coords", "--resolution", "5", "-o", str(out_dir / "c")],
+        ]
+        for argv in jobs:
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0, err
+            if argv[0] == "sample" or argv[0] == "fit" and "-o" in argv:
+                assert out.strip() == argv[-1]  # the path written
+            else:
+                _strict_json(out)
+        files = sorted(p.name for p in out_dir.glob("*.json"))
+        assert files == ["c.meta.json", "h.meta.json", "r.json", "s.json", "t.meta.json"]
+        for name in files:
+            _strict_json((out_dir / name).read_text())
+        header = (out_dir / "d.csv").read_text().split("\n")[0]
+        assert header.startswith("# codanorm-samples ")
+        assert _strict_json(header.removeprefix("# codanorm-samples "))["law_family"]
 
     def test_extreme_rplus_fit_writes_overflow_as_null(self, capsys, tmp_path):
         p = tmp_path / "extreme.csv"

@@ -456,6 +456,14 @@ class TestLogDensityKernels:
         assert line == pytest.approx(-0.5 * math.log(1e-300) ** 2 - 0.5 * math.log(2 * math.pi),
                                      rel=1e-12)
 
+    def test_density_rows_past_the_float_range_are_inf(self):
+        # a law of normal range so narrow that its density at the centre passes the
+        # largest float; pytest makes numpy's overflow warning an error
+        centre = np.full((1, 8), 1 / 8)
+        nsd = NormalOnSimplex(np.zeros(7), 1e-100 * np.eye(7))
+        assert nsd_pdf_rows(nsd, centre)[0] == math.inf
+        assert aln_pdf_rows(with_lebesgue_reference(nsd), centre)[0] == math.inf
+
     def test_simplex_values_past_the_float_range_are_inf(self):
         # as on the line; ilr_inv([800, 0]) has clr (566, -566, 0), so the ratio is near exp(1697)
         far = ilr_inv([800.0, 0.0])
