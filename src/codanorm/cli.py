@@ -17,8 +17,8 @@ Four subcommands, all non-interactive, all deterministic given their flags:
 
 Exit codes: 0 on success, 2 for validation problems (bad flags, bad or
 unreadable files, degenerate data), 3 for numerical failures (singular
-covariance, a NaN or infinity reaching a report, a ``sample`` draw on the
-positive line past the float range, found before any file is written).  A
+covariance, a NaN or infinity reaching a report, a ``sample`` draw or part
+outside the normal float range, found before any file is written).  A
 classical moment too large for a float, or a classical simplex mean whose
 quadrature does not settle within its node budget, is written as ``null``
 with a ``null_reason``.  The default seed comes from ``CODANORM_SEED`` when set.
@@ -75,12 +75,9 @@ def _default_seed():
 
 def _parse_vector(text, what):
     try:
-        vec = np.array([float(f) for f in text.split(",")], dtype=float)
+        return np.array([float(f) for f in text.split(",")], dtype=float)
     except ValueError:
         raise ValidationError(f"{what} must be comma-separated numbers, got {text!r}") from None
-    if vec.size == 0:
-        raise ValidationError(f"{what} must not be empty")
-    return vec
 
 
 def _parse_matrix(text, d, what):
@@ -229,8 +226,9 @@ def _cmd_sample(args):
         meta = {"law_family": "simplex_normal", "mu": law.mu.tolist(),
                 "sigma": law.sigma.tolist(), "kappa": args.kappa}
         columns = [f"part{i + 1}" for i in range(law.D)]
-    outside = np.count_nonzero(~(np.isfinite(draws) & (draws > 0.0)).reshape(len(draws), -1).all(1))
-    if outside:  # inf or 0.0 (a part), which no reader of the file accepts
+    normal = np.isfinite(draws) & (draws >= np.finfo(float).tiny)
+    outside = np.count_nonzero(~normal.reshape(len(draws), -1).all(1))
+    if outside:  # inf, 0.0 or a subnormal that has lost its digits: no reader refits it
         raise NumericalError(f"{outside} of {len(draws)} draws lie outside the float range")
     meta.update(n=args.n, seed=args.seed, stream=args.stream)
     write_samples_csv(args.output, meta, columns, draws)

@@ -26,7 +26,6 @@ import numpy as np
 from . import simplex
 from .errors import (
     DegenerateVarianceError,
-    DimensionMismatchError,
     EmptyDataError,
     InsufficientDataError,
     NonPositivePartError,
@@ -58,12 +57,7 @@ class RPlusSample:
     __slots__ = ("_logs",)
 
     def __init__(self, values):
-        logs = [as_positive(v).log for v in values]
-        if not logs:
-            raise EmptyDataError("sample must contain at least one value")
-        arr = np.array(logs, dtype=float)
-        arr.flags.writeable = False
-        self._logs = arr
+        self._logs = RPlusSample.from_logs([as_positive(v).log for v in values])._logs
 
     @classmethod
     def from_logs(cls, logs):
@@ -104,12 +98,7 @@ class SimplexSample:
     __slots__ = ("_clr", "_kappa", "_basis")
 
     def __init__(self, compositions, basis: ContrastBasis | None = None):
-        comps = list(compositions)
-        if not comps:
-            raise EmptyDataError("sample must contain at least one composition")
-        for c in comps[1:]:
-            simplex._check_same_space(comps[0], c, "sample members")
-        built = SimplexSample._from_clr(np.stack([c._clr for c in comps]), comps[0].kappa, basis)
+        built = SimplexSample._from_clr(*simplex._stacked_clr(compositions, "sample"), basis)
         self._clr, self._kappa, self._basis = built._clr, built._kappa, built._basis
 
     @classmethod
@@ -124,8 +113,8 @@ class SimplexSample:
 
     @classmethod
     def from_rows(cls, rows, kappa=1.0, basis: ContrastBasis | None = None):
-        """Build from an ``(n, D)`` array of positive rows (each is closed)."""
-        rows = simplex._checked_rows(np.asarray(rows, dtype=float), "parts")
+        """Build from an ``(n, D)`` array of positive rows (each is closed), checked
+        by :func:`~codanorm.simplex.clr_rows`."""
         return cls._from_clr(simplex.clr_rows(rows), kappa, basis)
 
     @property
@@ -216,20 +205,13 @@ def ci_mean_nrp(sample: RPlusSample, alpha) -> tuple[PositiveValue, PositiveValu
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise NonPositivePartError(f"alpha must be in (0, 1), got {alpha!r}")
-    if sample.n < 2:
-        raise InsufficientDataError(f"need at least 2 observations, got {sample.n}")
-    v = float(sample.logs.std(ddof=1))
-    if v == 0.0:
-        raise DegenerateVarianceError(
-            "all observations are identical; interval undefined"
-        )
+    law = fit_nrp(sample)  # the mean of the logs and their spread, both checked
     from scipy.special import stdtrit  # lazy: scipy.special costs ~0.3 s to import
 
-    ybar = float(sample.logs.mean())
-    half = -float(stdtrit(sample.n - 1, alpha / 2.0)) * v / math.sqrt(sample.n)
+    half = -float(stdtrit(sample.n - 1, alpha / 2.0)) * law.sigma / math.sqrt(sample.n)
     if not math.isfinite(half):
         raise NumericalError(f"t interval past the float range for alpha={alpha!r}, n={sample.n}")
-    return PositiveValue.from_log(ybar - half), PositiveValue.from_log(ybar + half)
+    return PositiveValue.from_log(law.mu - half), PositiveValue.from_log(law.mu + half)
 
 
 def naive_lognormal_mean(sample: RPlusSample) -> float:
@@ -396,20 +378,17 @@ def gof_battery(sample: SimplexSample, fitted: NormalOnSimplex) -> GofReport:
       ``D - 1`` degrees of freedom (specified-null values).
 
     The fitted law is expected to come from this same sample; the marginal
-    critical values assume estimated parameters.
+    critical values assume estimated parameters.  The sample is read in the
+    law's basis, whatever basis it carries.
     """
     _require(fitted, NormalOnSimplex)
     if sample.n < 8:
         raise InsufficientDataError(
             f"battery needs at least 8 observations, got {sample.n}"
         )
-    if fitted.dim != sample.D - 1:
-        raise DimensionMismatchError(
-            f"law has {fitted.dim} coordinates, data have {sample.D - 1}"
-        )
+    coords = sample.with_basis(fitted.basis).coords  # a basis on other parts raises
     from scipy.special import chdtr, ndtr  # lazy: scipy.special costs ~0.3 s to import
 
-    coords = sample.coords
     n, d = coords.shape
     mu = fitted.mu
     sigma = fitted.sigma

@@ -33,6 +33,7 @@ from .errors import DatasetValidationError, DimensionMismatchError, NumericalErr
 from .grids import CoordinateDensityGrid, HistogramArtifact, TernaryDensityGrid
 from .inference import RPlusSample, SimplexSample
 from .laws import _ScalarLogGaussian, _SimplexGaussian
+from .simplex import CLOSURE_TOL
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -168,7 +169,8 @@ def read_simplex_csv(path, kappa=1.0, auto_close=True):
     Rows must be strictly positive; each row's sum is checked against
     ``kappa``.  With ``auto_close`` (the default) sums within a relative
     1e-6 are re-normalized, which tolerates published rounded tables; beyond
-    that — or beyond 1e-12 with ``auto_close=False`` — the row is reported.
+    that — or beyond ``simplex.CLOSURE_TOL`` (1e-12) with ``auto_close=False`` — the
+    row is reported.
 
     Returns ``(sample, column_names)``.
     """
@@ -180,7 +182,7 @@ def read_simplex_csv(path, kappa=1.0, auto_close=True):
         raise DatasetValidationError(
             [f"{path}: a compositional file needs at least 2 columns, header has {len(columns)}"]
         )
-    tol = INGEST_CLOSURE_TOL if auto_close else 1e-12
+    tol = INGEST_CLOSURE_TOL if auto_close else CLOSURE_TOL
     positive = np.isfinite(values) & (values > 0.0)
     all_positive = positive.all(axis=1)
     # cumsum adds left to right like sum(); ndarray.sum pairs terms from 8 parts on

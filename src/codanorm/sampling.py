@@ -132,9 +132,10 @@ def mc_expectation(f, law, n, stream: SeededStream, vectorized=False) -> McEstim
     With ``vectorized=False`` (default) ``f`` receives one observation at a
     time — a :class:`~codanorm.rplus.PositiveValue` for scalar laws, a
     :class:`~codanorm.simplex.Composition` for simplex laws.  With
-    ``vectorized=True`` it receives the whole sample at once as an array
-    (log vector / part-row matrix) and must return ``n`` values; use this
-    for large ``n``.
+    ``vectorized=True`` it receives the whole sample at once as an array —
+    the ``n`` positive values (``exp`` of the logs) for scalar laws, the
+    ``(n, D)`` part rows for simplex laws — and must return ``n`` values; use
+    this for large ``n``.
     """
     n = _check_n(n, minimum=100)
     _require(law, (_ScalarLogGaussian, _SimplexGaussian))

@@ -20,8 +20,10 @@ A :class:`Composition` holds only its clr image, as the positive line holds
 logs: perturbation adds clr images, powering scales them, and the metric and
 ``ilr`` read them, with no closure.  Parts are computed on demand, each row
 shifted by its largest log before ``exp``: none overflows, and a part below
-about ``1e-308 * kappa`` reads as 0.0.  One validator checks part rows on the
-way into a closure and on its output, where it rejects parts that underflow.
+about ``1e-308 * kappa`` reads as 0.0.  One validator checks part rows where
+logs are taken of them (:func:`clr_rows`, behind every row map, density and
+sample built from rows) and on the output of a closure, where it rejects parts
+that underflow.
 """
 
 from __future__ import annotations
@@ -486,19 +488,25 @@ def subcomposition(x: Composition, sel: SelectionMatrix) -> Composition:
 # descriptive geometry
 # --------------------------------------------------------------------------
 
+def _stacked_clr(data, what):
+    """The clr images of a nonempty collection of compositions on one simplex,
+    stacked as an ``(n, D)`` array, and their common ``kappa``."""
+    data = list(data)
+    if not data:
+        raise EmptyDataError(f"{what} must hold at least one composition")
+    for x in data[1:]:
+        _check_same_space(data[0], x, f"{what} members")
+    return np.stack([x._clr for x in data]), data[0].kappa
+
+
 def center_of(data) -> Composition:
     """Closed geometric mean of a collection of compositions.
 
     This is the natural mean of the geometry: it equals the perturbation
     average ``(1/n) (.) (x1 (+) ... (+) xn)``.
     """
-    data = list(data)
-    if not data:
-        raise EmptyDataError("cannot take the center of an empty collection")
-    first = data[0]
-    for x in data[1:]:
-        _check_same_space(first, x, "collection members")
-    return Composition._from_clr(np.mean([x._clr for x in data], axis=0), first.kappa)
+    clr, kappa = _stacked_clr(data, "collection")
+    return Composition._from_clr(clr.mean(axis=0), kappa)
 
 
 def measure_ratio(x: Composition) -> float:
@@ -556,17 +564,20 @@ def _clr_inv_rows(logs, kappa) -> np.ndarray:
 
 
 def clr_rows(rows) -> np.ndarray:
-    """clr image of each row of an ``(n, D)`` array of positive parts."""
-    logs = np.log(np.asarray(rows, dtype=float))
+    """clr image of each row of an ``(n, D)`` array of positive parts.  The one
+    function that takes logs of part rows: a 1-d array raises
+    :class:`DimensionMismatchError`, a part that is 0, negative, NaN or infinite
+    :class:`NonPositivePartError`."""
+    logs = np.log(_checked_rows(np.asarray(rows, dtype=float), "parts"))
     # sum / D is what ``mean`` computes, without its per-call overhead
     return logs - logs.sum(axis=1, keepdims=True) / logs.shape[1]
 
 
 def ilr_rows(rows, basis: ContrastBasis | None = None) -> np.ndarray:
-    """Orthonormal coordinates of each row; returns ``(n, D-1)``."""
-    rows = np.asarray(rows, dtype=float)
-    basis = _as_basis(rows.shape[1], basis)
-    return clr_rows(rows) @ basis.matrix
+    """Orthonormal coordinates of each row (checked as by :func:`clr_rows`);
+    returns ``(n, D-1)``."""
+    clr = clr_rows(rows)
+    return clr @ _as_basis(clr.shape[1], basis).matrix
 
 
 def ilr_inv_rows(coords, basis: ContrastBasis | None = None, kappa=1.0) -> np.ndarray:

@@ -10,6 +10,7 @@ from codanorm import (
     AlnLaw,
     DegenerateVarianceError,
     DimensionMismatchError,
+    InsufficientDataError,
     NonPositivePartError,
     NormalOnRPlus,
     NormalOnSimplex,
@@ -311,3 +312,28 @@ class TestCoordinateGrid:
     def test_reach_must_be_positive_and_finite(self, reach):
         with pytest.raises(NonPositivePartError):
             coordinate_density_grid(NormalOnSimplex([0.0, 0.0], np.eye(2)), reach=reach)
+
+
+_NSD3 = NormalOnSimplex([0.0, 0.0], np.eye(2))
+
+# argument checks of the three artifact builders, one call each
+_REJECTED = {
+    "histogram(bins=1)": (lambda s: histogram_artifact(s, "logratio", bins=1),
+                          InsufficientDataError),
+    "ternary(resolution=3)": (lambda s: ternary_density_grid(_NSD3, resolution=3),
+                              InsufficientDataError),
+    "ternary(margin=0)": (lambda s: ternary_density_grid(_NSD3, margin=0.0), NonPositivePartError),
+    "ternary(margin=1/3)": (lambda s: ternary_density_grid(_NSD3, margin=1 / 3),
+                            NonPositivePartError),
+    "ternary(margin=nan)": (lambda s: ternary_density_grid(_NSD3, margin=math.nan),
+                            NonPositivePartError),
+    "coordinates(resolution=1)": (lambda s: coordinate_density_grid(_NSD3, resolution=1),
+                                  InsufficientDataError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTED))
+def test_argument_checks_raise(case, rplus_sample):
+    call, error = _REJECTED[case]
+    with pytest.raises(error):
+        call(rplus_sample)

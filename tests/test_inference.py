@@ -11,6 +11,7 @@ from codanorm import (
     DimensionMismatchError,
     EmptyDataError,
     InsufficientDataError,
+    NonPositivePartError,
     NormalOnRPlus,
     NormalOnSimplex,
     NumericalError,
@@ -73,6 +74,32 @@ class TestRPlusSamples:
 
         with pytest.raises(NonPositivePartError):
             RPlusSample([1.0, 0.0, 2.0])
+
+
+# argument checks of the line's samples and estimators, one call each
+_REJECTED = {
+    "from_logs([])": (lambda: RPlusSample.from_logs([]), EmptyDataError),
+    "from_logs(2-d)": (lambda: RPlusSample.from_logs([[0.0, 1.0]]), EmptyDataError),
+    "from_logs(nan)": (lambda: RPlusSample.from_logs([0.0, math.nan]), NonPositivePartError),
+    "from_logs(inf)": (lambda: RPlusSample.from_logs([-math.inf, 0.0]), NonPositivePartError),
+    "ci_mean_nrp(alpha=0)": (lambda: ci_mean_nrp(RPlusSample([1.0, 2.0]), 0.0),
+                             NonPositivePartError),
+    "ci_mean_nrp(alpha=1)": (lambda: ci_mean_nrp(RPlusSample([1.0, 2.0]), 1.0),
+                             NonPositivePartError),
+    "ci_mean_nrp(alpha=nan)": (lambda: ci_mean_nrp(RPlusSample([1.0, 2.0]), math.nan),
+                               NonPositivePartError),
+    "ci_mean_nrp(one value)": (lambda: ci_mean_nrp(RPlusSample([2.0]), 0.05),
+                               InsufficientDataError),
+    "naive_lognormal_mean(one value)": (lambda: naive_lognormal_mean(RPlusSample([2.0])),
+                                        InsufficientDataError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTED))
+def test_argument_checks_raise(case):
+    call, error = _REJECTED[case]
+    with pytest.raises(error):
+        call()
 
 
 class TestFitNrp:
@@ -380,6 +407,23 @@ class TestGofBattery:
         r2 = gof_battery(s2, fit_nsd(s2)).layer("radius")
         for e1, e2 in zip(r1, r2):
             assert e1.statistic == pytest.approx(e2.statistic, abs=1e-10)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_sample_is_read_in_the_basis_of_the_law(self, rng, seed):
+        # a law fitted in another basis: its coordinates, not the sample's, are tested
+        s, _ = self._sample_and_fit(n=400, seed=seed)
+        B = random_basis(3, rng)
+        fitted = fit_nsd(s.with_basis(B))
+        got = gof_battery(s, fitted)
+        want = gof_battery(s.with_basis(B), fitted)
+        assert [(e.name, e.statistic, e.critical_1pct) for e in got] == \
+            [(e.name, e.statistic, e.critical_1pct) for e in want]
+        assert len(got.rejections_at_1pct()) <= 1
+
+    def test_law_on_other_parts_is_rejected(self):
+        s, _ = self._sample_and_fit()
+        with pytest.raises(DimensionMismatchError, match="basis is for 4 parts"):
+            gof_battery(s, NormalOnSimplex(np.zeros(3), np.eye(3)))
 
     @pytest.mark.slow
     def test_null_rejection_rate(self):

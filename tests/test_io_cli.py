@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from codanorm import (
     AlnLaw,
     DatasetValidationError,
+    DimensionMismatchError,
     LognormalLaw,
     NormalOnRPlus,
     NormalOnSimplex,
@@ -40,6 +41,7 @@ from codanorm.io import (
     write_report,
     write_samples_csv,
 )
+from codanorm.simplex import ilr_rows
 
 
 class TestRPlusReader:
@@ -105,6 +107,13 @@ class TestSimplexReader:
         msg = exc.value.problems[0]
         assert "line 2" in msg and "b" in msg
 
+    @pytest.mark.parametrize("kappa", [0.0, -1.0, math.nan, math.inf])
+    def test_kappa_must_be_positive_and_finite(self, tmp_path, kappa):
+        p = tmp_path / "comp.csv"
+        p.write_text("a,b\n0.5,0.5\n")
+        with pytest.raises(DatasetValidationError, match="kappa must be strictly positive"):
+            read_simplex_csv(p, kappa=kappa)
+
     def test_kappa_100(self, tmp_path):
         p = tmp_path / "comp.csv"
         p.write_text("a,b,c\n20,30,50\n10,70,20\n25,25,50\n")
@@ -123,6 +132,13 @@ class TestSamplesRoundTrip:
         assert meta["law_family"] == "simplex_normal"
         assert columns == ["p1", "p2"]
         assert np.array_equal(back, rows)
+
+    @pytest.mark.parametrize("columns", [["p1"], ["p1", "p2", "p3"]])
+    def test_column_count_mismatch_writes_nothing(self, tmp_path, columns):
+        p = tmp_path / "draws.csv"
+        with pytest.raises(DimensionMismatchError, match=f"{len(columns)} column names for 2"):
+            write_samples_csv(p, {}, columns, np.array([[0.1, 0.9], [0.4, 0.6]]))
+        assert not p.exists()
 
     def test_plain_csv_reads_with_empty_meta(self, tmp_path):
         p = tmp_path / "plain.csv"
@@ -276,6 +292,25 @@ class TestCliFit:
         assert body["moments"]["metric_variance"] > 0
         assert len(body["aln_classical_mean"]) == 3
         assert sum(body["aln_classical_mean"]) == pytest.approx(1.0, abs=1e-6)
+
+    def test_emit_coords(self, capsys, simplex_csv):
+        code, out, err = run_cli(capsys, "fit", "--input", str(simplex_csv), "--space", "simplex",
+                                 "--no-gof", "--emit-coords")
+        assert code == 0, err
+        body = json.loads(out)
+        sample, _ = read_simplex_csv(simplex_csv)
+        assert np.array_equal(body["coords"], sample.coords)
+        assert np.allclose(body["coords"], ilr_rows(sample.rows), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 7])
+    def test_gof_is_skipped_below_eight_rows(self, capsys, tmp_path, n):
+        p = tmp_path / "few.csv"
+        raw = np.exp(np.random.default_rng(5).normal(0.0, 1.0, size=(n, 3)))
+        rows = raw / raw.sum(axis=1, keepdims=True)
+        p.write_text("a,b,c\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows.tolist()))
+        code, out, err = run_cli(capsys, "fit", "--input", str(p), "--space", "simplex")
+        assert code == 0, err
+        assert json.loads(out)["gof"] == {"skipped": f"needs at least 8 rows, file has {n}"}
 
     def test_constant_column_exits_2(self, capsys, tmp_path):
         p = tmp_path / "const.csv"
@@ -440,11 +475,70 @@ class TestCliSample:
             else:
                 assert not os.path.exists(path)
 
+    # a value or part below the smallest normal float keeps few digits: the
+    # simplex file at kappa=1e-320 would fail its own `fit --kappa 1e-320`
+    @pytest.mark.parametrize("argv", [
+        ["--law", "nrp", "--mu=-742", "--sigma2", "1e-4"],
+        ["--law", "lognormal", "--mu=-720", "--sigma2", "1e-4"],
+        ["--law", "nsd", "--mu", "0,0", "--sigma", "1,0,0,1", "--kappa=1e-320"],
+        ["--law", "aln", "--mu", "0,0", "--sigma", "1,0,0,1", "--kappa=1e-310"],
+    ])
+    def test_subnormal_draws_exit_3_and_write_nothing(self, capsys, tmp_path, argv):
+        path = tmp_path / "x.csv"
+        code, out, err = run_cli(capsys, "sample", *argv, "-n", "50", "-o", str(path))
+        assert code == 3 and out == ""
+        assert "50 of 50 draws lie outside the float range" in err
+        assert not path.exists()
+
+    def test_draws_at_a_small_normal_kappa_refit(self, capsys, tmp_path):
+        path = tmp_path / "x.csv"
+        code, _, err = run_cli(capsys, "sample", "--law", "nsd", "--mu", "0,0", "--sigma",
+                               "1,0,0,1", "--kappa=1e-300", "-n", "20", "-o", str(path))
+        assert code == 0, err
+        code, out, err = run_cli(capsys, "fit", "--input", str(path), "--space", "simplex",
+                                 "--kappa=1e-300", "--no-auto-close")
+        assert code == 0, err
+        assert json.loads(out)["n"] == 20
+
     def test_missing_sigma2_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "sample", "--law", "nrp", "--mu", "0",
                                "-n", "10", "-o", str(tmp_path / "x.csv"))
         assert code == 2
         assert "sigma2" in err
+
+
+# input checks of the CLI that exit 2: the arguments ({two}: a 2-column file, {one}:
+# a 1-column file, {out}: an output path) and the stderr line that names the problem
+_EXIT_2 = {
+    "fit rplus on 2 columns": (["fit", "--space", "rplus", "--input", "{two}"],
+                               "expected exactly one column, header has 2"),
+    "fit simplex on 1 column": (["fit", "--space", "simplex", "--input", "{one}"],
+                                "a compositional file needs at least 2 columns, header has 1"),
+    "fit simplex at kappa 0": (["fit", "--space", "simplex", "--input", "{two}", "--kappa", "0"],
+                               "kappa must be strictly positive, got 0.0"),
+    "sample nsd without sigma": (["sample", "--law", "nsd", "--mu", "0,0", "-n", "5",
+                                  "-o", "{out}"], "--sigma is required for simplex laws"),
+    "sample aln with 3 sigma entries": (["sample", "--law", "aln", "--mu", "0,0", "--sigma",
+                                         "1,0,1", "-n", "5", "-o", "{out}"],
+                                        "--sigma must have 4 row-major entries for dimension 2, "
+                                        "got 3"),
+    "density-grid with 9 sigma entries": (["density-grid", "--law", "nsd", "--mu", "0,0",
+                                           "--sigma", "1,0,0,0,1,0,0,0,1", "-o", "{out}"],
+                                          "--sigma must have 4 row-major entries for dimension "
+                                          "2, got 9"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EXIT_2))
+def test_cli_input_checks_exit_2(capsys, tmp_path, case):
+    argv, message = _EXIT_2[case]
+    (tmp_path / "two.csv").write_text("a,b\n0.5,0.5\n0.4,0.6\n")
+    (tmp_path / "one.csv").write_text("x\n1.0\n2.0\n")
+    paths = {"two": tmp_path / "two.csv", "one": tmp_path / "one.csv", "out": tmp_path / "o"}
+    code, out, err = run_cli(capsys, *[a.format(**paths) for a in argv])
+    assert code == 2 and out == ""
+    assert any(line.endswith(message) for line in err.splitlines()), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["one.csv", "two.csv"]
 
 
 class TestCliHistAndGrid:

@@ -24,6 +24,7 @@ from codanorm import (
     LognormalLaw,
     NormalOnRPlus,
     NormalOnSimplex,
+    NonPositivePartError,
     NotSPDError,
     PermutationMap,
     PositiveValue,
@@ -298,6 +299,24 @@ class TestSimplexLawConstruction:
             NormalOnSimplex([0.0, 0.0, 0.0], np.eye(2))
         with pytest.raises(DimensionMismatchError):
             NormalOnSimplex([0.0], np.eye(1), basis=default_basis(3))
+
+    def test_equality_reads_class_parameters_and_basis(self, rng):
+        mu, sigma = [0.1, -0.2], [[1.0, 0.3], [0.3, 2.0]]
+        law = NormalOnSimplex(mu, sigma)
+        assert law == NormalOnSimplex(mu, sigma)
+        assert law != NormalOnSimplex([0.1, -0.3], sigma)
+        assert law != NormalOnSimplex(mu, [[1.0, 0.3], [0.3, 2.5]])
+        assert law != NormalOnSimplex(mu, sigma, random_basis(3, rng))
+        assert law != AlnLaw(mu, sigma)  # one probability law, two labels
+        assert law != (mu, sigma)
+        with pytest.raises(TypeError):
+            hash(law)
+
+    def test_transform_without_a_perturbation_only_powers(self, rng):
+        basis = random_basis(3, rng)
+        law = AlnLaw([0.1, -0.2], [[1.0, 0.3], [0.3, 2.0]], basis)
+        moved = nsd_transform(law, None, -2.0)
+        assert moved == AlnLaw([-0.2, 0.4], [[4.0, 1.2], [1.2, 8.0]], basis)
 
     def test_reference_measure_round_trip(self):
         law = NormalOnSimplex([0.1, -0.2], [[1.0, 0.3], [0.3, 2.0]])
@@ -878,6 +897,50 @@ def test_label_guard_names_the_expected_kind(name):
     call, wrong, kind = _GUARDED[name]
     with pytest.raises(TypeError, match=f"^expected {kind}, got {type(wrong).__name__}$"):
         call(wrong)
+
+
+# argument checks past the label guard, one call each
+_REJECTED = {
+    "NormalOnSimplex(2-d mu)": (lambda: NormalOnSimplex(np.zeros((1, 2)), np.eye(2)),
+                                DimensionMismatchError),
+    "NormalOnSimplex(nan mu)": (lambda: NormalOnSimplex([0.0, math.nan], np.eye(2)),
+                                NonPositivePartError),
+    "NormalOnSimplex(inf mu)": (lambda: NormalOnSimplex([math.inf, 0.0], np.eye(2)),
+                                NonPositivePartError),
+    "NormalOnSimplex(nan sigma)": (lambda: NormalOnSimplex(np.zeros(2), [[1.0, math.nan],
+                                                                         [math.nan, 1.0]]),
+                                   NonPositivePartError),
+    "NormalOnSimplex(inf sigma)": (lambda: NormalOnSimplex(np.zeros(2), [[math.inf, 0.0],
+                                                                         [0.0, 1.0]]),
+                                   NonPositivePartError),
+    "NormalOnSimplex(asymmetric sigma)": (lambda: AlnLaw(np.zeros(2), [[1.0, 0.5], [0.0, 1.0]]),
+                                          NotSPDError),
+    "nsd_permute(D=4)": (lambda: nsd_permute(_NSD, PermutationMap([0, 1, 3, 2])),
+                         DimensionMismatchError),
+    "nsd_subcomposition(D=4)": (lambda: nsd_subcomposition(_ALN, SelectionMatrix([0, 1], 4)),
+                                DimensionMismatchError),
+    "probability_of_box(shape)": (lambda: probability_of_box(_NSD, np.zeros(3), np.ones(3)),
+                                  DimensionMismatchError),
+    "probability_of_box(nan)": (lambda: probability_of_box(_NSD, [0.0, math.nan], [1.0, 1.0]),
+                                BadIntervalError),
+    "aln_classical_mean(order=1)": (lambda: aln_classical_mean(_ALN, order=1), BadIntervalError),
+    "nrp_interval(k=0)": (lambda: nrp_interval(_RP, 0.0), BadIntervalError),
+    "nrp_interval(k=-1)": (lambda: nrp_interval(_RP, -1.0), BadIntervalError),
+    "nrp_interval(k=nan)": (lambda: nrp_interval(_RP, math.nan), BadIntervalError),
+    "lognormal_naive_interval(k=0)": (lambda: lognormal_naive_interval(_LN, 0.0),
+                                      BadIntervalError),
+    "lognormal_naive_interval(k=-1)": (lambda: lognormal_naive_interval(_LN, -1.0),
+                                       BadIntervalError),
+    "lognormal_naive_interval(k=inf)": (lambda: lognormal_naive_interval(_LN, math.inf),
+                                        BadIntervalError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTED))
+def test_argument_checks_raise(case):
+    call, error = _REJECTED[case]
+    with pytest.raises(error):
+        call()
 
 
 # ---------------------------------------------------------------------------

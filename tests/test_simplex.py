@@ -19,12 +19,14 @@ from codanorm import (
     Composition,
     ContrastBasis,
     DimensionMismatchError,
+    EmptyDataError,
     ValidationError,
     InvalidSelectionError,
     NonPositivePartError,
     NormalOnSimplex,
     PermutationMap,
     SelectionMatrix,
+    SimplexSample,
     ait_distance,
     ait_inner,
     ait_norm,
@@ -435,6 +437,60 @@ class TestCenterAndMeasure:
             x = closure(np.exp(rng.uniform(-3, 3, D)))
             expected = 1.0 / (math.sqrt(D) * np.prod(x.proportions))
             assert sd_measure_ratio(x) == pytest.approx(expected, rel=1e-12)
+
+
+# every public function that takes part rows; each reads them through clr_rows
+_ROW_READERS = {
+    "clr_rows": clr_rows,
+    "ilr_rows": ilr_rows,
+    "nsd_pdf_rows": lambda rows: nsd_pdf_rows(NormalOnSimplex([0.0, 0.0], np.eye(2)), rows),
+    "aln_pdf_rows": lambda rows: aln_pdf_rows(AlnLaw([0.0, 0.0], np.eye(2)), rows),
+    "SimplexSample.from_rows": SimplexSample.from_rows,
+}
+
+
+class TestPartRowsAreCheckedWhereLogsAreTaken:
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("name", sorted(_ROW_READERS))
+    def test_a_part_that_is_not_positive_and_finite_raises(self, name, bad):
+        rows = np.array([[0.2, 0.3, 0.5], [0.4, bad, 0.6]])
+        with pytest.raises(NonPositivePartError, match=r"\(row, part\) \[\[1, 1\]\]"):
+            _ROW_READERS[name](rows)
+
+    @pytest.mark.parametrize("name", sorted(_ROW_READERS))
+    def test_a_1d_array_raises(self, name):
+        with pytest.raises(DimensionMismatchError, match=r"\(n, D\) array"):
+            _ROW_READERS[name](np.array([0.2, 0.3, 0.5]))
+
+    def test_ilr_rows_reads_the_part_count_of_the_checked_rows(self):
+        with pytest.raises(DimensionMismatchError, match="basis is for 4 parts"):
+            ilr_rows(np.full((2, 3), 1 / 3), default_basis(4))
+
+
+# the argument checks of the simplex constructors and maps, one call each
+_REJECTED = {
+    "uniform(1)": (lambda: uniform(1), DimensionMismatchError),
+    "power(nan)": (lambda: power(math.nan, closure([1.0, 2.0])), NonPositivePartError),
+    "power(inf)": (lambda: power(math.inf, closure([1.0, 2.0])), NonPositivePartError),
+    "closure(kappa=0)": (lambda: closure([1.0, 2.0], kappa=0.0), NonPositivePartError),
+    "ilr_inv_rows(1-d)": (lambda: ilr_inv_rows(np.zeros(2)), DimensionMismatchError),
+    "PermutationMap(2-d)": (lambda: PermutationMap([[0, 1], [1, 0]]), InvalidSelectionError),
+    "SelectionMatrix(2-d)": (lambda: SelectionMatrix([[0, 1]], 3), InvalidSelectionError),
+    "center_of([])": (lambda: center_of([]), EmptyDataError),
+    "center_of(mixed D)": (lambda: center_of([uniform(2), uniform(3)]), DimensionMismatchError),
+    "center_of(mixed kappa)": (lambda: center_of([uniform(2), uniform(2, 5.0)]),
+                               DimensionMismatchError),
+    "SimplexSample([])": (lambda: SimplexSample([]), EmptyDataError),
+    "SimplexSample(mixed kappa)": (lambda: SimplexSample([uniform(2), uniform(2, 5.0)]),
+                                   DimensionMismatchError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTED))
+def test_argument_checks_raise(case):
+    call, error = _REJECTED[case]
+    with pytest.raises(error):
+        call()
 
 
 class TestVectorizedRows:
