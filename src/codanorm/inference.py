@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simplex
+from ._special import chdtr, ndtr, stdtrit
 from .errors import (
     DegenerateVarianceError,
     EmptyDataError,
@@ -206,9 +207,7 @@ def ci_mean_nrp(sample: RPlusSample, alpha) -> tuple[PositiveValue, PositiveValu
     if not 0.0 < alpha < 1.0:
         raise NonPositivePartError(f"alpha must be in (0, 1), got {alpha!r}")
     law = fit_nrp(sample)  # the mean of the logs and their spread, both checked
-    from scipy.special import stdtrit  # lazy: scipy.special costs ~0.3 s to import
-
-    half = -float(stdtrit(sample.n - 1, alpha / 2.0)) * law.sigma / math.sqrt(sample.n)
+    half = -stdtrit(sample.n - 1, alpha / 2.0) * law.sigma / math.sqrt(sample.n)
     if not math.isfinite(half):
         raise NumericalError(f"t interval past the float range for alpha={alpha!r}, n={sample.n}")
     return PositiveValue.from_log(law.mu - half), PositiveValue.from_log(law.mu + half)
@@ -387,8 +386,6 @@ def gof_battery(sample: SimplexSample, fitted: NormalOnSimplex) -> GofReport:
             f"battery needs at least 8 observations, got {sample.n}"
         )
     coords = sample.with_basis(fitted.basis).coords  # a basis on other parts raises
-    from scipy.special import chdtr, ndtr  # lazy: scipy.special costs ~0.3 s to import
-
     n, d = coords.shape
     mu = fitted.mu
     sigma = fitted.sigma

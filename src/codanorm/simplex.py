@@ -183,7 +183,11 @@ class Composition:
 
 def closure(values, kappa=1.0) -> Composition:
     """Close a vector of positive values to constant sum ``kappa``."""
-    return Composition._from_clr(clr_rows(closure_rows(_one_row(values, "parts"), kappa))[0], kappa)
+    kappa = _checked_kappa(kappa)
+    # the input is checked here (a negative row closes to positive parts), the closed
+    # row once, by clr_rows
+    rows = _close_rows(_checked_rows(_one_row(values, "parts"), "parts"), kappa)
+    return Composition._from_clr(clr_rows(rows)[0], kappa)
 
 
 def uniform(D, kappa=1.0) -> Composition:

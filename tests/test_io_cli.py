@@ -20,7 +20,12 @@ from codanorm import (
     NormalOnRPlus,
     NormalOnSimplex,
     SeededStream,
+    ci_mean_nrp,
+    fit_nrp,
+    fit_nsd,
+    gof_battery,
     sample_nrp,
+    sample_nsd,
 )
 from codanorm.cli import main
 from codanorm.grids import (
@@ -680,6 +685,110 @@ class TestImportPath:
         scope = {}
         exec(_SCIPY_SPECIAL_RESULTS, scope)
         assert first == second == scope["results"]()
+
+    def test_fit_jobs_on_both_spaces_load_no_scipy_module(self, rplus_csv, simplex_csv):
+        # the simplex fit runs the GOF battery (30 rows), the rplus fit the t interval
+        code = (
+            "import sys\n"
+            "from codanorm.cli import main\n"
+            f"codes = [main(['fit', '--space', 'simplex', '--input', {str(simplex_csv)!r}]),\n"
+            f"         main(['fit', '--space', 'rplus', '--input', {str(rplus_csv)!r}])]\n"
+            "print(codes, [m for m in sys.modules if m.startswith('scipy')])\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert '"gof": {' in result.stdout and '"ci_mean": {' in result.stdout
+        assert result.stdout.strip().splitlines()[-1] == "[0, 0] []"
+
+
+_LINE_LAW = (0.4, 0.8)
+_SIMPLEX_LAW = ([0.3, -0.2], [[1.0, 0.2], [0.2, 0.5]])
+
+
+def _numbers_as_hex(body):
+    """Every float of a parsed report as its exact bits, everything else as it is."""
+    if isinstance(body, dict):
+        return {k: _numbers_as_hex(v) for k, v in body.items()}
+    if isinstance(body, list):
+        return [_numbers_as_hex(v) for v in body]
+    return body.hex() if isinstance(body, float) else body
+
+
+class TestCliRoundTrip:
+    """What the CLI writes reads back through its own readers to the numbers it
+    computed: draws refit to the in-memory draws' coordinates and fit, and a
+    report file holds the printed report bit for bit."""
+
+    @pytest.mark.parametrize("law", ["nrp", "lognormal"])
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_sample_then_fit_on_the_line(self, capsys, tmp_path, law, seed):
+        path = tmp_path / "draws.csv"
+        mu, sigma2 = _LINE_LAW
+        code, _, err = run_cli(capsys, "sample", "--law", law, "--mu", repr(mu), "--sigma2",
+                               repr(sigma2), "-n", "300", "--seed", str(seed), "-o", str(path))
+        assert code == 0, err
+        code, out, err = run_cli(capsys, "fit", "--space", "rplus", "--input", str(path),
+                                 "--alpha", "0.01")
+        assert code == 0, err
+        body = json.loads(out)
+        drawn = sample_nrp(NormalOnRPlus(mu, sigma2), 300, SeededStream(seed, 0))
+        assert read_rplus_csv(path)[0].logs == pytest.approx(drawn.logs, rel=0, abs=1e-12)
+        fitted = fit_nrp(drawn)
+        lo, hi = ci_mean_nrp(drawn, 0.01)
+        assert [body["law"]["mu"], body["law"]["sigma2"]] == pytest.approx(
+            [fitted.mu, fitted.sigma2], rel=1e-12, abs=1e-12)
+        assert [body["ci_mean"]["lower"], body["ci_mean"]["upper"]] == pytest.approx(
+            [lo.value, hi.value], rel=1e-12)
+
+    @pytest.mark.parametrize("law", ["nsd", "aln"])
+    @pytest.mark.parametrize("kappa", ["1", "1e-300"])
+    def test_sample_then_fit_on_the_simplex(self, capsys, tmp_path, law, kappa):
+        path = tmp_path / "draws.csv"
+        mu, sigma = _SIMPLEX_LAW
+        code, _, err = run_cli(capsys, "sample", "--law", law, "--mu", "0.3,-0.2",
+                               "--sigma", "1,0.2,0.2,0.5", "--kappa", kappa, "-n", "300",
+                               "--seed", "9", "-o", str(path))
+        assert code == 0, err
+        code, out, err = run_cli(capsys, "fit", "--space", "simplex", "--kappa", kappa,
+                                 "--input", str(path), "--emit-coords")
+        assert code == 0, err
+        body = json.loads(out)
+        drawn = sample_nsd(NormalOnSimplex(mu, sigma), 300, SeededStream(9, 0), kappa=float(kappa))
+        # parts near 1e-300 carry logs near -690, whose last bit is 1.1e-13
+        assert np.array(body["coords"]) == pytest.approx(drawn.coords, rel=0, abs=1e-12)
+        fitted = fit_nsd(drawn)
+        assert np.array(body["law"]["mu"]) == pytest.approx(fitted.mu, rel=0, abs=1e-12)
+        assert np.array(body["law"]["sigma"]) == pytest.approx(fitted.sigma, rel=0, abs=1e-12)
+        # the battery on coordinates 1e-13 apart: its logs near u = 0 and 1 amplify that
+        assert [e["statistic"] for e in body["gof"]["entries"]] == pytest.approx(
+            [e.statistic for e in gof_battery(drawn, fitted)], rel=1e-10)
+
+    @pytest.mark.parametrize("space", ["rplus", "simplex"])
+    def test_report_file_reads_back_bit_for_bit(self, capsys, tmp_path, rplus_csv, simplex_csv,
+                                                space):
+        data = rplus_csv if space == "rplus" else simplex_csv
+        code, printed, err = run_cli(capsys, "fit", "--space", space, "--input", str(data))
+        assert code == 0, err
+        path = tmp_path / "report.json"
+        code, _, err = run_cli(capsys, "fit", "--space", space, "--input", str(data),
+                               "-o", str(path))
+        assert code == 0, err
+        body = read_report(path)
+        assert _numbers_as_hex(body) == _numbers_as_hex(json.loads(printed))
+        if space == "rplus":
+            sample, _ = read_rplus_csv(data)
+            law = fit_nrp(sample)
+            lo, hi = ci_mean_nrp(sample, 0.05)
+            computed = [law.mu, law.sigma2, lo.value, hi.value]
+            read = [body["law"]["mu"], body["law"]["sigma2"], body["ci_mean"]["lower"],
+                    body["ci_mean"]["upper"]]
+        else:
+            sample, _ = read_simplex_csv(data)
+            law = fit_nsd(sample)
+            computed = [*law.mu, *law.sigma.ravel(), *(e.statistic for e in gof_battery(sample, law))]
+            read = [*body["law"]["mu"], *np.ravel(body["law"]["sigma"]),
+                    *(e["statistic"] for e in body["gof"]["entries"])]
+        assert [float(v).hex() for v in read] == [float(v).hex() for v in computed]
 
 
 def _strict_json(text):

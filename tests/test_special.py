@@ -1,0 +1,104 @@
+"""Oracle tests for the numpy distribution functions of ``codanorm._special``:
+against mpmath at 50 digits, and against scipy."""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+from scipy import special, stats
+
+from codanorm import _special
+from codanorm._special import chdtr, ndtr, stdtrit
+
+mpmath.mp.dps = 50
+
+
+def _ndtr_exact(z):
+    return float(mpmath.ncdf(mpmath.mpf(float(z))))
+
+
+def _chdtr_exact(d, x):
+    return float(mpmath.gammainc(mpmath.mpf(d) / 2, 0, mpmath.mpf(float(x)) / 2,
+                                 regularized=True))
+
+
+def _t_quantile_error(nu, p, t):
+    """Relative error of ``t`` as the ``p`` quantile of t with ``nu`` degrees of freedom:
+    one Newton step at 50 digits, ``(F(t) - p) / (f(t) t)``, exact to second order."""
+    nu, t = mpmath.mpf(nu), mpmath.mpf(t)
+    cdf = mpmath.betainc(nu / 2, mpmath.mpf(1) / 2, 0, nu / (nu + t * t), regularized=True) / 2
+    density = (mpmath.gamma((nu + 1) / 2) / (mpmath.sqrt(nu * mpmath.pi) * mpmath.gamma(nu / 2))
+               * (1 + t * t / nu) ** (-(nu + 1) / 2))
+    return float(abs((cdf - mpmath.mpf(p)) / (density * t)))
+
+
+class TestNdtr:
+    _Z = np.concatenate([np.linspace(-37.0, 8.3, 700),
+                         np.random.default_rng(17).uniform(-37.0, 8.3, 300)])
+
+    def test_matches_mpmath_from_minus_37_to_8_3(self):
+        # scipy's worst here is 2.2e-13; the split of z^2 keeps the deep tail to about
+        # 1e-15, where exp(-z^2/2) of the rounded square is 2.8e-13 off at z = -37
+        exact = np.array([_ndtr_exact(z) for z in self._Z])
+        assert np.max(np.abs(ndtr(self._Z) - exact) / exact) <= 2e-14
+
+    def test_matches_scipy(self):
+        z = np.random.default_rng(3).normal(0.0, 3.0, 20_000)
+        assert ndtr(z) == pytest.approx(special.ndtr(z), rel=3e-13, abs=0)
+
+    def test_special_values_and_shape(self):
+        got = ndtr(np.array([[-np.inf, np.inf], [np.nan, 0.0]]))
+        assert got.shape == (2, 2)
+        assert got[0].tolist() == [0.0, 1.0] and math.isnan(got[1, 0]) and got[1, 1] == 0.5
+        assert ndtr(-40.0) == 0.0 and ndtr(9.0) == 1.0
+
+    def test_blocks_join_without_seams(self):
+        # more values than one block holds: each value's result is the same as alone
+        z = np.random.default_rng(4).normal(0.0, 4.0, 2 * _special._BLOCK + 5)
+        whole = ndtr(z)
+        assert all(whole[i] == ndtr(z[i:i + 1])[0] for i in range(0, z.size, 997))
+
+
+class TestChdtr:
+    @pytest.mark.parametrize("d", range(1, 26))
+    def test_matches_mpmath(self, d):
+        x = np.concatenate([np.geomspace(1e-10, 1.0, 25), np.linspace(0.05, 4.0 * d + 40.0, 60)])
+        exact = np.array([_chdtr_exact(d, v) for v in x])
+        got = chdtr(d, x)
+        assert np.max(np.abs(got - exact)) <= 1e-14
+        lower = exact < 0.5
+        assert np.max(np.abs(got[lower] - exact[lower]) / exact[lower]) <= 1e-13
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 24])
+    def test_matches_scipy(self, d):
+        x = np.random.default_rng(d).chisquare(d, 20_000)
+        assert chdtr(d, x) == pytest.approx(stats.chi2.cdf(x, d), rel=0, abs=1e-14)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 6])
+    def test_ends_of_the_range(self, d):
+        got = chdtr(d, np.array([-1.0, 0.0, np.inf, 1e308, np.nan]))
+        assert got[:4].tolist() == [0.0, 0.0, 1.0, 1.0] and math.isnan(got[4])
+
+
+_T_PROBABILITIES = [1e-300, 1e-200, 1e-100, 1e-40, 1e-17, 1e-8, 1e-3, 0.025, 0.1, 0.3, 0.49,
+                    0.4995]
+
+
+class TestStdtrit:
+    @pytest.mark.parametrize("nu", [1, 2, 3, 10, 299, 1000, 30_000, 200_000, 1_000_000, 10_000_000])
+    def test_matches_mpmath(self, nu):
+        errors = [_t_quantile_error(nu, p, stdtrit(nu, p)) for p in _T_PROBABILITIES]
+        assert max(errors) <= 1e-13
+
+    @pytest.mark.parametrize("nu", [3, 10, 299, 1000])
+    def test_matches_scipy(self, nu):
+        # moderate tails only: older scipy inverts the t distribution with cdflib
+        p = np.array([1e-8, 1e-3, 0.025, 0.1, 0.3, 0.4995])
+        got = [stdtrit(nu, q) for q in p]
+        assert got == pytest.approx(stats.t.ppf(p, nu), rel=1e-12)
+
+    def test_past_the_float_range_at_one_degree_of_freedom(self):
+        # -1 / (pi p) passes the largest float below p = 1 / (pi * 1.8e308)
+        assert stdtrit(1, 5e-310) == -math.inf
+        assert stdtrit(1, 1.8e-309) == pytest.approx(-1.0 / (math.pi * 1.8e-309), rel=1e-15)
