@@ -14,8 +14,9 @@ numbers that a plotting tool (or a golden test) can consume:
 * :func:`coordinate_density_grid` — the same law evaluated on a rectangular
   grid in coordinate space, where it is just a normal surface.
 
-Each density is the ``exp`` of one vectorised call of the space's log-density
-kernel in :mod:`codanorm.laws`, which reads the law's reference-measure tag.
+Each density is the ``exp`` of the space's vectorised log-density kernel in
+:mod:`codanorm.laws`, which reads the law's reference-measure tag; the ternary
+grid calls it once per block of lattice cells.
 """
 
 from __future__ import annotations
@@ -163,9 +164,16 @@ class TernaryDensityGrid:
         )
 
 
+# cells per block of the ternary grid's density pass: (n, 3) float blocks of about
+# 400 KB, whose products OpenBLAS keeps on one thread
+_BLOCK = 16384
+
+
 def ternary_density_grid(law, resolution=400, margin=1e-4) -> TernaryDensityGrid:
     """Evaluate a three-part simplex law on the barycentric lattice and find
-    its local maxima."""
+    its local maxima.  A ``margin`` that leaves no lattice point (every part at
+    least ``ceil(margin * resolution)`` steps needs ``3 * that <= resolution``)
+    raises :class:`InsufficientDataError`."""
     _require(law, _SimplexGaussian)
     if law.D != 3:
         raise DimensionMismatchError(f"ternary grid needs 3 parts, law has {law.D}")
@@ -178,12 +186,31 @@ def ternary_density_grid(law, resolution=400, margin=1e-4) -> TernaryDensityGrid
 
     r = resolution
     lo = int(math.ceil(margin * r))
-    k = np.arange(r + 1)
-    ii, jj = np.nonzero((k[:, None] >= lo) & (k >= lo) & (k[:, None] + k <= r - lo))
-    points = np.column_stack([ii, jj, r - ii - jj]) / r
-    log_values = _simplex_logpdf(law, simplex.clr_rows(points))
+    # lattice row i (lo <= i <= r - 2*lo) holds the cells j = lo .. r - lo - i
+    lengths = np.arange(r - 3 * lo + 1, 0, -1)
+    if lengths.size == 0:
+        raise InsufficientDataError(
+            f"no lattice point at resolution {r} has every part >= margin {margin!r}"
+        )
+    starts = np.cumsum(lengths) - lengths  # flat index of each row's first cell
+    ii = np.repeat(np.arange(lo, lo + lengths.size), lengths)
+    jj = np.arange(ii.size) - np.repeat(starts - lo, lengths)
+    kk = r - ii - jj
+    points = np.empty((ii.size, 3))
+    for column, steps in enumerate((ii, jj, kk)):
+        np.divide(steps, r, out=points[:, column])  # no (n, 3) integer temporary
+    # each part is one of lo/r .. 1, so its log is read from a table; blocks of
+    # cells keep the temporaries in cache and the products off threaded BLAS
+    log_step = np.log(np.arange(lo, r + 1) / r)
+    log_values = np.empty(ii.size)
+    for start in range(0, ii.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        li, lj, lk = (log_step[steps[block] - lo] for steps in (ii, jj, kk))
+        centre = (li + lj + lk) / 3  # clr_rows' row sum term for term: the same bits
+        clr = np.column_stack([li - centre, lj - centre, lk - centre])
+        log_values[block] = _simplex_logpdf(law, clr)
     values = _exp_rows(log_values)
-    maxima = _lattice_maxima(r, ii, jj, log_values, values)
+    maxima = _lattice_maxima(r, lo, starts, ii, jj, log_values, values)
     return TernaryDensityGrid(r, margin, ii, jj, points, values, maxima, law)
 
 
@@ -199,25 +226,39 @@ _NEIGHBOR_STEPS = [
 ]
 
 
-def _lattice_maxima(r, ii, jj, log_values, values):
+def _lattice_maxima(r, lo, starts, ii, jj, log_values, values):
     """Local maxima of a log density on the barycentric lattice, as ``(parts,
     density)`` pairs from the highest down, each density read from ``values``.
 
     Cells are ranked by log density (logs stay distinct where densities
     underflow to 0.0), ties going to the first cell in ``(i, j)`` order; a cell
-    is a maximum when it outranks every neighbor on the lattice.  So a plateau
-    (e.g. a symmetric mode falling exactly between lattice points) is reported
-    once, at its first cell, and a cell whose log is ``-inf`` never is.
+    is a maximum when it outranks every neighbor on the lattice, a neighbor off
+    the lattice counting as ``-inf``.  So a plateau (e.g. a symmetric mode
+    falling exactly between lattice points) is reported once, at its first
+    cell, and a cell whose log is ``-inf`` never is.
+
+    The cells lie in ``(i, j)`` order with row ``i`` from ``starts[i - lo]``, so
+    the neighbors along a row are the flat neighbors: those two steps sift every
+    cell, and the other ten are taken only at the cells left.
     """
-    field = np.full((r + 5, r + 5), -np.inf)
-    field[ii + 2, jj + 2] = log_values
-    core = field[2: r + 3, 2: r + 3]
-    peak = np.ones((r + 1, r + 1), dtype=bool)
+    ends = np.append(starts[1:], log_values.size) - 1
+    # strictly above a neighbor that comes first, no lower than one after
+    above_before = np.empty(log_values.size, dtype=bool)
+    above_before[1:] = log_values[1:] > log_values[:-1]
+    above_before[starts] = log_values[starts] > -np.inf
+    above_after = np.empty(log_values.size, dtype=bool)
+    above_after[:-1] = log_values[:-1] >= log_values[1:]
+    above_after[ends] = log_values[ends] >= -np.inf
+    at = np.flatnonzero(above_before & above_after)
     for di, dj in _NEIGHBOR_STEPS:
-        shifted = field[2 + di: r + 3 + di, 2 + dj: r + 3 + dj]
-        # strictly above a neighbor that comes first, no lower than one after
-        peak &= core > shifted if (di, dj) < (0, 0) else core >= shifted
-    at = np.flatnonzero(peak[ii, jj])
+        if di == 0:  # the two steps along a row, taken above
+            continue
+        i, j = ii[at] + di, jj[at] + dj
+        on = (i >= lo) & (j >= lo) & (i + j <= r - lo)
+        cell = np.where(on, starts[np.clip(i - lo, 0, starts.size - 1)] + j - lo, 0)
+        neighbor = np.where(on, log_values[cell], -np.inf)
+        core = log_values[at]
+        at = at[core > neighbor if (di, dj) < (0, 0) else core >= neighbor]
     at = at[np.argsort(-log_values[at], kind="stable")]
     return [(simplex.Composition(np.array([ii[k], jj[k], r - ii[k] - jj[k]], dtype=float) / r),
              float(values[k])) for k in at]

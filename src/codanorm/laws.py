@@ -428,10 +428,11 @@ def nsd_logpdf_coords(law, coords) -> np.ndarray:
 
 def _mahalanobis2(law, coords) -> np.ndarray:
     """Squared Mahalanobis distance of each coordinate row from ``law.mu``,
-    through the law's whitening factor; ``inf`` past the largest float."""
+    through the law's whitening factor; ``inf`` past the largest float.  The
+    squares are summed column by column, which is fastest for short rows."""
     z = (coords - law.mu) @ law._chol_inv.T
     with np.errstate(over="ignore"):
-        return np.sum(z * z, axis=1)
+        return functools.reduce(np.add, [c * c for c in z.T])
 
 
 def _exp_rows(t) -> np.ndarray:

@@ -5,6 +5,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codanorm import (
     AlnLaw,
@@ -28,7 +30,13 @@ from codanorm import (
 )
 from codanorm import simplex
 from codanorm.grids import _NEIGHBOR_STEPS
-from codanorm.laws import LognormalLaw, _simplex_logpdf, nsd_logpdf_coords
+from codanorm.laws import (
+    LognormalLaw,
+    _simplex_logpdf,
+    aln_pdf_rows,
+    nsd_logpdf_coords,
+    nsd_pdf_rows,
+)
 from codanorm.simplex import ilr_rows
 
 
@@ -153,33 +161,106 @@ def flood_fill_maxima(r, ii, jj, log_values, values):
              float(density[gi, gj])) for gi, gj in peaks]
 
 
-def _reference_laws():
+def _random_reference_laws():
     gen = np.random.default_rng(1914)
     laws = []
     for k in range(24):
         a = gen.normal(size=(2, 2))
         sigma = a @ a.T * 10 ** gen.uniform(-2, 0.7) + 0.02 * np.eye(2)
         laws.append((AlnLaw if k % 2 else NormalOnSimplex)(gen.normal(0, 1.5, 2), sigma))
+    return laws
+
+
+def _symmetric_reference_laws():
     # round and mirror-symmetric laws (the first ilr coordinate contrasts the
     # first two parts), whose logs tie across the mirror line to an ulp or
     # exactly, and at scale 1e300 a natural law whose logs are all one float
+    laws = []
     for mu, shape in (([0.0, 0.0], np.eye(2)), ([0.0, 0.7], np.diag([1.0, 3.0]))):
         for scale in (1e-300, 1e-10, 1.0, 1e10, 1e300):
             laws += [NormalOnSimplex(mu, scale * shape), AlnLaw(mu, scale * shape)]
     return laws
 
 
+def assert_maxima_follow_the_flood_fill_rule(grid, law):
+    logs = _simplex_logpdf(law, simplex.clr_rows(grid.points))
+    expected = flood_fill_maxima(grid.resolution, grid.i_index, grid.j_index, logs,
+                                 grid.values)
+    assert len(grid.maxima) == len(expected)
+    for (comp, value), (want_comp, want) in zip(grid.maxima, expected):
+        assert np.array_equal(comp.parts, want_comp.parts) and value == want
+
+
+def assert_values_are_the_pdf_rows(grid, law):
+    pdf_rows = aln_pdf_rows if isinstance(law, AlnLaw) else nsd_pdf_rows
+    assert np.array_equal(grid.values, pdf_rows(law, grid.points))
+
+
+def mask_indices(resolution, margin):
+    """The lattice's ``(i, j)`` cells read off a dense mask, in row-major order."""
+    lo = math.ceil(margin * resolution)
+    k = np.arange(resolution + 1)
+    return np.nonzero((k[:, None] >= lo) & (k >= lo) & (k[:, None] + k <= resolution - lo))
+
+
+@st.composite
+def simplex_laws(draw):
+    """A simplex law with a random mean and a covariance scaled by 1e-300 to 1e300."""
+    mu = draw(st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2))
+    a = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4))).reshape(2, 2)
+    scale = 10.0 ** draw(st.floats(-300.0, 300.0))
+    law_class = draw(st.sampled_from([NormalOnSimplex, AlnLaw]))
+    return law_class(mu, scale * (a @ a.T + 0.05 * np.eye(2)))
+
+
 class TestTernaryGrid:
-    @pytest.mark.parametrize("resolution", [4, 7, 12, 30])
+    @pytest.mark.parametrize("resolution", [4, 7, 12, 30, 200])
     def test_maxima_equal_the_flood_fill_rule(self, resolution):
-        for law in _reference_laws():
+        # at r = 200 (19,701 cells, two blocks) the laws whose logs tie to an ulp
+        laws = _symmetric_reference_laws()
+        if resolution < 200:
+            laws = _random_reference_laws() + laws
+        for law in laws:
             grid = ternary_density_grid(law, resolution=resolution)
-            logs = _simplex_logpdf(law, simplex.clr_rows(grid.points))
-            expected = flood_fill_maxima(resolution, grid.i_index, grid.j_index, logs,
-                                         grid.values)
-            assert len(grid.maxima) == len(expected)
-            for (comp, value), (want_comp, want) in zip(grid.maxima, expected):
-                assert np.array_equal(comp.parts, want_comp.parts) and value == want
+            assert_maxima_follow_the_flood_fill_rule(grid, law)
+
+    @pytest.mark.parametrize("resolution", [300, 1000])
+    @pytest.mark.parametrize("law", [
+        NormalOnSimplex([0.3, -0.2], [[0.9, 0.1], [0.1, 0.7]]),
+        AlnLaw([-0.4, 0.6], [[1.5, -0.3], [-0.3, 0.4]]),
+    ], ids=["nsd", "aln"])
+    def test_values_spanning_blocks_are_the_pdf_rows(self, resolution, law):
+        # r = 300 has 44,551 cells: three blocks, whose boundaries fall inside rows
+        grid = ternary_density_grid(law, resolution=resolution)
+        assert grid.values.size == (resolution - 2) * (resolution - 1) // 2
+        assert_values_are_the_pdf_rows(grid, law)
+
+    @pytest.mark.parametrize("resolution", [10, 31, 300])
+    @pytest.mark.parametrize("margin", [1e-4, 0.01, 0.3])
+    def test_cells_are_the_mask_cells_in_row_major_order(self, resolution, margin):
+        grid = ternary_density_grid(_NSD3, resolution=resolution, margin=margin)
+        ii, jj = mask_indices(resolution, margin)
+        assert np.array_equal(grid.i_index, ii) and np.array_equal(grid.j_index, jj)
+        assert grid.i_index.dtype == ii.dtype and grid.j_index.dtype == jj.dtype
+
+    @given(simplex_laws(), st.integers(4, 120), st.floats(0.0, 1.0 / 3.0, exclude_min=True,
+                                                           exclude_max=True))
+    @settings(max_examples=60, deadline=None)
+    def test_random_grids_match_the_pdf_rows_and_the_flood_fill(self, law, resolution, margin):
+        if 3 * math.ceil(margin * resolution) > resolution:
+            with pytest.raises(InsufficientDataError, match="no lattice point"):
+                ternary_density_grid(law, resolution=resolution, margin=margin)
+            return
+        grid = ternary_density_grid(law, resolution=resolution, margin=margin)
+        ii, jj = mask_indices(resolution, margin)
+        assert np.array_equal(grid.i_index, ii) and np.array_equal(grid.j_index, jj)
+        assert_values_are_the_pdf_rows(grid, law)
+        assert_maxima_follow_the_flood_fill_rule(grid, law)
+
+    def test_a_margin_leaving_one_cell_keeps_it(self):
+        grid = ternary_density_grid(_NSD3, resolution=6, margin=1 / 3 - 1e-9)
+        assert grid.points.tolist() == [[2 / 6, 2 / 6, 2 / 6]]
+        assert len(grid.maxima) == 1
 
     def test_flat_law_reports_its_first_cell_quickly(self):
         # every log density is the same float, so the whole lattice is one plateau
@@ -327,6 +408,9 @@ _REJECTED = {
                             NonPositivePartError),
     "ternary(margin=nan)": (lambda s: ternary_density_grid(_NSD3, margin=math.nan),
                             NonPositivePartError),
+    # every part at least ceil(0.3 * 4) = 2 steps of 4: no lattice point is left
+    "ternary(empty lattice)": (lambda s: ternary_density_grid(_NSD3, resolution=4, margin=0.3),
+                               InsufficientDataError),
     "coordinates(resolution=1)": (lambda s: coordinate_density_grid(_NSD3, resolution=1),
                                   InsufficientDataError),
 }

@@ -531,6 +531,12 @@ _EXIT_2 = {
                                            "--sigma", "1,0,0,0,1,0,0,0,1", "-o", "{out}"],
                                           "--sigma must have 4 row-major entries for dimension "
                                           "2, got 9"),
+    # every part at least ceil(0.3 * 4) = 2 steps of 4 leaves no lattice point
+    "density-grid with an empty lattice": (["density-grid", "--law", "nsd", "--mu", "0,0",
+                                            "--sigma", "1,0,0,1", "--resolution", "4",
+                                            "--margin", "0.3", "-o", "{out}"],
+                                           "no lattice point at resolution 4 has every part "
+                                           ">= margin 0.3"),
 }
 
 
@@ -789,6 +795,53 @@ class TestCliRoundTrip:
             read = [*body["law"]["mu"], *np.ravel(body["law"]["sigma"]),
                     *(e["statistic"] for e in body["gof"]["entries"])]
         assert [float(v).hex() for v in read] == [float(v).hex() for v in computed]
+
+    @pytest.mark.parametrize("law_name", ["nsd", "aln"])
+    def test_ternary_grid_reads_back_bit_for_bit(self, capsys, tmp_path, law_name):
+        prefix = tmp_path / "tern"
+        mu, sigma = _SIMPLEX_LAW
+        code, _, err = run_cli(capsys, "density-grid", "--law", law_name, "--mu", "0.3,-0.2",
+                               "--sigma", "1,0.2,0.2,0.5", "--resolution", "150",
+                               "-o", str(prefix))
+        assert code == 0, err
+        law = (AlnLaw if law_name == "aln" else NormalOnSimplex)(mu, sigma)
+        grid = ternary_density_grid(law, resolution=150)
+        meta, payload = read_grid_artifact(prefix)
+        assert_same_bits(payload, grid.matrix())
+        assert meta["maxima"] == [{"parts": c.parts.tolist(), "density": v}
+                                  for c, v in grid.maxima]
+
+    def test_coordinate_grid_reads_back_bit_for_bit(self, capsys, tmp_path):
+        prefix = tmp_path / "coords"
+        mu, sigma = _SIMPLEX_LAW
+        code, _, err = run_cli(capsys, "density-grid", "--law", "nsd", "--mu", "0.3,-0.2",
+                               "--sigma", "1,0.2,0.2,0.5", "--grid-space", "coords",
+                               "--resolution", "31", "-o", str(prefix))
+        assert code == 0, err
+        grid = coordinate_density_grid(NormalOnSimplex(mu, sigma), resolution=31)
+        meta, payload = read_grid_artifact(prefix)
+        assert_same_bits(payload, grid.values)
+        assert meta["x_axis"] == grid.x_axis.tolist() and meta["y_axis"] == grid.y_axis.tolist()
+
+    @pytest.mark.parametrize("metric", ["euclidean", "logratio"])
+    def test_histogram_reads_back_bit_for_bit(self, capsys, tmp_path, rplus_csv, metric):
+        prefix = tmp_path / "hist"
+        code, _, err = run_cli(capsys, "hist", "--input", str(rplus_csv), "--metric", metric,
+                               "--bins", "9", "-o", str(prefix))
+        assert code == 0, err
+        art = histogram_artifact(read_rplus_csv(rplus_csv)[0], metric, bins=9)
+        meta, payload = read_grid_artifact(prefix)
+        assert_same_bits(payload, np.column_stack([
+            art.edges[:-1], art.edges[1:], art.midpoints, art.counts, art.bin_measure,
+            art.empirical_density, art.nrp_density, art.lognormal_density,
+        ]))
+        assert meta["metric"] == metric and meta["n"] == art.n
+
+
+def assert_same_bits(read, computed):
+    """Equal shapes and floats bit for bit, NaN (off the lattice) in the same cells."""
+    assert read.shape == computed.shape
+    assert read.tobytes() == np.asarray(computed, dtype=float).tobytes()
 
 
 def _strict_json(text):
