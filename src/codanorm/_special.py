@@ -1,6 +1,6 @@
-"""The normal and chi-square distribution functions and the Student t
-quantile that the goodness-of-fit battery and the t interval need, on
-numpy and ``math`` alone.
+"""The normal and chi-square distribution functions, the normal mass of an
+interval and the Student t quantile that the goodness-of-fit battery, the
+probabilities of intervals and the t interval need, on numpy and ``math`` alone.
 
 * :func:`ndtr`: the rational approximations of Cephes' ``ndtr.c``
   (Moshier, *Methods and Programs for Mathematical Functions*, 1989; the
@@ -29,6 +29,10 @@ from .errors import NumericalError
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_HALF = math.sqrt(0.5)
+# the 12-node Gauss-Legendre rule on [-1, 1]: nodes +-t, weights over sqrt(2 pi)
+_GL_RULE = ((0.1252334085114689, 0.09939529061207912), (0.3678314989981802, 0.0931500449833261),
+            (0.5873179542866175, 0.08105207652019089), (0.7699026741943047, 0.06386201343193229),
+            (0.9041172563704749, 0.042662618577164545), (0.9815606342467192, 0.01882023627673971))
 
 # elements per block of the vectorized kernels: the temporaries of one block
 # stay in cache and are recycled by the allocator instead of being faulted in
@@ -128,6 +132,22 @@ def _ndtr_lower(w):
     out *= np.exp(m, out=m)
     out *= 0.5
     return out
+
+
+def normal_mass(lo, hi, width) -> float:
+    """``P(lo < Z < hi)`` for a standard normal ``Z``, with ``width = hi - lo`` as exact
+    as the caller knows it.  Where ``width * max(1, |lo|, |hi|) <= 1`` the density
+    changes by at most a factor e, and the Gauss-Legendre rule integrates it to
+    rounding; elsewhere a difference of ``erfc`` values, of upper tails when ``lo > 0``."""
+    if width * max(1.0, abs(lo), abs(hi)) <= 1.0:  # at z = c + step * u, c the end nearer 0
+        c, step = (lo, 0.5 * width) if abs(lo) <= abs(hi) else (hi, -0.5 * width)
+        # -z^2/2 = -c^2/2 + u (a + u b), exp(-c^2/2) from a split square as in ndtr
+        a, b, m = -step * c, -0.5 * step * step, math.trunc(16.0 * c) / 16.0
+        mass = sum(w * math.exp(u * (a + u * b)) for t, w in _GL_RULE for u in (1 - t, 1 + t))
+        return abs(step) * math.exp(-0.5 * m * m) * math.exp(-0.5 * (c - m) * (c + m)) * mass
+    if lo > 0.0:
+        return 0.5 * (math.erfc(lo / _SQRT2) - math.erfc(hi / _SQRT2))
+    return 0.5 * (math.erfc(-hi / _SQRT2) - math.erfc(-lo / _SQRT2))
 
 
 # --------------------------------------------------------------------------
@@ -247,10 +267,8 @@ def _normal_lower_quantile(p):
 
     def residual(w):
         x = w * _SQRT_HALF
-        if centre:
-            ln_mass = math.log(0.5 * math.erf(x))
-        elif x < 26.0:
-            ln_mass = math.log(0.5 * math.erfc(x))
+        if centre or x < 26.0:  # P(0 < Z < w) or P(Z > w)
+            ln_mass = math.log(normal_mass(*((0.0, w, w) if centre else (w, math.inf, math.inf))))
         else:  # where erfc(x) nears the smallest float; the error of x^2 costs nothing here
             ln_mass = -x * x + math.log(0.5 * _ratio(_ERFC_R, _ERFC_S, x))
         ln_w_density = math.log(w) - x * x - 0.5 * math.log(2.0 * math.pi)

@@ -19,9 +19,9 @@ One log-density kernel per space reads log coordinates (the log on the line,
 clr rows on the simplex) and adds the log measure ratio under the Lebesgue
 tag; every density is its ``exp``.  Probabilities of events never read the tag.
 
-All probabilities of intervals and boxes are computed through the normal CDF
-of the coordinates, never by integrating a density; boxes of d >= 2 use the
-multivariate normal CDF with a fixed seed, so every call gives one number.
+Probabilities of intervals and boxes are normal masses of the coordinates:
+``_special.normal_mass`` on the line and at d = 1, the multivariate normal CDF
+with a fixed seed at d >= 2, so every call gives one number.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
 from . import simplex
+from ._special import normal_mass
 from .errors import (
     BadIntervalError,
     DegenerateScaleError,
@@ -79,7 +80,6 @@ __all__ = [
 ]
 
 
-_SQRT2 = math.sqrt(2.0)
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
@@ -213,7 +213,7 @@ def lognormal_moments(law: LognormalLaw) -> LebesgueMoments:
 
 
 def _log_abs_expm1(x) -> float:
-    """``log|exp(x) - 1|`` for ``x != 0``, without overflow."""
+    """``log|exp(x) - 1|`` for ``x != 0``, also where ``exp(x)`` passes the largest float."""
     return x if x > 700.0 else math.log(abs(math.expm1(x)))
 
 
@@ -255,26 +255,15 @@ def probability_of_interval(law, a, b) -> float:
 
     Identical for :class:`NormalOnRPlus` and :class:`LognormalLaw` with the
     same parameters: the reference measure never enters a probability.
-    Computed through the normal CDF of the log, never by quadrature.
+    The normal mass of the log's interval, of width ``log1p((b - a) / a) / sigma``.
     """
     _require(law, _ScalarLogGaussian)
     a = float(a)
     b = float(b)
     if not (a > 0.0 and b > a):
         raise BadIntervalError(f"need 0 < a < b, got a={a!r}, b={b!r}")
-    lo = (math.log(a) - law.mu) / law.sigma
-    return _normal_mass(lo, (math.log(b) - law.mu) / law.sigma)
-
-
-def _normal_mass(lo, hi) -> float:
-    """``P(lo < Z < hi)`` for a standard normal ``Z``, ``lo <= hi``.
-
-    Both endpoints above zero take the difference of survival functions, so
-    upper tails keep their relative accuracy instead of cancelling to 0.
-    """
-    if lo > 0.0:
-        return 0.5 * (math.erfc(lo / _SQRT2) - math.erfc(hi / _SQRT2))
-    return 0.5 * (math.erfc(-hi / _SQRT2) - math.erfc(-lo / _SQRT2))
+    lo, hi = ((math.log(x) - law.mu) / law.sigma for x in (a, b))
+    return normal_mass(lo, hi, math.log1p((b - a) / a) / law.sigma)
 
 
 def nrp_transform(law, a, b):
@@ -593,7 +582,7 @@ def _aln_mean_quadrature(law, order):
         # new nodes: the coefficient of x**q in (x (1 + x**2) / (1 - x)**2)**d
         nodes += sum(math.comb(d, k) * math.comb(q + d - 1 - 2 * k, 2 * d - 1)
                      for k in range(min(d, (level - 1) // 2) + 1))
-        # past level 150 (299 nodes) numpy's Gauss-Hermite weights soon underflow
+        # past level 150 (299 nodes) numpy's Gauss-Hermite weights soon go subnormal
         if nodes > budget or level > 150 or (level > 2 and math.isnan(drift)):
             raise QuadratureUnstableError(f"quadrature mean moved by {drift:.3g} at level "
                                           f"{level - 1}; order {order} allows no further level")
@@ -652,8 +641,8 @@ def probability_of_box(law, lower, upper) -> float:
     if np.any(lower >= upper):
         return 0.0
     if law.dim == 1:
-        s = math.sqrt(law.sigma[0, 0])
-        return _normal_mass((lower[0] - law.mu[0]) / s, (upper[0] - law.mu[0]) / s)
+        a, b, m, s = float(lower[0]), float(upper[0]), float(law.mu[0]), math.sqrt(law.sigma[0, 0])
+        return normal_mass((a - m) / s, (b - m) / s, (b - a) / s)
     from scipy.stats import multivariate_normal  # lazy: scipy.stats costs ~1 s to import
     p = multivariate_normal(mean=law.mu, cov=law.sigma, seed=_FIXED_SEED).cdf(
         upper, lower_limit=lower

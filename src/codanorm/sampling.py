@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientDataError, NonPositivePartError
+from .errors import InsufficientDataError, NonPositivePartError, NumericalError
 from .inference import RPlusSample, SimplexSample
 from .laws import (
     AlnLaw,
@@ -126,6 +126,17 @@ class McEstimate:
         self.n = int(self.n)
 
 
+def _positive_values(logs):
+    """``exp`` of the logs, none of them past the largest float or below the smallest
+    normal float, the range ``sample`` writes."""
+    with np.errstate(over="ignore"):
+        values = np.exp(logs)
+    outside = np.count_nonzero(~(np.isfinite(values) & (values >= np.finfo(float).tiny)))
+    if outside:
+        raise NumericalError(f"{outside} of {values.size} draws lie outside the float range")
+    return values
+
+
 def mc_expectation(f, law, n, stream: SeededStream, vectorized=False) -> McEstimate:
     """Monte-Carlo estimate of ``E[f(X)]`` under any of the four laws.
 
@@ -135,24 +146,19 @@ def mc_expectation(f, law, n, stream: SeededStream, vectorized=False) -> McEstim
     ``vectorized=True`` it receives the whole sample at once as an array —
     the ``n`` positive values (``exp`` of the logs) for scalar laws, the
     ``(n, D)`` part rows for simplex laws — and must return ``n`` values; use
-    this for large ``n``.
+    this for large ``n``.  There a positive value past the largest float or below
+    the smallest normal one raises :class:`NumericalError`, as its ``exp`` has lost
+    the log it came from; a :class:`~codanorm.rplus.PositiveValue` keeps the log.
     """
     n = _check_n(n, minimum=100)
     _require(law, (_ScalarLogGaussian, _SimplexGaussian))
     if isinstance(law, _ScalarLogGaussian):
         sample = sample_nrp(law, n, stream)
-        if vectorized:
-            vals = np.asarray(f(np.exp(sample.logs)), dtype=float)
-        else:
-            vals = np.array([f(v) for v in sample.values()], dtype=float)
+        array, elements = (lambda: _positive_values(sample.logs)), sample.values
     else:
         sample = sample_nsd(law, n, stream)
-        if vectorized:
-            vals = np.asarray(f(sample.rows), dtype=float)
-        else:
-            vals = np.array([f(c) for c in sample.compositions()], dtype=float)
+        array, elements = (lambda: sample.rows), sample.compositions
+    vals = np.asarray(f(array()) if vectorized else [f(x) for x in elements()], dtype=float)
     if vals.shape != (n,):
-        raise NonPositivePartError(
-            f"f must produce one real value per draw, got shape {vals.shape}"
-        )
+        raise NonPositivePartError(f"f must produce one real value per draw, got shape {vals.shape}")
     return McEstimate(vals.mean(), vals.std(ddof=1) / math.sqrt(n), n)

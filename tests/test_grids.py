@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from codanorm import (
@@ -126,18 +126,22 @@ class TestHistogram:
             histogram_artifact(rplus_sample, "manhattan", bins=4)
 
 
+def _padded(r, ii, jj, log_values):
+    """The logs on a field padded by two rows of ``-inf``, its core, and each step's
+    shifted view: the neighbour's log at every cell of the core."""
+    field = np.full((r + 5, r + 5), -np.inf)
+    field[ii + 2, jj + 2] = log_values
+    shifted = {(di, dj): field[2 + di: r + 3 + di, 2 + dj: r + 3 + dj]
+               for di, dj in _NEIGHBOR_STEPS}
+    return field[2: r + 3, 2: r + 3], shifted
+
+
 def flood_fill_maxima(r, ii, jj, log_values, values):
     """Reference rule: a cell qualifies when no neighbor's log exceeds its own;
     each connected group of qualifying cells is one maximum, at its highest
     (first of equal) cell, and maxima are sorted by log, highest first."""
-    field = np.full((r + 5, r + 5), -np.inf)
-    field[ii + 2, jj + 2] = log_values
-    core = field[2: r + 3, 2: r + 3]
-    best_neighbor = np.full((r + 1, r + 1), -np.inf)
-    for di, dj in _NEIGHBOR_STEPS:
-        np.maximum(best_neighbor, field[2 + di: r + 3 + di, 2 + dj: r + 3 + dj],
-                   out=best_neighbor)
-    candidate = (core >= best_neighbor)[ii, jj]
+    core, shifted = _padded(r, ii, jj, log_values)
+    candidate = (core >= np.maximum.reduce(list(shifted.values())))[ii, jj]
     cand_cells = {(int(i), int(j)) for i, j in zip(ii[candidate], jj[candidate])}
     density = np.zeros((r + 1, r + 1))
     density[ii, jj] = values
@@ -180,6 +184,50 @@ def _symmetric_reference_laws():
         for scale in (1e-300, 1e-10, 1.0, 1e10, 1e300):
             laws += [NormalOnSimplex(mu, scale * shape), AlnLaw(mu, scale * shape)]
     return laws
+
+
+def ranking_rule_maxima(r, ii, jj, log_values, values):
+    """Reference for the documented rule: a cell is a maximum when its log is
+    strictly above each neighbour earlier in ``(i, j)`` order and no lower than
+    each later one, cells off the lattice counting as ``-inf``; maxima are sorted
+    by log, highest first, ties in ``(i, j)`` order."""
+    core, shifted = _padded(r, ii, jj, log_values)
+    keep = np.ones_like(core, dtype=bool)
+    for step, neighbor in shifted.items():
+        keep &= core > neighbor if step < (0, 0) else core >= neighbor
+    density = np.zeros((r + 1, r + 1))
+    density[ii, jj] = values
+    cells = [(int(i), int(j)) for i, j in zip(ii, jj) if keep[i, j]]
+    cells.sort(key=lambda c: -core[c])  # stable: ties stay in (i, j) order
+    return [(simplex.Composition(np.array([i, j, r - i - j], dtype=float) / r),
+             float(density[i, j])) for i, j in cells]
+
+
+def strict_maxima(r, ii, jj, log_values):
+    """The cells whose log is strictly above all 12 neighbours': maxima under the
+    ranking rule and the flood fill alike."""
+    core, shifted = _padded(r, ii, jj, log_values)
+    strict = np.logical_and.reduce([core > neighbor for neighbor in shifted.values()])
+    return {(int(i), int(j)) for i, j in zip(ii, jj) if strict[i, j]}
+
+
+def _maxima_cells(maxima, r):
+    return {(int(round(c.parts[0] * r)), int(round(c.parts[1] * r))) for c, _ in maxima}
+
+
+def assert_maxima_follow_the_ranking_rule(grid, law):
+    """``grid.maxima`` equal the reference ranking rule's, and both they and the
+    flood fill's hold every cell strictly above all its neighbours (the two rules
+    part only where neighbouring logs tie)."""
+    r, ii, jj = grid.resolution, grid.i_index, grid.j_index
+    logs = _simplex_logpdf(law, simplex.clr_rows(grid.points))
+    expected = ranking_rule_maxima(r, ii, jj, logs, grid.values)
+    assert len(grid.maxima) == len(expected)
+    for (comp, value), (want_comp, want) in zip(grid.maxima, expected):
+        assert np.array_equal(comp.parts, want_comp.parts) and value == want
+    strict = strict_maxima(r, ii, jj, logs)
+    assert strict <= _maxima_cells(grid.maxima, r)
+    assert strict <= _maxima_cells(flood_fill_maxima(r, ii, jj, logs, grid.values), r)
 
 
 def assert_maxima_follow_the_flood_fill_rule(grid, law):
@@ -245,6 +293,11 @@ class TestTernaryGrid:
 
     @given(simplex_laws(), st.integers(4, 120), st.floats(0.0, 1.0 / 3.0, exclude_min=True,
                                                            exclude_max=True))
+    # near-flat laws whose logs differ by an ulp or two from cell to cell: the ranking
+    # rule keeps 2 maxima where the flood fill keeps 7, six symmetric shoulder cells
+    # among them, five of which tie an earlier neighbour that is not itself a candidate
+    @example(NormalOnSimplex([0.0, 0.0], 5e13 * np.eye(2)), 20, 0.125)
+    @example(NormalOnSimplex([0.0, 0.0], 4.3298e13 * np.eye(2)), 19, 0.125)
     @settings(max_examples=60, deadline=None)
     def test_random_grids_match_the_pdf_rows_and_the_flood_fill(self, law, resolution, margin):
         if 3 * math.ceil(margin * resolution) > resolution:
@@ -255,7 +308,7 @@ class TestTernaryGrid:
         ii, jj = mask_indices(resolution, margin)
         assert np.array_equal(grid.i_index, ii) and np.array_equal(grid.j_index, jj)
         assert_values_are_the_pdf_rows(grid, law)
-        assert_maxima_follow_the_flood_fill_rule(grid, law)
+        assert_maxima_follow_the_ranking_rule(grid, law)
 
     def test_a_margin_leaving_one_cell_keeps_it(self):
         grid = ternary_density_grid(_NSD3, resolution=6, margin=1 / 3 - 1e-9)

@@ -1,5 +1,7 @@
 """Tests for CSV/JSON input-output and the command line front end."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -953,3 +955,118 @@ class TestStrictJson:
         naive = baseline["naive_interval_1sd"]
         assert naive["lower"] is None and naive["upper"] is None and naive["null_reason"]
         assert body["ci_mean"]["upper"] is None and body["ci_mean"]["null_reason"]
+
+
+# the documented rules that may refuse valid rows, by subcommand and exit code
+_DOCUMENTED_REFUSALS = {
+    "fit": {2: ("need at least", "all observations are identical"),
+            3: ("covariance is singular", "t interval past the float range")},
+    "hist": {2: ("need at least", "all observations are identical", "too narrow a range")},
+    "sample": {3: ("draws lie outside the float range",)},
+    "density-grid": {3: ("non-finite",)},  # a density past the largest float in the sidecar
+}
+
+
+def _significand_and_exponent(draw, lowest, highest):
+    return draw(st.floats(1.0, 9.99)) * 10.0 ** draw(st.integers(lowest, highest))
+
+
+@st.composite
+def positive_columns(draw):
+    """One column of values from 1e-300 to 1e300: spread, constant, or a single row."""
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        return [_significand_and_exponent(draw, -300, 299)] * n
+    return [_significand_and_exponent(draw, -300, 299) for _ in range(n)]
+
+
+@st.composite
+def part_tables(draw):
+    """D-part rows with parts down to 1e-300 of their total, each row's sum within
+    1e-7 of 1 (re-closed by the reader): spread, all rows equal, or a single row."""
+    d_parts, n = draw(st.integers(2, 4)), draw(st.integers(1, 12))
+
+    def row():
+        raw = np.array([_significand_and_exponent(draw, -300, 0) for _ in range(d_parts)])
+        return raw / raw.sum() * (1.0 + draw(st.floats(-1e-7, 1e-7)))
+
+    if draw(st.booleans()):
+        return [row()] * n
+    return [row() for _ in range(n)]
+
+
+def _write_csv(path, header, rows):
+    lines = [",".join(header)] + [",".join(repr(float(v)) for v in np.atleast_1d(r)) for r in rows]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _fuzz_job(tmp, *argv):
+    """Run one job in-process and hold it to the exit contract: exit 0, or 2 or 3 by a
+    documented rule with no file left behind; every JSON document printed or written
+    is strict.  Returns the exit code and stdout."""
+    before = set(os.listdir(tmp))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    if code != 0:
+        rules = _DOCUMENTED_REFUSALS[argv[0]].get(code, ())
+        assert any(rule in err.getvalue() for rule in rules), (argv, code, err.getvalue())
+        assert set(os.listdir(tmp)) == before
+        return code, ""
+    printed = out.getvalue().strip()
+    if printed != argv[-1]:  # a job with -o prints the path written
+        _strict_json(printed)
+    for name in set(os.listdir(tmp)) - before:
+        with open(os.path.join(tmp, name)) as fh:
+            text = fh.read()
+        if name.endswith(".json"):
+            _strict_json(text)
+        elif text.startswith("# codanorm-samples "):
+            _strict_json(text.split("\n")[0].removeprefix("# codanorm-samples "))
+    return code, printed
+
+
+def _joined(values):
+    return ",".join(repr(float(v)) for v in np.ravel(values))
+
+
+class TestCliFuzz:
+    """Every subcommand on extreme but valid CSV files, and on the laws fitted to them."""
+
+    @given(positive_columns(), st.sampled_from(["euclidean", "logratio"]))
+    @settings(max_examples=60, deadline=None)
+    def test_one_column_files(self, values, metric):
+        with tempfile.TemporaryDirectory() as tmp:
+            data = os.path.join(tmp, "data.csv")
+            _write_csv(data, ["value"], values)
+            code, out = _fuzz_job(tmp, "fit", "--input", data, "--space", "rplus")
+            _fuzz_job(tmp, "fit", "--input", data, "--space", "rplus", "-o",
+                      os.path.join(tmp, "fit.json"))
+            _fuzz_job(tmp, "hist", "--input", data, "--metric", metric, "-o",
+                      os.path.join(tmp, "hist"))
+            if code == 0:
+                law = _strict_json(out)["law"]
+                _fuzz_job(tmp, "sample", "--law", "nrp", f"--mu={law['mu']!r}",
+                          f"--sigma2={law['sigma2']!r}", "-n", "20", "-o",
+                          os.path.join(tmp, "draws.csv"))
+
+    # a wide fitted law spends up to about 2 s in the classical ALN mean's quadrature
+    @given(part_tables(), st.sampled_from(["nsd", "aln"]))
+    @settings(max_examples=12, deadline=None)
+    def test_part_files(self, rows, law_name):
+        with tempfile.TemporaryDirectory() as tmp:
+            data = os.path.join(tmp, "data.csv")
+            _write_csv(data, [f"p{k}" for k in range(len(rows[0]))], rows)
+            report = os.path.join(tmp, "fit.json")
+            code, _ = _fuzz_job(tmp, "fit", "--input", data, "--space", "simplex", "-o", report)
+            if code != 0:
+                return
+            with open(report) as fh:
+                law = _strict_json(fh.read())["law"]
+            mu, sigma = f"--mu={_joined(law['mu'])}", f"--sigma={_joined(law['sigma'])}"
+            _fuzz_job(tmp, "sample", "--law", law_name, mu, sigma, "-n", "20", "-o",
+                      os.path.join(tmp, "draws.csv"))
+            if len(law["mu"]) == 2:
+                _fuzz_job(tmp, "density-grid", "--law", law_name, mu, sigma, "--resolution",
+                          "12", "-o", os.path.join(tmp, "grid"))

@@ -13,6 +13,7 @@ from codanorm import (
     LognormalLaw,
     NormalOnRPlus,
     NormalOnSimplex,
+    NumericalError,
     SeededStream,
     ait_distance,
     fit_nrp,
@@ -199,6 +200,28 @@ class TestMcExpectation:
         )
         # by symmetry the first-part mean is exactly 1/3
         assert abs(est.estimate - 1 / 3) < 3 * est.standard_error
+
+    @pytest.mark.parametrize("mu", [800.0, -800.0])
+    def test_far_line_law_refuses_values_outside_the_float_range(self, mu):
+        # every exp(log) passes the largest float at mu = 800 and falls below the
+        # smallest normal float at mu = -800, where it was inf or 0.0 with a numpy warning
+        law = NormalOnRPlus(mu, 1.0)
+        with pytest.raises(NumericalError, match="200 of 200 draws lie outside the float range"):
+            mc_expectation(np.log, law, 200, SeededStream(1), vectorized=True)
+        # one at a time, each value keeps its log
+        est = mc_expectation(lambda v: v.log, law, 200, SeededStream(1))
+        assert abs(est.estimate - mu) < 0.3
+
+    def test_line_values_below_the_smallest_normal_float_are_counted(self):
+        law = NormalOnRPlus(-706.0, 1.0)
+        with pytest.raises(NumericalError, match="2 of 200 draws lie outside the float range"):
+            mc_expectation(np.log, law, 200, SeededStream(1), vectorized=True)
+
+    def test_far_simplex_law_keeps_parts_below_the_float_range_as_zero(self):
+        law = NormalOnSimplex([800.0, 0.0], 0.1 * np.eye(2))
+        parts = [mc_expectation(lambda rows, k=k: rows[:, k], law, 200, SeededStream(1),
+                                vectorized=True).estimate for k in range(3)]
+        assert parts[:2] == [1.0, 0.0] and 0.0 < parts[2] < 1e-200
 
     def test_needs_hundred_draws(self):
         law = NormalOnRPlus(0.0, 1.0)

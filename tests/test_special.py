@@ -1,15 +1,26 @@
-"""Oracle tests for the numpy distribution functions of ``codanorm._special``:
-against mpmath at 50 digits, and against scipy."""
+"""Oracle tests for the numpy distribution functions of ``codanorm._special`` and
+the interval and box probabilities built on its normal mass: against mpmath at 50
+digits, and against scipy."""
 
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import special, stats
 
+from codanorm import (
+    LognormalLaw,
+    NormalOnRPlus,
+    NormalOnSimplex,
+    probability_of_box,
+    probability_of_interval,
+    with_lebesgue_reference,
+)
 from codanorm import _special
-from codanorm._special import chdtr, ndtr, stdtrit
+from codanorm._special import chdtr, ndtr, normal_mass, stdtrit
 
 mpmath.mp.dps = 50
 
@@ -102,3 +113,97 @@ class TestStdtrit:
         # -1 / (pi p) passes the largest float below p = 1 / (pi * 1.8e308)
         assert stdtrit(1, 5e-310) == -math.inf
         assert stdtrit(1, 1.8e-309) == pytest.approx(-1.0 / (math.pi * 1.8e-309), rel=1e-15)
+
+
+def _mass_exact(lo, hi):
+    """``P(lo < Z < hi)`` at 50 digits for exact (mpf) ``lo < hi``, from the upper
+    tails when ``lo >= 0`` so that neither term rounds to 1."""
+    if lo >= 0:
+        return mpmath.ncdf(-lo) - mpmath.ncdf(-hi)
+    return mpmath.ncdf(hi) - mpmath.ncdf(lo)
+
+
+def _assert_mass_close(got, exact):
+    # relative to the mass, or to the smallest normal float where the mass is subnormal
+    assert abs(got - exact) <= 1e-12 * max(exact, np.finfo(float).tiny), (got, float(exact))
+
+
+@st.composite
+def standard_intervals(draw):
+    """``(lo, hi)`` of a standard normal coordinate: bounds out to +-37, widths from
+    1e-15 to 10, some straddling 0 and some with an infinite end."""
+    width = 10.0 ** draw(st.floats(-15.0, 1.0))
+    if draw(st.booleans()):
+        lo = draw(st.floats(-37.0, 37.0))
+    else:  # straddling 0
+        lo = -width * draw(st.floats(0.0, 1.0))
+    hi = lo + width
+    end = draw(st.sampled_from(["finite", "finite", "lower", "upper"]))
+    lo, hi = (-math.inf if end == "lower" else lo), (math.inf if end == "upper" else hi)
+    assume(lo < hi)  # 37 + 1e-15 rounds to 37
+    return lo, hi
+
+
+# intervals of NormalOnRPlus(0, 1) whose mass the difference of two erfc values got
+# 1.1e-10, 5.9e-8, 4.1e-5 and 1.6e-3 off
+_NARROW_LINE_INTERVALS = [(2.0, 2.0 * (1.0 + 1e-6)), (0.5, 0.5 * (1.0 + 1e-9)),
+                          (1.0, 1.0 + 2.0**-40), (3.0, 3.0 * (1.0 + 1e-14))]
+
+
+class TestNormalMass:
+    @given(standard_intervals())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_mpmath(self, interval):
+        lo, hi = interval
+        exact = _mass_exact(mpmath.mpf(lo), mpmath.mpf(hi))
+        _assert_mass_close(normal_mass(lo, hi, float(mpmath.mpf(hi) - mpmath.mpf(lo))), exact)
+
+    @given(standard_intervals())
+    @settings(max_examples=200, deadline=None)
+    def test_wide_intervals_take_the_erfc_difference(self, interval):
+        lo, hi = interval
+        width = hi - lo
+        assume(width * max(1.0, abs(lo), abs(hi)) > 1.0)
+        s = math.sqrt(2.0)
+        want = (0.5 * (math.erfc(lo / s) - math.erfc(hi / s)) if lo > 0.0
+                else 0.5 * (math.erfc(-hi / s) - math.erfc(-lo / s)))
+        assert normal_mass(lo, hi, width) == want
+
+    @given(standard_intervals(), st.sampled_from([NormalOnRPlus, LognormalLaw]))
+    @settings(max_examples=300, deadline=None)
+    def test_probability_of_interval_matches_mpmath(self, interval, law_class):
+        lo, hi = interval
+        assume(lo > -math.inf)
+        a = math.exp(lo)
+        b = math.inf if hi == math.inf else a * math.exp(hi - lo)
+        assume(b > a > 0.0)
+        exact = _mass_exact(mpmath.log(a), mpmath.log(b) if b < math.inf else mpmath.inf)
+        _assert_mass_close(probability_of_interval(law_class(0.0, 1.0), a, b), exact)
+
+    @given(standard_intervals(), st.sampled_from([-2.0, 0.0, 3.0]),
+           st.sampled_from([0.25, 1.0, 4.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_probability_of_box_at_d_1_matches_mpmath(self, interval, mu, sigma2):
+        lo, hi = interval
+        lower, upper = mu + math.sqrt(sigma2) * lo, mu + math.sqrt(sigma2) * hi
+        assume(lower < upper)
+        s = mpmath.sqrt(sigma2)
+        exact = _mass_exact((mpmath.mpf(lower) - mu) / s, (mpmath.mpf(upper) - mu) / s)
+        law = NormalOnSimplex([mu], [[sigma2]])
+        got = probability_of_box(law, [lower], [upper])
+        assert type(got) is float  # not a numpy scalar from the bound arrays
+        _assert_mass_close(got, exact)
+        assert probability_of_box(with_lebesgue_reference(law), [lower], [upper]) == got
+
+    @pytest.mark.parametrize("a, b", _NARROW_LINE_INTERVALS)
+    def test_narrow_intervals_keep_their_relative_accuracy(self, a, b):
+        exact = _mass_exact(mpmath.log(a), mpmath.log(b))
+        for law in (NormalOnRPlus(0.0, 1.0), LognormalLaw(0.0, 1.0)):
+            assert abs(probability_of_interval(law, a, b) - exact) <= 1e-12 * exact
+
+    def test_narrow_box_keeps_its_relative_accuracy(self):
+        # the difference of two erfc values got this box 5.3e-8 off
+        lower, upper = 0.1, 0.1 + 1e-9
+        exact = _mass_exact(mpmath.mpf(lower), mpmath.mpf(upper))
+        got = probability_of_box(NormalOnSimplex([0.0], [[1.0]]), [lower], [upper])
+        assert abs(got - exact) <= 1e-12 * exact
