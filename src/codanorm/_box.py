@@ -1,0 +1,286 @@
+"""The normal mass of a box, ``P(lower < X < upper)`` for a centred normal ``X``
+at d >= 2, on numpy and ``math`` alone.
+
+* d = 2: Genz's bivariate method (Drezner & Wesolowsky, *J. Statist. Comput.
+  Simul.* 35, 1990, refined in Genz, *Stat. Comput.* 14, 2004), to about 1e-15.
+* d >= 3: Genz's separation of variables (*J. Comput. Graph. Stat.* 1, 1992)
+  with Genz-Bretz variable ordering, integrated over 10 random shifts of a
+  rank-1 lattice built by fast component-by-component construction (Nuyens &
+  Cools, MCQMC 2004) under the tent transform; the point count grows by sqrt 2
+  until 3 standard errors over the shifts are within 1e-5.
+
+Both are adapted from Genz's MATLAB routines and their Python port:
+Copyright (C) 2013, Alan Genz; Python implementation Copyright (C) 2022,
+Robert Kern; all rights reserved; used under the three-clause BSD licence,
+which disclaims every warranty.
+
+``probability_of_box`` imports this module on its first box of two or more
+coordinates, so ``import codanorm`` neither loads nor compiles it.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+
+import numpy as np
+
+from ._special import _BLOCK, _SQRT_HALF, _Estimate, ndtr, ndtri
+from .errors import QuadratureUnstableError
+
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SHIFTS = 10  # random shifts of the lattice; their spread gives the standard error
+_BOX_TOLERANCE = 1e-5  # on 3 standard errors over the shifts
+_BOX_POINTS_PER_DIM = 1_000_000  # no further round once d times this many are spent
+
+
+def _phi(z):
+    """The normal distribution function at one float."""
+    return 0.5 * math.erfc(-z * _SQRT_HALF)
+
+
+def normal_box(sigma, lower, upper, seed) -> _Estimate:
+    """``P(lower < X < upper)`` for ``X ~ N(0, sigma)`` at d >= 2 (bounds may be
+    infinite, each ``lower < upper``): the bivariate method at d = 2, the shifted
+    lattice from d = 3, its shifts drawn from ``default_rng(seed)`` on each call.
+    Needing more than ``1e6 d`` points raises :class:`QuadratureUnstableError`."""
+    if len(sigma) == 2:
+        return _bivariate_box(sigma, lower, upper)
+    return _lattice_box(sigma, lower, upper, seed)
+
+
+def _bvn_nodes(r):
+    return 6 if abs(r) < 0.3 else 12 if abs(r) < 0.75 else 20
+
+
+@functools.lru_cache(maxsize=None)
+def _legendre_half(n):
+    """The ``n``-node Gauss-Legendre rule moved to [0, 2]: nodes and weights."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return 1.0 + x, w
+
+
+def _bvnu(h, k, r):
+    """``P(X > h, Y > k)`` for standard normals of correlation ``r``, ``|r| < 1``:
+    Genz's ``bvnu``.  Below ``|r| = 0.925`` a Gauss-Legendre rule in ``asin r`` of 6,
+    12 or 20 nodes; above, the expansion about ``|r| = 1`` and a rule for what it
+    leaves (Drezner & Wesolowsky 1990; Genz 2004)."""
+    if h == math.inf or k == math.inf:
+        return 0.0
+    if h == -math.inf:
+        return 1.0 if k == -math.inf else _phi(-k)
+    if k == -math.inf:
+        return _phi(-h)
+    if r == 0.0:
+        return _phi(-h) * _phi(-k)
+    x, w = _legendre_half(_bvn_nodes(r))
+    hk, tp, bvn = h * k, 2.0 * math.pi, 0.0
+    if abs(r) < 0.925:
+        asr = 0.5 * math.asin(r)
+        sn = np.sin(asr * x)
+        bvn = float(np.exp((sn * hk - 0.5 * (h * h + k * k)) / (1.0 - sn * sn)) @ w)
+        return max(0.0, min(1.0, bvn * asr / tp + _phi(-h) * _phi(-k)))
+    if r < 0.0:
+        k, hk = -k, -hk
+    as_, bs = 1.0 - r * r, (h - k) ** 2
+    a, c, d = math.sqrt(as_), (4.0 - hk) / 8.0, (12.0 - hk) / 80.0
+    asr = -0.5 * (bs / as_ + hk)
+    if asr > -100.0:
+        bvn = a * math.exp(asr) * (1.0 - c * (bs - as_) * (1.0 - d * bs) / 3.0 + c * d * as_ * as_)
+    if hk > -100.0:
+        b = math.sqrt(bs)
+        sp = math.sqrt(tp) * _phi(-b / a)
+        bvn -= math.exp(-0.5 * hk) * sp * b * (1.0 - c * bs * (1.0 - d * bs) / 3.0)
+    xs = (0.5 * a * x) ** 2
+    asr = -0.5 * (bs / xs + hk)
+    keep = asr > -100.0  # there 3 |hk| < 200, so no exponent below overflows
+    xs = xs[keep]
+    rs = np.sqrt(1.0 - xs)
+    ep = np.exp(-0.5 * hk * xs / (1.0 + rs) ** 2) / rs
+    bvn = (0.5 * a * float((np.exp(asr[keep]) * (1.0 + c * xs * (1.0 + 5.0 * d * xs) - ep))
+                           @ w[keep]) - bvn) / tp
+    if r > 0.0:
+        bvn += _phi(-max(h, k))
+    elif h >= k:
+        bvn = -bvn
+    else:
+        bvn = (_phi(k) - _phi(h) if h < 0.0 else _phi(-h) - _phi(-k)) - bvn
+    return max(0.0, min(1.0, bvn))
+
+
+def _bivariate_box(sigma, lower, upper):
+    s1, s2 = math.sqrt(sigma[0, 0]), math.sqrt(sigma[1, 1])
+    r = float(sigma[0, 1] / (s1 * s2))
+    xl, xu, yl, yu = (float(v) for v in (lower[0] / s1, upper[0] / s1, lower[1] / s2,
+                                         upper[1] / s2))
+    p = _bvnu(xl, yl, r) - _bvnu(xu, yl, r) - _bvnu(xl, yu, r) + _bvnu(xu, yu, r)
+    return _Estimate(max(0.0, min(p, 1.0)), "genz-bivariate", _bvn_nodes(r), 1e-15, 1)
+
+
+def _permuted_cholesky(sigma, lower, upper, tol=1e-10):
+    """Cholesky factor ``L`` of the correlation matrix, rows in Genz-Bretz order (each
+    variable in turn the one of least expected mass given the means of those before),
+    each row and its bounds divided by its diagonal, which becomes 1.  A variable of
+    conditional sd ``<= (k + 1) tol`` keeps diagonal 0 and unscaled bounds."""
+    scale = np.sqrt(np.diag(sigma))
+    a = sigma / scale / scale[:, None]  # in a[k:, k:] the covariance left given the first k
+    lo, hi = lower / scale, upper / scale
+    d = lo.size
+    y = np.zeros(d)  # the conditional mean of each variable placed, given its box
+    for k in range(d):
+        pick, ck, mass, ends = k, 0.0, 1.0, (0.0, 0.0)
+        for i in range(k, d):
+            if a[i, i] > tol:
+                ci, s = math.sqrt(a[i, i]), float(a[i, :k] @ y[:k])
+                li, hi_i = (lo[i] - s) / ci, (hi[i] - s) / ci
+                de = _phi(hi_i) - _phi(li)
+                if de <= mass:
+                    pick, ck, mass, ends = i, ci, de, (li, hi_i)
+        swap = [k, pick]
+        a[swap] = a[swap[::-1]]
+        a[:, swap] = a[:, swap[::-1]]
+        lo[swap], hi[swap] = lo[swap[::-1]], hi[swap[::-1]]
+        if ck <= (k + 1) * tol:
+            a[k:, k] = 0.0
+            y[k] = 0.5 * (lo[k] + hi[k])
+            continue
+        col = a[k + 1:, k] / ck
+        a[k + 1:, k] = col
+        a[k + 1:, k + 1:] -= np.outer(col, col)
+        lm, hm = ends
+        if mass > tol:
+            y[k] = (math.exp(-0.5 * lm * lm) - math.exp(-0.5 * hm * hm)) / (_SQRT_2PI * mass)
+        else:
+            y[k] = hm if lm < -10.0 else lm if hm > 10.0 else 0.5 * (lm + hm)
+        a[k, :k] /= ck
+        a[k, k] = 1.0
+        lo[k] /= ck
+        hi[k] /= ck
+    return a, lo, hi
+
+
+def _prime_at_most(n):
+    while any(n % f == 0 for f in range(2, math.isqrt(n) + 1)):
+        n -= 1
+    return n
+
+
+def _primitive_root(p):
+    """The least generator of the multiplicative group modulo the prime ``p``."""
+    factors, m, f = [], p - 1, 2
+    while f * f <= m:
+        if m % f == 0:
+            factors.append(f)
+            while m % f == 0:
+                m //= f
+        f += 1
+    factors += [m] if m > 1 else []
+    g = 2
+    while any(pow(g, (p - 1) // f, p) == 1 for f in factors):
+        g += 1
+    return g
+
+
+@functools.lru_cache(maxsize=None)
+def _cbc_generator(dim, n):
+    """Generating vector of a rank-1 lattice of ``n`` (prime) points in ``dim``
+    dimensions, each component in turn minimizing the worst-case error of the product
+    kernel ``prod_j (1 + w_j B2({k z_j / n}))``, ``B2(x) = x^2 - x + 1/6``, weights
+    1, 1, 0.8, 0.8**2, ..., by fast CBC: ordered by powers of a generator of the units
+    modulo ``n``, the sums for all choices are one circular convolution (Nuyens & Cools)."""
+    from numpy.fft import fft, ifft
+
+    m = (n - 1) // 2
+    g = _primitive_root(n)
+    perm = np.ones(m, dtype=np.int64)  # g**j mod n, by doubling the run known so far
+    step, g_step = 1, g
+    while step < m:
+        perm[step:2 * step] = perm[:min(step, m - step)] * g_step % n
+        step, g_step = 2 * step, g_step * g_step % n
+    perm = np.minimum(n - perm, perm)
+    pn = perm / n
+    kernel = pn * pn - pn + 1.0 / 6.0
+    fk = fft(kernel)
+    gen, prod, w = np.arange(1, dim + 1), 1.0, 0
+    for s in range(1, dim):  # the factor of component s - 1, then the sums for every choice
+        weight = 0.8 ** max(s - 2, 0)
+        prod = prod * (1.0 + weight * np.hstack([kernel[:w + 1][::-1], kernel[w + 1:][::-1]]))
+        crit = ifft(fk * fft(prod)).real
+        # equally good choices come in pairs; the first of them, whatever the FFT's rounding
+        w = int(np.flatnonzero(crit <= crit.min() + 1e-12 * np.abs(crit).max())[0])
+        gen[s] = perm[w]
+    gen.flags.writeable = False
+    return gen
+
+
+def _lattice_box(sigma, lower, upper, seed):
+    """The separated integrand over the shifted lattice, the point count raised by
+    sqrt 2 a round and the rounds pooled by inverse variance, until 3 standard errors
+    are within ``_BOX_TOLERANCE``."""
+    from numpy.random import default_rng
+
+    chol, lo, hi = _permuted_cholesky(sigma, lower, upper)
+    d = lo.size
+    rng = default_rng(seed)
+    value, error, target, points, rounds = 0.0, math.inf, 1000 * d, 0, 0
+    while points < _BOX_POINTS_PER_DIM * d:
+        target, rounds = round(math.sqrt(2.0) * target), rounds + 1
+        n = _prime_at_most(target // _SHIFTS)
+        means = _lattice_means(chol, lo, hi, _cbc_generator(d - 1, n), n,
+                               rng.random((_SHIFTS, d - 1)))
+        se3 = 3.0 * math.sqrt(float(np.var(means, ddof=1)) / _SHIFTS)
+        weight = 1.0 / (1.0 + (se3 / error) ** 2)
+        value += weight * (float(np.mean(means)) - value)
+        error = math.sqrt(weight) * se3
+        points += _SHIFTS * n
+        if error <= _BOX_TOLERANCE:
+            return _Estimate(value, "genz-lattice", points, error, rounds)
+    raise QuadratureUnstableError(f"box probability {value:.6g} has error {error:.3g} after "
+                                  f"{points} points, the limit for d = {d}")
+
+
+def _lattice_means(chol, lo, hi, gen, n, shifts):
+    """Mean of the separated integrand over the ``n`` lattice points ``frac(i gen / n)``,
+    ``i = 1..n``, under each shift, in blocks of whole shifts or of ``_BLOCK`` points."""
+    sums = np.zeros(len(shifts))
+    per = max(1, _BLOCK // n)
+    for s0 in range(0, len(shifts), per):
+        for p0 in range(0, n, _BLOCK):
+            i = np.arange(p0 + 1, min(n, p0 + _BLOCK) + 1)
+            z = (np.multiply.outer(gen, i) % n / n)[:, None] + shifts[s0:s0 + per].T[:, :, None]
+            z -= z >= 1.0
+            z *= 2.0
+            z -= 1.0
+            x = np.abs(z, out=z).reshape(len(gen), -1)  # the tent transform |2 z - 1|
+            sums[s0:s0 + per] += _separated(chol, lo, hi, x).reshape(-1, i.size).sum(axis=1)
+    return sums / n
+
+
+def _separated(chol, lo, hi, x):
+    """Genz's integrand at the points ``x`` of the unit cube, one column each: the
+    product over the variables of their conditional mass given the ones before, each
+    drawn at the quantile ``x`` of its mass.  Where an interval lies mostly above 0 the
+    mass and the quantile are taken on the mirrored side, ``-Z`` at ``1 - x``, so a mass
+    of two upper tails keeps its digits and the integrand stays smooth."""
+    y = np.empty_like(x)
+    pv = np.ones(x.shape[1])
+    s = np.zeros(1)
+    for k in range(lo.size):
+        if k:
+            u = np.where(up, 1.0 - x[k - 1], x[k - 1])  # the same quantile, mirrored
+            u *= dc
+            u += c
+            yk = ndtri(u)
+            yk *= sign
+            np.clip(yk, -40.0, 40.0, out=y[k - 1])  # 0 or 1 only where the mass is 0
+            s = chol[k, :k] @ y[:k]
+        tl, th = lo[k] - s, hi[k] - s
+        if chol[k, k] == 0.0:  # no spread left: mass 1 inside the interval, 0 outside
+            inside = (tl <= 0.0) & (th >= 0.0)
+            tl, th = np.where(inside, -np.inf, 0.0), np.where(inside, np.inf, 0.0)
+        up = tl > -th
+        sign = np.where(up, -1.0, 1.0)
+        phi = ndtr(np.where(up, [-th, -tl], [tl, th]))
+        c, dc = phi[0], phi[1] - phi[0]
+        pv *= dc
+    return pv

@@ -1,6 +1,7 @@
-"""The normal and chi-square distribution functions, the normal mass of an
-interval and the Student t quantile that the goodness-of-fit battery, the
-probabilities of intervals and the t interval need, on numpy and ``math`` alone.
+"""The normal and chi-square distribution functions, the normal quantile, the
+normal mass of an interval and the Student t quantile that the goodness-of-fit
+battery, the probabilities of intervals and boxes and the t interval need, on
+numpy and ``math`` alone, and the record of an estimate with no closed form.
 
 * :func:`ndtr`: the rational approximations of Cephes' ``ndtr.c``
   (Moshier, *Methods and Programs for Mathematical Functions*, 1989; the
@@ -17,11 +18,14 @@ probabilities of intervals and the t interval need, on numpy and ``math`` alone.
   fraction (*Numerical Recipes* §6.4) taken in log space.  The fraction loses
   up to 1e-11 near ``nu = 1e5`` at moderate ``t``, which is why the expansion
   takes over by its error term, not at a fixed ``nu``.
+* :func:`ndtri`: Wichura's AS241 (PPND16, *Appl. Statist.* 37, 1988), the normal
+  quantile to about 1e-16 relative from ``p = 1e-300`` to ``1 - 2**-53``.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,6 +136,55 @@ def _ndtr_lower(w):
     out *= np.exp(m, out=m)
     out *= 0.5
     return out
+
+
+# Wichura's AS241 (PPND16), coefficients from the highest power down:
+# q A(r) / B(r) with r = 0.180625 - q^2 for |q| = |p - 1/2| <= 0.425, and in the tails,
+# with r = sqrt(-ln min(p, 1 - p)), C(r - 1.6) / D(r - 1.6) to r = 5, E(r - 5) / F(r - 5) beyond
+_AS241_A = (2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
+            4.5921953931549871457e4, 1.3731693765509461125e4, 1.9715909503065514427e3,
+            1.3314166789178437745e2, 3.3871328727963666080e0)
+_AS241_B = (5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4,
+            2.1213794301586595867e4, 5.3941960214247511077e3, 6.8718700749205790830e2,
+            4.2313330701600911252e1, 1.0)
+_AS241_C = (7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
+            1.27045825245236838258e0, 3.64784832476320460504e0, 5.76949722146069140550e0,
+            4.63033784615654529590e0, 1.42343711074968357734e0)
+_AS241_D = (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
+            1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e0,
+            2.05319162663775882187e0, 1.0)
+_AS241_E = (2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
+            2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e0,
+            5.46378491116411436990e0, 6.65790464350110377720e0)
+_AS241_F = (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
+            7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
+            5.99832206555887937690e-1, 1.0)
+
+
+def ndtri(p):
+    """Standard normal quantile, elementwise, for ``0 <= p <= 1``: within about 1e-15
+    relative from ``p = 1e-300`` to ``1 - 2**-53``; ``-inf`` at 0 and ``inf`` at 1."""
+    return _blockwise(_ndtri_block, p)
+
+
+def _ndtri_block(p, out):
+    q = p - 0.5
+    r = q * q
+    np.subtract(0.180625, r, out=r)
+    out[...] = _ratio(_AS241_A, _AS241_B, r)
+    out *= q
+    tails = np.flatnonzero(np.abs(q) > 0.425)
+    if tails.size:
+        pt = p[tails]
+        m = np.minimum(pt, 1.0 - pt)
+        # at m = 0 the tiniest float stands in, and the infinity is set after
+        r = np.sqrt(-np.log(np.maximum(m, 5e-324)))
+        x = _ratio(_AS241_C, _AS241_D, r - 1.6)
+        far = np.flatnonzero(r > 5.0)
+        if far.size:
+            x[far] = _ratio(_AS241_E, _AS241_F, r[far] - 5.0)
+        x[m == 0.0] = np.inf
+        out[tails] = np.copysign(x, q[tails])
 
 
 def normal_mass(lo, hi, width) -> float:
@@ -260,28 +313,6 @@ def _newton_in_log(residual, s):
     raise NumericalError(f"quantile iteration did not converge (last step {step!r})")
 
 
-def _normal_lower_quantile(p):
-    """``w > 0`` with ``ndtr(-w) = p`` for ``0 < p < 1/2``."""
-    centre = p >= 0.25
-    target = math.log(0.5 - p if centre else p)
-
-    def residual(w):
-        x = w * _SQRT_HALF
-        if centre or x < 26.0:  # P(0 < Z < w) or P(Z > w)
-            ln_mass = math.log(normal_mass(*((0.0, w, w) if centre else (w, math.inf, math.inf))))
-        else:  # where erfc(x) nears the smallest float; the error of x^2 costs nothing here
-            ln_mass = -x * x + math.log(0.5 * _ratio(_ERFC_R, _ERFC_S, x))
-        ln_w_density = math.log(w) - x * x - 0.5 * math.log(2.0 * math.pi)
-        slope = math.exp(ln_w_density - ln_mass)
-        return ln_mass - target, slope if centre else -slope
-
-    # in the tail from above the root, as ndtr(-w) <= exp(-w^2/2) / 2, and at the centre
-    # from below, as the density is at most its value at 0: on these concave log
-    # masses Newton's steps then close in from one side
-    w = math.sqrt(2.0 * math.pi) * (0.5 - p) if centre else math.sqrt(-2.0 * math.log(2.0 * p))
-    return _newton_in_log(residual, w)
-
-
 def _t_residual(nu, p):
     """Residual of ``ln P(T <= -s) = ln p`` (or ``ln P(-s < T <= 0) = ln(1/2 - p)``
     for ``p >= 1/4``, where ``1/2 - p`` is exact) and its slope in ``ln s``."""
@@ -320,7 +351,7 @@ def stdtrit(nu, p):
         return math.tan(math.pi * (p - 0.5)) if p >= 0.25 else -1.0 / math.tan(math.pi * p)
     if nu == 2:
         return (2.0 * p - 1.0) / (math.sqrt(2.0 * p) * math.sqrt(1.0 - p))
-    w = _normal_lower_quantile(p)
+    w = -float(ndtri(p))
     # Cornish-Fisher where the first term left out, about 7e-5 ((z^2 + 4) / nu)^5, is below 1e-16
     if nu >= 250.0 * (w * w + 4.0):
         z, r = -w, 1.0 / nu
@@ -331,3 +362,20 @@ def stdtrit(nu, p):
         g4 = ((((79.0 * z2 + 776.0) * z2 + 1482.0) * z2 - 1920.0) * z2 - 945.0) / 92160.0
         return z * (1.0 + r * (g1 + r * (g2 + r * (g3 + r * g4))))
     return -_newton_in_log(_t_residual(nu, p), w * (1.0 + (w * w + 1.0) / (4.0 * nu)))
+
+
+# --------------------------------------------------------------------------
+# the result record of an integrator
+# --------------------------------------------------------------------------
+
+@dataclass(slots=True, eq=False)
+class _Estimate:
+    """A number with no closed form: its ``value``, the ``method`` that computed it,
+    the ``points`` (nodes or integrand evaluations) it took, its ``error`` estimate
+    and the ``rounds`` of refinement."""
+
+    value: object
+    method: str
+    points: int
+    error: float
+    rounds: int

@@ -680,6 +680,29 @@ class TestImportPath:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
 
+    def test_import_loads_no_scipy_fft_or_random_module(self):
+        # every workload's setup pays for what `import codanorm` loads; with
+        # PYTHONDONTWRITEBYTECODE set, a fresh interpreter also compiles each of
+        # its modules from source, which is why the box integrator loads on first use
+        code = ("import sys, codanorm; print([m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy' or m == 'codanorm._box' "
+                "or m.startswith(('numpy.fft', 'numpy.random'))])")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
+    def test_box_probabilities_load_no_scipy_module(self):
+        code = ("import sys\n"
+                "import numpy as np\n"
+                "from codanorm import NormalOnSimplex, probability_of_box\n"
+                "ps = [probability_of_box(NormalOnSimplex(np.zeros(d), np.eye(d) + 0.3),\n"
+                "                         -np.ones(d), np.ones(d)) for d in (2, 3, 4)]\n"
+                "print(all(0.0 < p < 1.0 for p in ps), "
+                "[m for m in sys.modules if m.split('.')[0] == 'scipy'])\n")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "True []"
+
     def test_first_call_in_a_fresh_interpreter_equals_later_calls(self):
         code = _SCIPY_SPECIAL_RESULTS + (
             "import json, sys\n"

@@ -741,8 +741,9 @@ class TestSparseGridClassicalMean:
         from codanorm.laws import _aln_mean_quadrature
 
         law = AlnLaw([0.3, -0.2], np.eye(2))
-        _, level, nodes, drift = _aln_mean_quadrature(law, 40)
-        assert nodes <= 40**4 + 60**4 and drift <= 1e-6 and level > 1
+        est = _aln_mean_quadrature(law, 40)
+        assert est.method == "smolyak-gauss-hermite"
+        assert est.points <= 40**4 + 60**4 and est.error <= 1e-6 and est.rounds > 1
         # a law too wide for the budget of a small order raises
         wide = AlnLaw(np.zeros(3), 4.0 * np.eye(3))
         with pytest.raises(QuadratureUnstableError):
@@ -754,7 +755,8 @@ class TestSparseGridClassicalMean:
         from codanorm.laws import _aln_mean_quadrature
 
         law = AlnLaw(*_benchmark_like_law(np.random.default_rng(900 + d), d))
-        mean, level, nodes, _ = _aln_mean_quadrature(law, 40)
+        est = _aln_mean_quadrature(law, 40)
+        mean, level, nodes = est.value, est.rounds, est.points
         q, total, plain_nodes = d + level - 1, np.zeros(law.D), 0
         for l in itertools.product(range(1, level + 1), repeat=d):
             if not q - d < sum(l) <= q:
@@ -790,8 +792,9 @@ class TestSparseGridClassicalMean:
         from codanorm.laws import _aln_mean_quadrature
 
         mu, _ = _benchmark_like_law(np.random.default_rng(707), 7)
-        mean, level, nodes, drift = _aln_mean_quadrature(AlnLaw(mu, 2.0 * np.eye(7)), 40)
-        assert nodes <= 40**4 + 60**4 and drift <= 2.5e-7
+        est = _aln_mean_quadrature(AlnLaw(mu, 2.0 * np.eye(7)), 40)
+        mean = est.value
+        assert est.points <= 40**4 + 60**4 and est.error <= 2.5e-7
         assert np.all(mean > 0) and abs(mean.sum() - 1.0) <= 1e-12
 
     def test_nan_drift_raises(self):

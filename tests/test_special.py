@@ -20,7 +20,7 @@ from codanorm import (
     with_lebesgue_reference,
 )
 from codanorm import _special
-from codanorm._special import chdtr, ndtr, normal_mass, stdtrit
+from codanorm._special import chdtr, ndtr, ndtri, normal_mass, stdtrit
 
 mpmath.mp.dps = 50
 
@@ -69,6 +69,34 @@ class TestNdtr:
         z = np.random.default_rng(4).normal(0.0, 4.0, 2 * _special._BLOCK + 5)
         whole = ndtr(z)
         assert all(whole[i] == ndtr(z[i:i + 1])[0] for i in range(0, z.size, 997))
+
+
+def _ndtri_error(p, x):
+    """Relative error of ``x`` as the standard normal ``p`` quantile: one Newton step
+    at 50 digits, ``(Phi(x) - p) / (phi(x) x)``, exact to second order."""
+    x = mpmath.mpf(float(x))
+    return float(abs((mpmath.ncdf(x) - mpmath.mpf(float(p))) / (mpmath.npdf(x) * x)))
+
+
+class TestNdtri:
+    # lower tail to 1e-300, the centre, the upper tail to 1 - 2**-53, and the ends
+    # of AS241's three rational forms (|p - 1/2| = 0.425, and r = 5 at p = exp(-25))
+    _P = np.concatenate([10.0 ** -np.random.default_rng(21).uniform(0.0, 300.0, 400),
+                         np.random.default_rng(22).uniform(0.0, 1.0, 300),
+                         1.0 - 2.0 ** -np.random.default_rng(23).uniform(1.0, 53.0, 200),
+                         [1e-300, 0.075, 0.925, math.exp(-25.0), 1.0 - 2.0**-53]])
+
+    def test_matches_mpmath_from_1e_300_to_1_less_2_to_the_53(self):
+        errors = [_ndtri_error(p, x) for p, x in zip(self._P, ndtri(self._P))]
+        assert max(errors) <= 2e-15
+
+    def test_matches_scipy(self):
+        p = np.random.default_rng(5).uniform(0.0, 1.0, 20_000)
+        assert ndtri(p) == pytest.approx(special.ndtri(p), rel=2e-15, abs=0)
+
+    def test_ends_and_centre(self):
+        assert ndtri(np.array([0.0, 0.5, 1.0])).tolist() == [-math.inf, 0.0, math.inf]
+        assert ndtri(5e-324) == pytest.approx(-38.4674056, abs=1e-7)
 
 
 class TestChdtr:
@@ -207,3 +235,4 @@ class TestNormalMass:
         exact = _mass_exact(mpmath.mpf(lower), mpmath.mpf(upper))
         got = probability_of_box(NormalOnSimplex([0.0], [[1.0]]), [lower], [upper])
         assert abs(got - exact) <= 1e-12 * exact
+
