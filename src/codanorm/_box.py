@@ -244,7 +244,7 @@ def _lattice_means(chol, lo, hi, gen, n, shifts):
     ``i = 1..n``, under each shift, in blocks of whole shifts or of ``_BLOCK`` points."""
     sums = np.zeros(len(shifts))
     per = max(1, _BLOCK // n)
-    for s0 in range(0, len(shifts), per):
+    for s0 in range(0, len(shifts), per):  # sums over the lattice, not a row map: no _blockwise
         for p0 in range(0, n, _BLOCK):
             i = np.arange(p0 + 1, min(n, p0 + _BLOCK) + 1)
             z = (np.multiply.outer(gen, i) % n / n)[:, None] + shifts[s0:s0 + per].T[:, :, None]

@@ -1,7 +1,8 @@
 """The normal and chi-square distribution functions, the normal quantile, the
 normal mass of an interval and the Student t quantile that the goodness-of-fit
 battery, the probabilities of intervals and boxes and the t interval need, on
-numpy and ``math`` alone, and the record of an estimate with no closed form.
+numpy and ``math`` alone, the record of an estimate with no closed form, and
+:func:`_blockwise`, the one block loop behind the package's row kernels.
 
 * :func:`ndtr`: the rational approximations of Cephes' ``ndtr.c``
   (Moshier, *Methods and Programs for Mathematical Functions*, 1989; the
@@ -38,8 +39,8 @@ _GL_RULE = ((0.1252334085114689, 0.09939529061207912), (0.3678314989981802, 0.09
             (0.5873179542866175, 0.08105207652019089), (0.7699026741943047, 0.06386201343193229),
             (0.9041172563704749, 0.042662618577164545), (0.9815606342467192, 0.01882023627673971))
 
-# elements per block of the vectorized kernels: the temporaries of one block
-# stay in cache and are recycled by the allocator instead of being faulted in
+# rows per block of every row kernel: a block's temporaries stay in cache, recycled by the
+# allocator instead of faulted in, and its (n, D) @ (D, d) products on one OpenBLAS thread
 _BLOCK = 16384
 
 # Cephes ndtr.c, coefficients from the highest power down:
@@ -77,14 +78,18 @@ def _ratio(num, den, x):
     return out
 
 
-def _blockwise(kernel, values, *args):
-    """``kernel(block, out_block, *args)`` over consecutive blocks of the flattened values;
-    returns an array of the values' shape."""
-    flat = np.asarray(values, dtype=float).ravel()
-    out = np.empty_like(flat)
-    for start in range(0, flat.size, _BLOCK):
-        kernel(flat[start:start + _BLOCK], out[start:start + _BLOCK], *args)
-    return out.reshape(np.shape(values))
+def _blockwise(kernel, rows, *args):
+    """``kernel(block, *args)`` over consecutive blocks of ``_BLOCK`` rows (the first axis),
+    written into one array; at most one block is one direct call.  A row's result must not
+    depend on its block."""
+    if len(rows) <= _BLOCK:
+        return kernel(rows, *args)
+    first = kernel(rows[:_BLOCK], *args)
+    out = np.empty((len(rows),) + first.shape[1:], first.dtype)
+    out[:_BLOCK] = first
+    for start in range(_BLOCK, len(rows), _BLOCK):
+        out[start:start + _BLOCK] = kernel(rows[start:start + _BLOCK], *args)
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -94,15 +99,14 @@ def _blockwise(kernel, values, *args):
 def ndtr(z):
     """Standard normal distribution function, elementwise: within about 1e-15
     relative from ``z = -37`` up (the result is 0 below about ``-38.5``)."""
-    return _blockwise(_ndtr_block, z)
+    return _blockwise(_ndtr_block, np.asarray(z, dtype=float).ravel()).reshape(np.shape(z))
 
 
-def _ndtr_block(z, out):
+def _ndtr_block(z):
     # 1/2 + erf(z / sqrt 2) / 2, where |z| < sqrt 2; the tails are overwritten below
     x = np.clip(z, -_SQRT2, _SQRT2)
     x *= _SQRT_HALF
-    x2 = x * x
-    out[...] = _ratio(_ERF_T, _ERF_U, x2)
+    out = _ratio(_ERF_T, _ERF_U, x * x)
     out *= x
     out *= 0.5
     out += 0.5
@@ -113,6 +117,7 @@ def _ndtr_block(z, out):
         upper = zt > 0.0
         p[upper] = 1.0 - p[upper]
         out[tails] = p
+    return out
 
 
 def _ndtr_lower(w):
@@ -164,14 +169,14 @@ _AS241_F = (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751
 def ndtri(p):
     """Standard normal quantile, elementwise, for ``0 <= p <= 1``: within about 1e-15
     relative from ``p = 1e-300`` to ``1 - 2**-53``; ``-inf`` at 0 and ``inf`` at 1."""
-    return _blockwise(_ndtri_block, p)
+    return _blockwise(_ndtri_block, np.asarray(p, dtype=float).ravel()).reshape(np.shape(p))
 
 
-def _ndtri_block(p, out):
+def _ndtri_block(p):
     q = p - 0.5
     r = q * q
     np.subtract(0.180625, r, out=r)
-    out[...] = _ratio(_AS241_A, _AS241_B, r)
+    out = _ratio(_AS241_A, _AS241_B, r)
     out *= q
     tails = np.flatnonzero(np.abs(q) > 0.425)
     if tails.size:
@@ -185,6 +190,7 @@ def _ndtri_block(p, out):
             x[far] = _ratio(_AS241_E, _AS241_F, r[far] - 5.0)
         x[m == 0.0] = np.inf
         out[tails] = np.copysign(x, q[tails])
+    return out
 
 
 def normal_mass(lo, hi, width) -> float:
@@ -230,10 +236,11 @@ def chdtr(d, x):
         finite.append(finite[-1] * (a - k) / (a - 1.0))
     consts = (a, series[::-1], finite[::-1], d % 2 == 1,
               a * math.log(a + 1.0) - math.lgamma(a + 1.0), math.lgamma(a))
-    return _blockwise(_chdtr_block, h, *consts)
+    return _blockwise(_chdtr_block, h.ravel(), *consts).reshape(h.shape)
 
 
-def _chdtr_block(h, out, a, series, finite, odd, ln_scale, ln_gamma_a):
+def _chdtr_block(h, a, series, finite, odd, ln_scale, ln_gamma_a):
+    out = np.empty_like(h)
     lower = h < a + 1.0
     i = np.flatnonzero(lower)
     if i.size:
@@ -257,6 +264,7 @@ def _chdtr_block(h, out, a, series, finite, odd, ln_scale, ln_gamma_a):
                 top *= _horner(finite, (a - 1.0) / hu)
             q += top
         out[j] = 1.0 - q
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -343,8 +351,10 @@ def _t_residual(nu, p):
 
 def stdtrit(nu, p):
     """The ``p`` quantile of Student's t with integer ``nu >= 1`` degrees of
-    freedom, for ``0 < p < 1/2``: taken from the lower tail, so ``p = 1e-300``
-    keeps its digits; ``-inf`` past the float range."""
+    freedom, for ``0 <= p < 1/2``: taken from the lower tail, so ``p = 1e-300``
+    keeps its digits; ``-inf`` past the float range and, its limit, at ``p = 0``."""
+    if p == 0.0:
+        return -math.inf
     if nu == 1:  # -cot(pi p)
         if p < 1e-300:  # cot x = 1/x to the last bit; 1/pi/p also keeps a subnormal p
             return -(1.0 / math.pi) / p

@@ -16,7 +16,7 @@ numbers that a plotting tool (or a golden test) can consume:
 
 Each density is the ``exp`` of the space's vectorised log-density kernel in
 :mod:`codanorm.laws`, which reads the law's reference-measure tag; the ternary
-grid calls it once per block of lattice cells.
+grid runs it on its lattice points in blocks of ``_special._blockwise``.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simplex
+from ._special import _blockwise
 from .errors import (
     BadIntervalError,
     DegenerateVarianceError,
@@ -164,11 +165,6 @@ class TernaryDensityGrid:
         )
 
 
-# cells per block of the ternary grid's density pass: (n, 3) float blocks of about
-# 400 KB, whose products OpenBLAS keeps on one thread
-_BLOCK = 16384
-
-
 def ternary_density_grid(law, resolution=400, margin=1e-4) -> TernaryDensityGrid:
     """Evaluate a three-part simplex law on the barycentric lattice and find
     its local maxima.  A ``margin`` that leaves no lattice point (every part at
@@ -195,20 +191,14 @@ def ternary_density_grid(law, resolution=400, margin=1e-4) -> TernaryDensityGrid
     starts = np.cumsum(lengths) - lengths  # flat index of each row's first cell
     ii = np.repeat(np.arange(lo, lo + lengths.size), lengths)
     jj = np.arange(ii.size) - np.repeat(starts - lo, lengths)
-    kk = r - ii - jj
     points = np.empty((ii.size, 3))
-    for column, steps in enumerate((ii, jj, kk)):
+    for column, steps in enumerate((ii, jj, r - ii - jj)):
         np.divide(steps, r, out=points[:, column])  # no (n, 3) integer temporary
-    # each part is one of lo/r .. 1, so its log is read from a table; blocks of
-    # cells keep the temporaries in cache and the products off threaded BLAS
-    log_step = np.log(np.arange(lo, r + 1) / r)
-    log_values = np.empty(ii.size)
-    for start in range(0, ii.size, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        li, lj, lk = (log_step[steps[block] - lo] for steps in (ii, jj, kk))
-        centre = (li + lj + lk) / 3  # clr_rows' row sum term for term: the same bits
-        clr = np.column_stack([li - centre, lj - centre, lk - centre])
-        log_values[block] = _simplex_logpdf(law, clr)
+
+    def logpdf(cells):  # clr rows: clr_rows' 3-term row sum, the same bits in a third of the time
+        logs = np.log(cells)
+        return _simplex_logpdf(law, logs - ((logs[:, 0] + logs[:, 1] + logs[:, 2]) / 3)[:, None])
+    log_values = _blockwise(logpdf, points)
     values = _exp_rows(log_values)
     maxima = _lattice_maxima(r, lo, starts, ii, jj, log_values, values)
     return TernaryDensityGrid(r, margin, ii, jj, points, values, maxima, law)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simplex
-from ._special import chdtr, ndtr, stdtrit
+from ._special import _blockwise, chdtr, ndtr, stdtrit
 from .errors import (
     DegenerateVarianceError,
     EmptyDataError,
@@ -121,7 +121,7 @@ class SimplexSample:
     @property
     def rows(self):
         """``(n, D)`` closed part rows; a part below about ``1e-308 * kappa`` is 0.0."""
-        return simplex._clr_inv_rows(self._clr, self._kappa)
+        return _blockwise(simplex._clr_inv_rows, self._clr, self._kappa)
 
     @property
     def kappa(self):
@@ -142,7 +142,7 @@ class SimplexSample:
     @property
     def coords(self):
         """Orthonormal coordinates of the rows."""
-        return self._clr @ self._basis.matrix
+        return _blockwise(np.matmul, self._clr, self._basis.matrix)
 
     def compositions(self):
         """The observations as :class:`Composition` objects."""
@@ -390,11 +390,8 @@ def gof_battery(sample: SimplexSample, fitted: NormalOnSimplex) -> GofReport:
     mu = fitted.mu
     sigma = fitted.sigma
     # (layer, target, case, u) of every layer in turn; marginal: normality per coordinate
-    layers = [
-        ("marginal", f"coord{j + 1}", "estimated",
-         ndtr((coords[:, j] - mu[j]) / math.sqrt(sigma[j, j])))
-        for j in range(d)
-    ]
+    u = ndtr((coords - mu) / np.sqrt(np.diag(sigma)))
+    layers = [("marginal", f"coord{j + 1}", "estimated", u[:, j]) for j in range(d)]
     # angle layer: uniformity of the whitened pair direction; the Cholesky
     # factor of the pair covariance [[a, b], [b, c]] in closed form, every pair at once
     j, k = np.triu_indices(d, 1)
@@ -406,7 +403,8 @@ def gof_battery(sample: SimplexSample, fitted: NormalOnSimplex) -> GofReport:
         for p, u in enumerate((theta.T + math.pi) / (2.0 * math.pi))
     ]
     # radius layer: chi-square transform of squared Mahalanobis distances
-    layers.append(("radius", "all", "specified", chdtr(d, _mahalanobis2(fitted, coords))))
+    r2 = _blockwise(lambda block: _mahalanobis2(fitted, block), coords)
+    layers.append(("radius", "all", "specified", chdtr(d, r2)))
     return GofReport([
         GofEntry(layer, target, test_name, stat, _CRITICAL_1PCT[case, test_name])
         for layer, target, case, u in layers

@@ -36,7 +36,7 @@ import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
 from . import simplex
-from ._special import _Estimate, normal_mass
+from ._special import _blockwise, _Estimate, normal_mass
 from .errors import (
     BadIntervalError,
     DegenerateScaleError,
@@ -449,7 +449,7 @@ def nsd_pdf(law: NormalOnSimplex, x: Composition) -> float:
 def nsd_pdf_rows(law: NormalOnSimplex, rows) -> np.ndarray:
     """Vectorized :func:`nsd_pdf` over an ``(n, D)`` array of part rows."""
     _require(law, NormalOnSimplex)
-    return _exp_rows(_simplex_logpdf(law, simplex.clr_rows(rows)))
+    return _exp_rows(_blockwise(lambda clr: _simplex_logpdf(law, clr), simplex.clr_rows(rows)))
 
 
 def aln_pdf(law: AlnLaw, x: Composition) -> float:
@@ -469,7 +469,7 @@ def aln_pdf_rows(law: AlnLaw, rows) -> np.ndarray:
     """Vectorized :func:`aln_pdf` over an ``(n, D)`` array of part rows
     (rows are taken as unit-simplex points)."""
     _require(law, AlnLaw)
-    return _exp_rows(_simplex_logpdf(law, simplex.clr_rows(rows)))
+    return _exp_rows(_blockwise(lambda clr: _simplex_logpdf(law, clr), simplex.clr_rows(rows)))
 
 
 @dataclass(slots=True, eq=False)
@@ -538,7 +538,9 @@ def nsd_subcomposition(law, sel: SelectionMatrix, sub_basis: ContrastBasis | Non
 # classical mean of the additive logistic normal
 # --------------------------------------------------------------------------
 
-_BLOCK = 1 << 12  # nodes per evaluated block: a few hundred KB, which stay in cache
+# nodes per block of a Smolyak layer: nodes of a recursive generator, not rows, so a size
+# of their own, the fastest measured (d = 4, sigma = 4 I: 0.87-0.90 s; 0.93-1.06 s at 16,384)
+_LAYER_BLOCK = 1 << 12
 
 
 @functools.lru_cache(maxsize=None)
@@ -563,8 +565,9 @@ def _layer_blocks(law, q, i, a):
     count = top * (top - 1) + 1 - first
     p = np.repeat(np.arange(top.size), count)  # the parent and table entry of each child
     t = np.arange(p.size) + (first + count - np.cumsum(count)).take(p)
-    for b in range(0, p.size, _BLOCK):
-        child, (z, w, m) = a.take(p[b:b + _BLOCK], axis=1), table.take(t[b:b + _BLOCK], axis=1)
+    for b in range(0, p.size, _LAYER_BLOCK):
+        block = slice(b, b + _LAYER_BLOCK)
+        child, (z, w, m) = a.take(p[block], axis=1), table.take(t[block], axis=1)
         child[i], child[-3] = z, child[-3] * w
         child[-2:] += m, m == 1
         yield from _layer_blocks(law, q, i + 1, child) if i + 1 < law.dim else [child]

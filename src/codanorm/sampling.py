@@ -126,14 +126,21 @@ class McEstimate:
         self.n = int(self.n)
 
 
-def _positive_values(logs):
-    """``exp`` of the logs, none of them past the largest float or below the smallest
-    normal float, the range ``sample`` writes."""
-    with np.errstate(over="ignore"):
-        values = np.exp(logs)
-    outside = np.count_nonzero(~(np.isfinite(values) & (values >= np.finfo(float).tiny)))
+def _draws(law, n, stream, kappa=1.0):
+    """``n`` draws from ``law`` as the numbers ``sample`` writes: positive values (``exp``
+    of the logs) on the line, ``(n, D)`` part rows closed to ``kappa`` on the simplex.  A
+    draw with a number past the largest float or below the smallest normal float (``inf``,
+    NaN, 0.0 or a subnormal that has lost its digits, which no reader refits) raises
+    :class:`NumericalError`."""
+    with np.errstate(over="ignore", invalid="ignore"):  # counted below
+        if isinstance(law, _ScalarLogGaussian):
+            values = np.exp(sample_nrp(law, n, stream).logs)
+        else:
+            values = sample_nsd(law, n, stream, kappa).rows
+    normal = np.isfinite(values) & (values >= np.finfo(float).tiny)
+    outside = np.count_nonzero(~normal.reshape(len(values), -1).all(axis=1))
     if outside:
-        raise NumericalError(f"{outside} of {values.size} draws lie outside the float range")
+        raise NumericalError(f"{outside} of {len(values)} draws lie outside the float range")
     return values
 
 
@@ -152,13 +159,13 @@ def mc_expectation(f, law, n, stream: SeededStream, vectorized=False) -> McEstim
     """
     n = _check_n(n, minimum=100)
     _require(law, (_ScalarLogGaussian, _SimplexGaussian))
-    if isinstance(law, _ScalarLogGaussian):
-        sample = sample_nrp(law, n, stream)
-        array, elements = (lambda: _positive_values(sample.logs)), sample.values
+    line = isinstance(law, _ScalarLogGaussian)
+    if vectorized:  # the line's values are checked as ``sample`` checks them
+        vals = f(_draws(law, n, stream) if line else sample_nsd(law, n, stream).rows)
     else:
-        sample = sample_nsd(law, n, stream)
-        array, elements = (lambda: sample.rows), sample.compositions
-    vals = np.asarray(f(array()) if vectorized else [f(x) for x in elements()], dtype=float)
+        sample = (sample_nrp if line else sample_nsd)(law, n, stream)
+        vals = [f(x) for x in (sample.values() if line else sample.compositions())]
+    vals = np.asarray(vals, dtype=float)
     if vals.shape != (n,):
         raise NonPositivePartError(f"f must produce one real value per draw, got shape {vals.shape}")
     return McEstimate(vals.mean(), vals.std(ddof=1) / math.sqrt(n), n)

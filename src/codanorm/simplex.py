@@ -23,7 +23,8 @@ shifted by its largest log before ``exp``: none overflows, and a part below
 about ``1e-308 * kappa`` reads as 0.0.  One validator checks part rows where
 logs are taken of them (:func:`clr_rows`, behind every row map, density and
 sample built from rows) and on the output of a closure, where it rejects parts
-that underflow.
+that underflow.  The ``*_rows`` functions check a whole array, then run their
+kernel in blocks of rows through ``_special._blockwise``.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import math
 
 import numpy as np
 
+from ._special import _blockwise
 from .errors import (
     ClosureError,
     DimensionMismatchError,
@@ -184,10 +186,9 @@ class Composition:
 def closure(values, kappa=1.0) -> Composition:
     """Close a vector of positive values to constant sum ``kappa``."""
     kappa = _checked_kappa(kappa)
-    # the input is checked here (a negative row closes to positive parts), the closed
-    # row once, by clr_rows
+    # the input is checked (a negative row closes to positive parts), then the closed row
     rows = _close_rows(_checked_rows(_one_row(values, "parts"), "parts"), kappa)
-    return Composition._from_clr(clr_rows(rows)[0], kappa)
+    return Composition._from_clr(_clr_rows(_checked_rows(rows, "parts"))[0], kappa)
 
 
 def uniform(D, kappa=1.0) -> Composition:
@@ -546,7 +547,7 @@ def closure_rows(rows, kappa=1.0) -> np.ndarray:
     """
     kappa = _checked_kappa(kappa)
     rows = _checked_rows(np.asarray(rows, dtype=float), "parts")
-    return _checked_rows(_close_rows(rows, kappa), "closed parts")
+    return _checked_rows(_blockwise(_close_rows, rows, kappa), "closed parts")
 
 
 def _checked_kappa(kappa) -> float:
@@ -572,8 +573,12 @@ def clr_rows(rows) -> np.ndarray:
     function that takes logs of part rows: a 1-d array raises
     :class:`DimensionMismatchError`, a part that is 0, negative, NaN or infinite
     :class:`NonPositivePartError`."""
-    logs = np.log(_checked_rows(np.asarray(rows, dtype=float), "parts"))
-    # sum / D is what ``mean`` computes, without its per-call overhead
+    return _blockwise(_clr_rows, _checked_rows(np.asarray(rows, dtype=float), "parts"))
+
+
+def _clr_rows(rows) -> np.ndarray:
+    """The clr formula itself, without checks (sum / D is ``mean`` without its overhead)."""
+    logs = np.log(rows)
     return logs - logs.sum(axis=1, keepdims=True) / logs.shape[1]
 
 
@@ -581,7 +586,7 @@ def ilr_rows(rows, basis: ContrastBasis | None = None) -> np.ndarray:
     """Orthonormal coordinates of each row (checked as by :func:`clr_rows`);
     returns ``(n, D-1)``."""
     clr = clr_rows(rows)
-    return clr @ _as_basis(clr.shape[1], basis).matrix
+    return _blockwise(np.matmul, clr, _as_basis(clr.shape[1], basis).matrix)
 
 
 def ilr_inv_rows(coords, basis: ContrastBasis | None = None, kappa=1.0) -> np.ndarray:
@@ -591,5 +596,5 @@ def ilr_inv_rows(coords, basis: ContrastBasis | None = None, kappa=1.0) -> np.nd
     coords = np.asarray(coords, dtype=float)
     if coords.ndim != 2:
         raise DimensionMismatchError(f"expected an (n, d) array, got {coords.shape}")
-    basis = _as_basis(coords.shape[1] + 1, basis)
-    return _clr_inv_rows(coords @ basis.matrix.T, _checked_kappa(kappa))
+    Ut, kappa = _as_basis(coords.shape[1] + 1, basis).matrix.T, _checked_kappa(kappa)
+    return _blockwise(lambda block: _clr_inv_rows(block @ Ut, kappa), coords)

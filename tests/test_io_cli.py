@@ -289,6 +289,17 @@ class TestCliFit:
         assert code == 3 and out == ""
         assert "alpha" in err and "n=2" in err
 
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_rplus_alpha_whose_half_rounds_to_zero_exits_3(self, capsys, tmp_path, n):
+        # alpha / 2 = 0.0: the t quantile is -inf, not a ZeroDivisionError or a math
+        # domain error with exit 1
+        p, report = tmp_path / "few.csv", tmp_path / "report.json"
+        p.write_text("x\n" + "\n".join(repr(v) for v in [1.0, 2.0, 3.5, 0.7][:n]) + "\n")
+        code, out, err = run_cli(capsys, "fit", "--input", str(p), "--space", "rplus",
+                                 "--alpha", "5e-324", "-o", str(report))
+        assert code == 3 and out == "" and not report.exists()
+        assert "numerical failure" in err and f"n={n}" in err
+
     def test_simplex_report_with_gof(self, capsys, simplex_csv):
         code, out, err = run_cli(capsys, "fit", "--input", str(simplex_csv),
                                  "--space", "simplex")
