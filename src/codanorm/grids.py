@@ -16,11 +16,16 @@ numbers that a plotting tool (or a golden test) can consume:
 
 Each density is the ``exp`` of the space's vectorised log-density kernel in
 :mod:`codanorm.laws`, which reads the law's reference-measure tag; the ternary
-grid runs it on its lattice points in blocks of ``_special._blockwise``.
+grid runs it on its lattice points in blocks of ``_special._blockwise``.  The
+lattice itself does not depend on the law: the grids at one ``(resolution,
+margin)`` share its read-only ``points``, ``i_index`` and ``j_index``, and the
+last lattice built stays alive for the life of the process (about 20 MB at
+resolution 1000).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -140,6 +145,11 @@ class TernaryDensityGrid:
     second-ring neighbours, ranked by log density with ties to the first in
     ``(i, j)`` order, so a flat peak is reported once, at its first cell (see
     ``_lattice_maxima``).  Logs keep the mode of densities that underflow to 0.
+    A maximum's ``parts`` match its row of ``points`` only to rounding, because a
+    :class:`~codanorm.simplex.Composition` holds the clr image of its parts.
+
+    ``i_index``, ``j_index`` and ``points`` are read-only and shared by every
+    grid at the same lattice; copy them before writing.
     """
 
     resolution: int
@@ -182,26 +192,33 @@ def ternary_density_grid(law, resolution=400, margin=1e-4) -> TernaryDensityGrid
 
     r = resolution
     lo = int(math.ceil(margin * r))
-    # lattice row i (lo <= i <= r - 2*lo) holds the cells j = lo .. r - lo - i
-    lengths = np.arange(r - 3 * lo + 1, 0, -1)
-    if lengths.size == 0:
+    if 3 * lo > r:
         raise InsufficientDataError(
             f"no lattice point at resolution {r} has every part >= margin {margin!r}"
         )
+    starts, ii, jj, points = _lattice(r, lo)
+    log_values = _blockwise(lambda cells: _simplex_logpdf(law, simplex._clr_rows(cells)), points)
+    values = _exp_rows(log_values)
+    maxima = _lattice_maxima(r, lo, starts, ii, jj, log_values, values)
+    return TernaryDensityGrid(r, margin, ii, jj, points, values, maxima, law)
+
+
+@functools.lru_cache(maxsize=1)
+def _lattice(r, lo):
+    """Read-only ``(starts, i_index, j_index, points)`` of the lattice at resolution
+    ``r`` whose parts are all at least ``lo`` steps; the last lattice built is kept, so
+    the grids of several laws at one lattice share its arrays."""
+    # lattice row i (lo <= i <= r - 2*lo) holds the cells j = lo .. r - lo - i
+    lengths = np.arange(r - 3 * lo + 1, 0, -1)
     starts = np.cumsum(lengths) - lengths  # flat index of each row's first cell
     ii = np.repeat(np.arange(lo, lo + lengths.size), lengths)
     jj = np.arange(ii.size) - np.repeat(starts - lo, lengths)
     points = np.empty((ii.size, 3))
     for column, steps in enumerate((ii, jj, r - ii - jj)):
         np.divide(steps, r, out=points[:, column])  # no (n, 3) integer temporary
-
-    def logpdf(cells):  # clr rows: clr_rows' 3-term row sum, the same bits in a third of the time
-        logs = np.log(cells)
-        return _simplex_logpdf(law, logs - ((logs[:, 0] + logs[:, 1] + logs[:, 2]) / 3)[:, None])
-    log_values = _blockwise(logpdf, points)
-    values = _exp_rows(log_values)
-    maxima = _lattice_maxima(r, lo, starts, ii, jj, log_values, values)
-    return TernaryDensityGrid(r, margin, ii, jj, points, values, maxima, law)
+    for array in (starts, ii, jj, points):
+        array.flags.writeable = False
+    return starts, ii, jj, points
 
 
 # Neighborhood on the barycentric lattice: steps whose integer barycentric

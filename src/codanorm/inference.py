@@ -260,16 +260,27 @@ def fit_nsd(sample: SimplexSample) -> NormalOnSimplex:
 
 def _edf_statistics(u):
     """Anderson-Darling, Cramér-von Mises and Watson statistics of
-    probability-integral-transformed values ``u`` against uniformity."""
-    u = np.sort(np.asarray(u, dtype=float))
-    # guard the logs; exact 0/1 can only arise from floating-point saturation
-    u = np.clip(u, 1e-15, 1.0 - 1e-15)
-    n = u.size
-    i = np.arange(1, n + 1)
-    a2 = -n - np.mean((2.0 * i - 1.0) * (np.log(u) + np.log1p(-u[::-1])))
-    w2 = float(np.sum((u - (2.0 * i - 1.0) / (2.0 * n)) ** 2) + 1.0 / (12.0 * n))
-    u2 = w2 - n * (float(u.mean()) - 0.5) ** 2
-    return float(a2), w2, float(u2)
+    probability-integral-transformed values ``u`` against uniformity: one
+    ``(a2, w2, u2)`` triple for one layer, a list of them for an ``(L, n)`` stack,
+    whose rows are taken one at a time (their temporaries stay in cache)."""
+    u = np.asarray(u, dtype=float)
+    n = u.shape[-1]
+    weights = 2.0 * np.arange(1, n + 1) - 1.0
+    centres = weights / (2.0 * n)
+    stats = []
+    for row in u.reshape(-1, n):
+        z = np.sort(row)
+        # guard the logs; exact 0/1 can only arise from floating-point saturation
+        if not (1e-15 <= z[0] and z[-1] <= 1.0 - 1e-15):
+            np.clip(z, 1e-15, 1.0 - 1e-15, out=z)
+        terms = np.log1p(-z[::-1])
+        terms += np.log(z)
+        terms *= weights
+        a2 = float(-n - terms.mean())
+        w2 = float(np.square(np.subtract(z, centres, out=terms), out=terms).sum()
+                   + 1.0 / (12.0 * n))
+        stats.append((a2, w2, w2 - n * (float(z.mean()) - 0.5) ** 2))
+    return stats if u.ndim > 1 else stats[0]
 
 
 # 1% upper-tail critical values for the modified statistics, from the
@@ -286,9 +297,9 @@ _CRITICAL_1PCT = {
 }
 
 
-def _modified_statistics(u, case, n):
-    """The three modified statistics of ``u``, by test name."""
-    a2, w2, u2 = _edf_statistics(u)
+def _modified_statistics(stats, case, n):
+    """The three modified statistics of an ``(a2, w2, u2)`` triple, by test name."""
+    a2, w2, u2 = stats
     if case == "estimated":
         # Stephens' modifications for normality with mean and variance
         # estimated from the data
@@ -387,26 +398,30 @@ def gof_battery(sample: SimplexSample, fitted: NormalOnSimplex) -> GofReport:
         )
     coords = sample.with_basis(fitted.basis).coords  # a basis on other parts raises
     n, d = coords.shape
-    mu = fitted.mu
-    sigma = fitted.sigma
-    # (layer, target, case, u) of every layer in turn; marginal: normality per coordinate
-    u = ndtr((coords - mu) / np.sqrt(np.diag(sigma)))
-    layers = [("marginal", f"coord{j + 1}", "estimated", u[:, j]) for j in range(d)]
-    # angle layer: uniformity of the whitened pair direction; the Cholesky
-    # factor of the pair covariance [[a, b], [b, c]] in closed form, every pair at once
+    mu, sigma = fitted.mu, fitted.sigma
     j, k = np.triu_indices(d, 1)
+    # the transforms coordinate-major, one row per layer: d marginals, the pair angles,
+    # the radius
+    centred = np.subtract(coords.T, mu[:, None], out=np.empty((d, n)))
+    u = np.empty((d + j.size + 1, n))
+    # marginal: normality of each coordinate, z-scored with the fitted law
+    u[:d] = ndtr(centred / np.sqrt(np.diag(sigma))[:, None])
+    # angle: uniformity of each whitened pair's direction; the Cholesky factor of the
+    # pair covariance [[a, b], [b, c]] in closed form
     a, b, c = sigma[j, j], sigma[j, k], sigma[k, k]
-    x, y = coords[:, j] - mu[j], coords[:, k] - mu[k]
-    theta = np.arctan2((y - (b / a) * x) / np.sqrt(c - b * b / a), x / np.sqrt(a))  # (-pi, pi]
-    layers += [
-        ("angle", f"coord{j[p] + 1}-coord{k[p] + 1}", "specified", u)
-        for p, u in enumerate((theta.T + math.pi) / (2.0 * math.pi))
-    ]
-    # radius layer: chi-square transform of squared Mahalanobis distances
-    r2 = _blockwise(lambda block: _mahalanobis2(fitted, block), coords)
-    layers.append(("radius", "all", "specified", chdtr(d, r2)))
+    slope, y_scale, x_scale = b / a, np.sqrt(c - b * b / a), np.sqrt(a)
+    for p in range(j.size):
+        x, y = centred[j[p]], centred[k[p]]
+        np.arctan2((y - slope[p] * x) / y_scale[p], x / x_scale[p], out=u[d + p])  # (-pi, pi]
+    u[d:-1] += math.pi
+    u[d:-1] /= 2.0 * math.pi
+    # radius: chi-square transform of squared Mahalanobis distances
+    u[-1] = chdtr(d, _blockwise(lambda block: _mahalanobis2(fitted, block), coords))
+    heads = ([("marginal", f"coord{i + 1}", "estimated") for i in range(d)]
+             + [("angle", f"coord{p + 1}-coord{q + 1}", "specified") for p, q in zip(j, k)]
+             + [("radius", "all", "specified")])
     return GofReport([
         GofEntry(layer, target, test_name, stat, _CRITICAL_1PCT[case, test_name])
-        for layer, target, case, u in layers
-        for test_name, stat in _modified_statistics(u, case, n).items()
+        for (layer, target, case), stats in zip(heads, _edf_statistics(u))
+        for test_name, stat in _modified_statistics(stats, case, n).items()
     ])

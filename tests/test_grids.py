@@ -416,6 +416,34 @@ class TestTernaryGrid:
             assert grid.values[idx] == pytest.approx(nsd_pdf(law, comp), rel=1e-12)
 
 
+class TestSharedLattice:
+    def test_grids_at_one_lattice_share_its_read_only_arrays(self):
+        nsd = NormalOnSimplex([0.3, -0.2], [[0.9, 0.1], [0.1, 0.7]])
+        g1 = ternary_density_grid(nsd, resolution=90, margin=0.01)
+        g2 = ternary_density_grid(with_lebesgue_reference(nsd), resolution=90, margin=0.01)
+        assert g1.values is not g2.values
+        for name in ("points", "i_index", "j_index"):
+            shared = getattr(g1, name)
+            assert getattr(g2, name) is shared
+            with pytest.raises(ValueError):
+                shared[0] = 0
+        ii, jj = mask_indices(90, 0.01)
+        assert np.array_equal(g1.points, np.column_stack([ii, jj, 90 - ii - jj]) / 90)
+
+    @pytest.mark.parametrize("resolution, margin", [(91, 0.01), (90, 0.02)])
+    def test_another_lattice_has_its_own_mask_cells(self, resolution, margin):
+        first = ternary_density_grid(_NSD3, resolution=90, margin=0.01)
+        grid = ternary_density_grid(_NSD3, resolution=resolution, margin=margin)
+        assert grid.points is not first.points and grid.i_index is not first.i_index
+        ii, jj = mask_indices(resolution, margin)
+        assert np.array_equal(grid.i_index, ii) and np.array_equal(grid.j_index, jj)
+        assert np.array_equal(grid.points, np.column_stack([ii, jj, resolution - ii - jj])
+                              / resolution)
+        m = grid.matrix()
+        assert np.array_equal(m[ii, jj], grid.values)
+        assert np.count_nonzero(~np.isnan(m)) == grid.values.size
+
+
 class TestCoordinateGrid:
     def test_axes_and_values(self):
         law = NormalOnSimplex([0.5, -0.5], [[1.0, 0.0], [0.0, 4.0]])

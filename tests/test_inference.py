@@ -36,8 +36,9 @@ from codanorm import (
     sample_nsd,
     uniform,
 )
-from codanorm.inference import _CRITICAL_1PCT, _edf_statistics
-from codanorm.laws import nsd_logpdf_coords
+from codanorm._special import _blockwise, chdtr, ndtr
+from codanorm.inference import _CRITICAL_1PCT, _edf_statistics, _modified_statistics
+from codanorm.laws import _mahalanobis2, nsd_logpdf_coords
 from codanorm.simplex import closure_rows, ilr_rows
 
 
@@ -55,6 +56,38 @@ def slow_edf_statistics(u):
     zbar = sum(z) / n
     u2 = w2 - n * (zbar - 0.5) ** 2
     return a2, w2, u2
+
+
+def per_layer_edf_statistics(u):
+    """The EDF statistics of one layer, weights built and values clipped on every
+    call: the bit-for-bit oracle of ``_edf_statistics``."""
+    u = np.sort(np.asarray(u, dtype=float))
+    u = np.clip(u, 1e-15, 1.0 - 1e-15)
+    n = u.size
+    i = np.arange(1, n + 1)
+    a2 = -n - np.mean((2.0 * i - 1.0) * (np.log(u) + np.log1p(-u[::-1])))
+    w2 = float(np.sum((u - (2.0 * i - 1.0) / (2.0 * n)) ** 2) + 1.0 / (12.0 * n))
+    u2 = w2 - n * (float(u.mean()) - 0.5) ** 2
+    return float(a2), w2, float(u2)
+
+
+def per_layer_battery(sample, fitted):
+    """The battery's statistics in order, each layer's transforms gathered as
+    columns of the ``(n, d)`` coordinates: the bit-for-bit oracle of ``gof_battery``."""
+    coords = sample.with_basis(fitted.basis).coords
+    n, d = coords.shape
+    mu, sigma = fitted.mu, fitted.sigma
+    u = ndtr((coords - mu) / np.sqrt(np.diag(sigma)))
+    layers = [("estimated", u[:, j]) for j in range(d)]
+    j, k = np.triu_indices(d, 1)
+    a, b, c = sigma[j, j], sigma[j, k], sigma[k, k]
+    x, y = coords[:, j] - mu[j], coords[:, k] - mu[k]
+    theta = np.arctan2((y - (b / a) * x) / np.sqrt(c - b * b / a), x / np.sqrt(a))
+    layers += [("specified", u) for u in (theta.T + math.pi) / (2.0 * math.pi)]
+    r2 = _blockwise(lambda block: _mahalanobis2(fitted, block), coords)
+    layers.append(("specified", chdtr(d, r2)))
+    return [stat for case, u in layers
+            for stat in _modified_statistics(per_layer_edf_statistics(u), case, n).values()]
 
 
 class TestRPlusSamples:
@@ -312,6 +345,14 @@ class TestEdfStatistics:
             slow = slow_edf_statistics(u)
             assert fast == pytest.approx(slow, rel=1e-10)
 
+    def test_a_stack_has_the_bits_of_its_rows(self, rng):
+        stack = rng.uniform(0.0, 1.0, size=(4, 1000))
+        stack[1, :3] = [0.0, 1e-300, 1e-16]  # clipped below
+        stack[2, -2:] = [1.0, 1.0 - 2.0**-53]  # clipped above
+        rows = [_edf_statistics(row) for row in stack]
+        assert _edf_statistics(stack) == rows
+        assert rows == [per_layer_edf_statistics(row) for row in stack]
+
     def test_critical_value_table(self):
         # 1% points of the modified statistics, from the published tables:
         # estimated-parameter normality and fully specified null
@@ -419,6 +460,27 @@ class TestGofBattery:
         assert [(e.name, e.statistic, e.critical_1pct) for e in got] == \
             [(e.name, e.statistic, e.critical_1pct) for e in want]
         assert len(got.rejections_at_1pct()) <= 1
+
+    @pytest.mark.parametrize("n", [16_385, 100_000])
+    @pytest.mark.parametrize("D", [3, 5])
+    @pytest.mark.parametrize("basis", ["default", "random"])
+    def test_statistics_have_the_per_layer_bits(self, n, D, basis):
+        gen = np.random.default_rng(n + D)
+        a = gen.normal(size=(D - 1, D - 1))
+        law = NormalOnSimplex(gen.normal(size=D - 1), a @ a.T + 0.2 * np.eye(D - 1))
+        s = sample_nsd(law, n, SeededStream(D, 1))
+        if basis == "random":
+            s = s.with_basis(random_basis(D, gen))
+        fitted = fit_nsd(s)
+        assert [e.statistic for e in gof_battery(s, fitted)] == per_layer_battery(s, fitted)
+
+    def test_saturated_transforms_have_the_per_layer_bits(self):
+        # coordinates 40 standard deviations out: ndtr and chdtr reach 0 and 1, which
+        # the statistics clip
+        s = sample_nsd(NormalOnSimplex([0.1, -0.2, 0.3], np.eye(3)), 16_385, SeededStream(5, 2))
+        fitted = NormalOnSimplex(s.coords.mean(axis=0) + 40.0, np.eye(3))
+        assert ndtr(s.coords - fitted.mu).max() < 1e-15
+        assert [e.statistic for e in gof_battery(s, fitted)] == per_layer_battery(s, fitted)
 
     def test_law_on_other_parts_is_rejected(self):
         s, _ = self._sample_and_fit()

@@ -505,6 +505,15 @@ class TestVectorizedRows:
         assert np.allclose(back, rows, atol=1e-12)
 
 
+@pytest.mark.parametrize("D", range(2, 8))
+def test_clr_rows_column_sums_have_the_row_sum_bits(D):
+    # summed column by column, up to D = 7 as numpy's row sum adds them; from D = 8
+    # numpy sums in pairs and the two may differ by an ulp
+    rows = np.exp(np.random.default_rng(D).normal(0.0, 3.0, (2 * 16384 + 5, D)))
+    logs = np.log(rows)
+    assert np.array_equal(clr_rows(rows), logs - logs.sum(axis=1, keepdims=True) / D)
+
+
 def _assert_rel_close(got, want, rel=1e-12):
     got = np.asarray(got, dtype=float)
     want = np.asarray(want, dtype=float)
