@@ -40,7 +40,11 @@ _GL_RULE = ((0.1252334085114689, 0.09939529061207912), (0.3678314989981802, 0.09
             (0.9041172563704749, 0.042662618577164545), (0.9815606342467192, 0.01882023627673971))
 
 # rows per block of every row kernel: a block's temporaries stay in cache, recycled by the
-# allocator instead of faulted in, and its (n, D) @ (D, d) products on one OpenBLAS thread
+# allocator instead of faulted in, and its (n, D) @ (D, d) products on one OpenBLAS thread.
+# Inside a block no elementwise operation broadcasts a (D,) or (n, 1) operand along the
+# short row axis, where numpy's inner loop is D long: such work runs column by column or
+# on coordinate-major (D, n) arrays, and each product is the row-major product or that
+# product transposed (the same BLAS call, so the same bits at every n, one row included)
 _BLOCK = 16384
 
 # Cephes ndtr.c, coefficients from the highest power down:
@@ -80,12 +84,13 @@ def _ratio(num, den, x):
 
 def _blockwise(kernel, rows, *args):
     """``kernel(block, *args)`` over consecutive blocks of ``_BLOCK`` rows (the first axis),
-    written into one array; at most one block is one direct call.  A row's result must not
-    depend on its block."""
+    written into one array laid out as the first block's result (a coordinate-major result
+    ``(D, n).T`` stays coordinate-major); at most one block is one direct call.  A row's
+    result must not depend on its block."""
     if len(rows) <= _BLOCK:
         return kernel(rows, *args)
     first = kernel(rows[:_BLOCK], *args)
-    out = np.empty((len(rows),) + first.shape[1:], first.dtype)
+    out = np.empty_like(first, shape=(len(rows),) + first.shape[1:])
     out[:_BLOCK] = first
     for start in range(_BLOCK, len(rows), _BLOCK):
         out[start:start + _BLOCK] = kernel(rows[start:start + _BLOCK], *args)
@@ -103,7 +108,9 @@ def ndtr(z):
 
 
 def _ndtr_block(z):
-    # 1/2 + erf(z / sqrt 2) / 2, where |z| < sqrt 2; the tails are overwritten below
+    # 1/2 + erf(z / sqrt 2) / 2, where |z| < sqrt 2; the tails are overwritten below.  The
+    # central ratio runs on every value: gathering and scattering the central ones alone
+    # costs more than the ratio on the tails (about 16 % of normal values)
     x = np.clip(z, -_SQRT2, _SQRT2)
     x *= _SQRT_HALF
     out = _ratio(_ERF_T, _ERF_U, x * x)
@@ -114,20 +121,22 @@ def _ndtr_block(z):
     if tails.size:
         zt = z[tails]
         p = _ndtr_lower(np.abs(zt))
-        upper = zt > 0.0
-        p[upper] = 1.0 - p[upper]
-        out[tails] = p
+        out[tails] = np.subtract(1.0, p, out=p, where=zt > 0.0)
     return out
 
 
 def _ndtr_lower(w):
-    """``ndtr(-w)`` for ``w >= sqrt 2``: ``exp(-w^2/2) * erfcx(w / sqrt 2) / 2``."""
+    """``ndtr(-w)`` for ``w >= sqrt 2``: ``exp(-w^2/2) * erfcx(w / sqrt 2) / 2``, each
+    rational function evaluated on its own values only."""
     w = np.minimum(w, 40.0)  # ndtr(-40) is below the smallest float
     x = w * _SQRT_HALF
-    out = _ratio(_ERFC_P, _ERFC_Q, x)
-    far = np.flatnonzero(x >= 8.0)
-    if far.size:
+    far = x >= 8.0
+    if far.any():
+        out = np.empty_like(x)
+        out[~far] = _ratio(_ERFC_P, _ERFC_Q, x[~far])
         out[far] = _ratio(_ERFC_R, _ERFC_S, x[far])
+    else:
+        out = _ratio(_ERFC_P, _ERFC_Q, x)
     # exp(-w^2/2) as exp(-m^2/2) exp(-(w - m)(w + m)/2) with m = w to 1/16, whose
     # square is exact: the rounding of w^2 itself would cost 1.5e-13 at w = 37
     m = np.trunc(w * 16.0)

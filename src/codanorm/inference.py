@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simplex
-from ._special import _blockwise, chdtr, ndtr, stdtrit
+from ._special import _BLOCK, _blockwise, chdtr, ndtr, stdtrit
 from .errors import (
     DegenerateVarianceError,
     EmptyDataError,
@@ -34,7 +34,14 @@ from .errors import (
     NumericalError,
     SingularCovarianceError,
 )
-from .laws import NormalOnRPlus, NormalOnSimplex, _mahalanobis2, _require
+from .laws import (
+    AlnLaw,
+    NormalOnRPlus,
+    NormalOnSimplex,
+    _mahalanobis2,
+    _require,
+    _SimplexGaussian,
+)
 from .rplus import PositiveValue, _exp_or_inf, as_positive
 from .simplex import Composition, ContrastBasis
 
@@ -242,10 +249,13 @@ def fit_nsd(sample: SimplexSample) -> NormalOnSimplex:
         raise InsufficientDataError(
             f"need at least D={sample.D} observations, got {sample.n}"
         )
-    coords = sample.coords
-    mu = coords.mean(axis=0)
-    centered = coords - mu
-    sigma = (centered.T @ centered) / (sample.n - 1)
+    n, U = sample.n, sample.basis.matrix
+    centred = _blockwise(lambda clr: (U.T @ clr.T).T, sample._clr).T  # coordinate-major coords
+    # the mean adds in the order of coords.mean(axis=0): down each column, pairwise at d = 1
+    total = centred.sum(axis=1) if U.shape[1] == 1 else np.cumsum(centred, axis=1)[:, -1]
+    mu = total / n
+    centred -= mu[:, None]
+    sigma = (centred @ centred.T) / (n - 1)
     try:
         return NormalOnSimplex(mu, sigma, sample.basis)
     except NotSPDError as exc:
@@ -372,7 +382,44 @@ class GofReport:
         return f"GofReport({len(self.entries)} tests, {k} rejection(s) at 1%)"
 
 
-def gof_battery(sample: SimplexSample, fitted: NormalOnSimplex) -> GofReport:
+def _gof_layers(sample, fitted):
+    """The battery's probability integral transforms, one row of ``n`` per layer (the d
+    marginals, the pair angles, the radius): the sample is read in the law's basis, a
+    block of rows at a time through one ``(L, block)`` buffer."""
+    U = simplex._as_basis(sample.D, fitted.basis).matrix  # a basis on other parts raises
+    d, sigma = U.shape[1], fitted.sigma
+    j, k = np.triu_indices(d, 1)
+    # the pair covariances [[a, b], [b, c]], whose Cholesky factors whiten the angles
+    a, b, c = sigma[j, j], sigma[j, k], sigma[k, k]
+    pairs = (j, k, b / a, np.sqrt(c - b * b / a), np.sqrt(a))
+    buffer = np.empty((d + j.size + 1, min(sample.n, _BLOCK)))
+    return _blockwise(_gof_transforms, sample._clr, U, fitted, pairs, buffer).T
+
+
+def _gof_transforms(clr, U, law, pairs, buffer):
+    """The battery's probability integral transforms of a block of clr rows, written
+    coordinate-major into ``buffer``, one row per layer (the d marginals, the pair
+    angles, the radius), and returned as its transpose.  ``U.T @ clr.T`` is the
+    coordinates' product transposed, the same BLAS call, so every value has its bits."""
+    d = U.shape[1]
+    u = buffer[:, :len(clr)]
+    centred = U.T @ clr.T
+    centred -= law.mu[:, None]
+    # marginal: normality of each coordinate, z-scored with the fitted law
+    np.divide(centred, np.sqrt(np.diag(law.sigma))[:, None], out=u[:d])
+    u[:d] = ndtr(u[:d])
+    # angle: uniformity of each whitened pair's direction, in (-pi, pi] before the shift
+    for p, (j, k, slope, y_scale, x_scale) in enumerate(zip(*pairs)):
+        x, y = centred[j], centred[k]
+        np.arctan2((y - slope * x) / y_scale, x / x_scale, out=u[d + p])
+    u[d:-1] += math.pi
+    u[d:-1] /= 2.0 * math.pi
+    # radius: chi-square transform of squared Mahalanobis distances
+    u[-1] = chdtr(d, _mahalanobis2(law, centred))
+    return u.T
+
+
+def gof_battery(sample: SimplexSample, fitted: NormalOnSimplex | AlnLaw) -> GofReport:
     """Battery of normality tests for compositional data on coordinates.
 
     Three layers, each examined with Anderson-Darling, Cramér-von Mises and
@@ -388,40 +435,22 @@ def gof_battery(sample: SimplexSample, fitted: NormalOnSimplex) -> GofReport:
       ``D - 1`` degrees of freedom (specified-null values).
 
     The fitted law is expected to come from this same sample; the marginal
-    critical values assume estimated parameters.  The sample is read in the
+    critical values assume estimated parameters.  Either label of the law is
+    accepted, as both name one probability law.  The sample is read in the
     law's basis, whatever basis it carries.
     """
-    _require(fitted, NormalOnSimplex)
+    _require(fitted, _SimplexGaussian)
     if sample.n < 8:
         raise InsufficientDataError(
             f"battery needs at least 8 observations, got {sample.n}"
         )
-    coords = sample.with_basis(fitted.basis).coords  # a basis on other parts raises
-    n, d = coords.shape
-    mu, sigma = fitted.mu, fitted.sigma
-    j, k = np.triu_indices(d, 1)
-    # the transforms coordinate-major, one row per layer: d marginals, the pair angles,
-    # the radius
-    centred = np.subtract(coords.T, mu[:, None], out=np.empty((d, n)))
-    u = np.empty((d + j.size + 1, n))
-    # marginal: normality of each coordinate, z-scored with the fitted law
-    u[:d] = ndtr(centred / np.sqrt(np.diag(sigma))[:, None])
-    # angle: uniformity of each whitened pair's direction; the Cholesky factor of the
-    # pair covariance [[a, b], [b, c]] in closed form
-    a, b, c = sigma[j, j], sigma[j, k], sigma[k, k]
-    slope, y_scale, x_scale = b / a, np.sqrt(c - b * b / a), np.sqrt(a)
-    for p in range(j.size):
-        x, y = centred[j[p]], centred[k[p]]
-        np.arctan2((y - slope[p] * x) / y_scale[p], x / x_scale[p], out=u[d + p])  # (-pi, pi]
-    u[d:-1] += math.pi
-    u[d:-1] /= 2.0 * math.pi
-    # radius: chi-square transform of squared Mahalanobis distances
-    u[-1] = chdtr(d, _blockwise(lambda block: _mahalanobis2(fitted, block), coords))
-    heads = ([("marginal", f"coord{i + 1}", "estimated") for i in range(d)]
+    u = _gof_layers(sample, fitted)
+    j, k = np.triu_indices(fitted.dim, 1)
+    heads = ([("marginal", f"coord{i + 1}", "estimated") for i in range(fitted.dim)]
              + [("angle", f"coord{p + 1}-coord{q + 1}", "specified") for p, q in zip(j, k)]
              + [("radius", "all", "specified")])
     return GofReport([
         GofEntry(layer, target, test_name, stat, _CRITICAL_1PCT[case, test_name])
         for (layer, target, case), stats in zip(heads, _edf_statistics(u))
-        for test_name, stat in _modified_statistics(stats, case, n).items()
+        for test_name, stat in _modified_statistics(stats, case, sample.n).items()
     ])

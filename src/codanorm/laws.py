@@ -290,7 +290,8 @@ class _SimplexGaussian:
 
     ``sigma`` must be symmetric positive definite; its Cholesky factor ``L`` (which
     colours draws) and ``L**-1`` (which whitens coordinates for every density and
-    goodness-of-fit radius) are computed once at construction.
+    goodness-of-fit radius) are computed once at construction, C-contiguous, and
+    multiply coordinate-major ``(d, n)`` arrays from the left.
     """
 
     __slots__ = ("mu", "sigma", "basis", "_chol", "_chol_inv", "_log_norm")
@@ -413,16 +414,19 @@ def nsd_logpdf_coords(law, coords) -> np.ndarray:
         raise DimensionMismatchError(
             f"coordinates have dimension {coords.shape[1]}, law has {law.dim}"
         )
-    return law._log_norm - 0.5 * _mahalanobis2(law, coords)
+    centred = np.subtract(coords.T, law.mu[:, None], order="C")
+    return law._log_norm - 0.5 * _mahalanobis2(law, centred)
 
 
-def _mahalanobis2(law, coords) -> np.ndarray:
-    """Squared Mahalanobis distance of each coordinate row from ``law.mu``,
-    through the law's whitening factor; ``inf`` past the largest float.  The
-    squares are summed column by column, which is fastest for short rows."""
-    z = (coords - law.mu) @ law._chol_inv.T
+def _mahalanobis2(law, centred) -> np.ndarray:
+    """Squared Mahalanobis length of each column of ``centred``, the ``(d, n)``
+    coordinate-major deviations from ``law.mu``, through the law's whitening factor;
+    ``inf`` past the largest float.  ``L**-1 @ centred`` is the product
+    ``(coords - mu) @ L**-T`` transposed, the same BLAS call, so it has its bits at
+    every ``n``; its rows are the whitened coordinates, squared and summed in order."""
+    z = law._chol_inv @ centred
     with np.errstate(over="ignore"):
-        return functools.reduce(np.add, [c * c for c in z.T])
+        return functools.reduce(np.add, [c * c for c in z])
 
 
 def _exp_rows(t) -> np.ndarray:
@@ -593,7 +597,7 @@ def _aln_mean_quadrature(law, order) -> _Estimate:
                                           f"{level - 1}; order {order} allows no further level")
         layers.insert(0, np.zeros((d + 1, law.D)))  # the new nodes' sums by zero axes
         for a in _layer_blocks(law, q, 0, root):
-            parts = simplex.ilr_inv_rows((law._chol @ a[:d]).T + law.mu, law.basis)
+            parts = simplex.ilr_inv_rows((law._chol @ a[:d] + law.mu[:, None]).T, law.basis)
             layers[0] += (a[d] * (a[-1] == np.arange(d + 1)[:, None])) @ parts
         g, coef = np.eye(1, d + level)[0], []  # g[n]: sum of node-0 weight products, |l| = n
         for r in range(d + 1):  # coef[r][j]: the weight now of a layer j back, r zero axes

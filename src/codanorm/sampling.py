@@ -103,8 +103,11 @@ def sample_nsd(law: NormalOnSimplex, n, stream: SeededStream, kappa=1.0) -> Simp
     _require(law, _SimplexGaussian)
     n = _check_n(n)
     z = stream.generator().standard_normal((n, law.dim))
-    clr = (law.mu + z @ law._chol.T) @ law.basis.matrix.T
-    return SimplexSample._from_clr(clr, kappa, law.basis)
+    # coordinate-major (d, n): L @ z.T is z @ L.T transposed, the same BLAS call and bits,
+    # and mu is added along the long axis
+    coords = law._chol @ z.T
+    coords += law.mu[:, None]
+    return SimplexSample._from_clr(coords.T @ law.basis.matrix.T, kappa, law.basis)
 
 
 def sample_aln(law: AlnLaw, n, stream: SeededStream, kappa=1.0) -> SimplexSample:

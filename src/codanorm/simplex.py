@@ -528,10 +528,11 @@ def measure_ratio(x: Composition) -> float:
 def _log_measure_ratio(clr) -> np.ndarray:
     """Log of :func:`measure_ratio` for each clr row: as a clr row sums to zero,
     ``-sum(ln x_i) = D * logsumexp(clr)`` for the unit-simplex parts, taken with each
-    row shifted by its maximum so that no ``exp`` overflows.  Column by column is
-    fastest and leaves no ``(n, D)`` temporary."""
+    row shifted by its maximum so that no ``exp`` overflows.  The shifted rows are
+    taken coordinate-major, ``(D, n)``, and summed a column at a time."""
     top = functools.reduce(np.maximum, clr.T)
-    total = sum(np.exp(column - top) for column in clr.T)
+    shifted = np.subtract(clr.T, top, order="C")
+    total = functools.reduce(np.add, np.exp(shifted, out=shifted))
     return -0.5 * math.log(clr.shape[1]) + clr.shape[1] * (top + np.log(total))
 
 
@@ -557,15 +558,21 @@ def _checked_kappa(kappa) -> float:
     return kappa
 
 
-def _close_rows(rows, kappa) -> np.ndarray:
-    """The closure formula itself, without checks (``@ ones`` sums short rows fastest)."""
-    return rows * (kappa / (rows @ np.ones(rows.shape[1])))[:, None]
+def _close_rows(rows, kappa, out=None) -> np.ndarray:
+    """The closure formula itself, without checks, into ``out`` (a new array by default;
+    ``rows`` itself may be given): ``@ ones`` sums short rows fastest."""
+    scale = kappa / (rows @ np.ones(rows.shape[1]))
+    out = np.empty(rows.shape) if out is None else out
+    np.multiply(rows.T, scale, out=out.T, order="C")
+    return out
 
 
 def _clr_inv_rows(logs, kappa) -> np.ndarray:
     """Closed part rows of log rows, each shifted by its maximum (taken column by column,
     which is fastest) before ``exp``: no part overflows, one below ``1e-308 * kappa`` is 0."""
-    return _close_rows(np.exp(logs - functools.reduce(np.maximum, logs.T)[:, None]), kappa)
+    parts = np.empty(logs.shape)
+    np.subtract(logs.T, functools.reduce(np.maximum, logs.T), out=parts.T, order="C")
+    return _close_rows(np.exp(parts, out=parts), kappa, out=parts)
 
 
 def clr_rows(rows) -> np.ndarray:
@@ -573,14 +580,15 @@ def clr_rows(rows) -> np.ndarray:
     function that takes logs of part rows: a 1-d array raises
     :class:`DimensionMismatchError`, a part that is 0, negative, NaN or infinite
     :class:`NonPositivePartError`."""
-    return _blockwise(_clr_rows, _checked_rows(np.asarray(rows, dtype=float), "parts"))
+    return _blockwise(_clr_rows, _checked_rows(np.asarray(rows, float, order="C"), "parts"))
 
 
 def _clr_rows(rows) -> np.ndarray:
     """The clr formula itself, without checks.  Each row is summed column by column, in
     a tenth of the time of ``sum(axis=1)`` and with its bits up to D = 7."""
     logs = np.log(rows)
-    return logs - (functools.reduce(np.add, logs.T) / logs.shape[1])[:, None]
+    np.subtract(logs.T, functools.reduce(np.add, logs.T) / logs.shape[1], out=logs.T, order="C")
+    return logs
 
 
 def ilr_rows(rows, basis: ContrastBasis | None = None) -> np.ndarray:

@@ -12,7 +12,9 @@ import pytest
 from codanorm import AlnLaw, NormalOnSimplex, SimplexSample, ternary_density_grid
 from codanorm import _special
 from codanorm._special import chdtr, ndtr, ndtri
-from codanorm.laws import _mahalanobis2, aln_pdf_rows, nsd_pdf_rows
+from codanorm.inference import _gof_layers
+from codanorm.laws import aln_pdf_rows, nsd_pdf_rows
+from codanorm.sampling import sample_nsd
 from codanorm.simplex import closure_rows, clr_rows, ilr_inv_rows, ilr_rows, random_basis
 
 _B = _special._BLOCK
@@ -23,6 +25,20 @@ _BASIS = random_basis(4, np.random.default_rng(2))
 
 def _parts(rng):
     return closure_rows(np.exp(rng.normal(0.0, 1.5, (_N, 4))))
+
+
+class _Given:
+    """A stream whose generator hands back the given standard normals."""
+
+    def __init__(self, z):
+        self.z = z
+
+    def generator(self):
+        return self
+
+    def standard_normal(self, shape):
+        assert shape == self.z.shape
+        return self.z
 
 
 # kernel name -> (the kernel on rows, the rows it is given)
@@ -41,8 +57,11 @@ _KERNELS = {
     "SimplexSample.coords": (lambda rows: SimplexSample.from_rows(rows).coords, _parts),
     "SimplexSample.rows": (lambda clr: SimplexSample._from_clr(clr.copy(), 2.0, None).rows,
                            lambda rng: clr_rows(_parts(rng))),
-    "gof radius": (lambda coords: _mahalanobis2(_LAW, coords),
-                   lambda rng: rng.normal(0.0, 2.0, (_N, 3))),
+    "gof transforms": (lambda clr: _gof_layers(SimplexSample._from_clr(clr.copy(), 1.0, None),
+                                               _LAW).T,
+                       lambda rng: clr_rows(_parts(rng))),
+    "sample_nsd": (lambda z: sample_nsd(_LAW, len(z), _Given(z))._clr,
+                   lambda rng: rng.normal(0.0, 1.0, (_N, 3))),
 }
 
 

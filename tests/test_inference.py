@@ -1,5 +1,6 @@
 """Tests for estimation and the goodness-of-fit battery."""
 
+import functools
 import math
 
 import numpy as np
@@ -35,10 +36,11 @@ from codanorm import (
     sample_nrp,
     sample_nsd,
     uniform,
+    with_lebesgue_reference,
 )
-from codanorm._special import _blockwise, chdtr, ndtr
+from codanorm._special import chdtr, ndtr
 from codanorm.inference import _CRITICAL_1PCT, _edf_statistics, _modified_statistics
-from codanorm.laws import _mahalanobis2, nsd_logpdf_coords
+from codanorm.laws import nsd_logpdf_coords
 from codanorm.simplex import closure_rows, ilr_rows
 
 
@@ -84,7 +86,8 @@ def per_layer_battery(sample, fitted):
     x, y = coords[:, j] - mu[j], coords[:, k] - mu[k]
     theta = np.arctan2((y - (b / a) * x) / np.sqrt(c - b * b / a), x / np.sqrt(a))
     layers += [("specified", u) for u in (theta.T + math.pi) / (2.0 * math.pi)]
-    r2 = _blockwise(lambda block: _mahalanobis2(fitted, block), coords)
+    z = (coords - mu) @ fitted._chol_inv.T
+    r2 = functools.reduce(np.add, [c * c for c in z.T])
     layers.append(("specified", chdtr(d, r2)))
     return [stat for case, u in layers
             for stat in _modified_statistics(per_layer_edf_statistics(u), case, n).values()]
@@ -401,6 +404,14 @@ class TestGofBattery:
         s = sample_nsd(law, n, SeededStream(seed, 0))
         return s, fit_nsd(s)
 
+    @pytest.mark.parametrize("n", [200, 2 * 16_384 + 5])
+    def test_both_labels_give_one_battery(self, n):
+        # the natural and the Lebesgue label name one probability law
+        s, fitted = self._sample_and_fit(n=n)
+        got = [(e.name, e.statistic, e.critical_1pct) for e in gof_battery(s, fitted)]
+        aln = gof_battery(s, with_lebesgue_reference(fitted))
+        assert [(e.name, e.statistic, e.critical_1pct) for e in aln] == got
+
     def test_twelve_entries_for_three_parts(self):
         s, fitted = self._sample_and_fit()
         report = gof_battery(s, fitted)
@@ -461,8 +472,8 @@ class TestGofBattery:
             [(e.name, e.statistic, e.critical_1pct) for e in want]
         assert len(got.rejections_at_1pct()) <= 1
 
-    @pytest.mark.parametrize("n", [16_385, 100_000])
-    @pytest.mark.parametrize("D", [3, 5])
+    @pytest.mark.parametrize("n", [8, 16_385, 2 * 16_384 + 5, 100_000])
+    @pytest.mark.parametrize("D", [2, 3, 5, 8])
     @pytest.mark.parametrize("basis", ["default", "random"])
     def test_statistics_have_the_per_layer_bits(self, n, D, basis):
         gen = np.random.default_rng(n + D)

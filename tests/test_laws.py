@@ -890,8 +890,8 @@ _GUARDED = {
                        "one of the four laws"),
     "ternary_density_grid": (ternary_density_grid, _RP, "a simplex law"),
     "coordinate_density_grid": (coordinate_density_grid, _LN, "a simplex law"),
-    "gof_battery": (lambda law: gof_battery(sample_nsd(_NSD, 8, _STREAM), law), _ALN,
-                    "NormalOnSimplex"),
+    "gof_battery": (lambda law: gof_battery(sample_nsd(_NSD, 8, _STREAM), law), _RP,
+                    "a simplex law"),
 }
 
 
