@@ -126,17 +126,13 @@ def _ndtr_block(z):
 
 
 def _ndtr_lower(w):
-    """``ndtr(-w)`` for ``w >= sqrt 2``: ``exp(-w^2/2) * erfcx(w / sqrt 2) / 2``, each
-    rational function evaluated on its own values only."""
+    """``ndtr(-w)`` for ``w >= sqrt 2``: ``exp(-w^2/2) * erfcx(w / sqrt 2) / 2``."""
     w = np.minimum(w, 40.0)  # ndtr(-40) is below the smallest float
     x = w * _SQRT_HALF
+    out = _ratio(_ERFC_P, _ERFC_Q, x)
     far = x >= 8.0
     if far.any():
-        out = np.empty_like(x)
-        out[~far] = _ratio(_ERFC_P, _ERFC_Q, x[~far])
         out[far] = _ratio(_ERFC_R, _ERFC_S, x[far])
-    else:
-        out = _ratio(_ERFC_P, _ERFC_Q, x)
     # exp(-w^2/2) as exp(-m^2/2) exp(-(w - m)(w + m)/2) with m = w to 1/16, whose
     # square is exact: the rounding of w^2 itself would cost 1.5e-13 at w = 37
     m = np.trunc(w * 16.0)
