@@ -86,14 +86,16 @@ def _blockwise(kernel, rows, *args):
     """``kernel(block, *args)`` over consecutive blocks of ``_BLOCK`` rows (the first axis),
     written into one array laid out as the first block's result (a coordinate-major result
     ``(D, n).T`` stays coordinate-major); at most one block is one direct call.  A row's
-    result must not depend on its block."""
-    if len(rows) <= _BLOCK:
+    result must not depend on its block, so a lone last row joins the block before it, which
+    then has ``_BLOCK + 1`` rows: alone, BLAS would take it down its matrix-vector path."""
+    if len(rows) <= _BLOCK + 1:
         return kernel(rows, *args)
     first = kernel(rows[:_BLOCK], *args)
     out = np.empty_like(first, shape=(len(rows),) + first.shape[1:])
     out[:_BLOCK] = first
-    for start in range(_BLOCK, len(rows), _BLOCK):
-        out[start:start + _BLOCK] = kernel(rows[start:start + _BLOCK], *args)
+    cuts = [*range(_BLOCK, len(rows) - 1, _BLOCK), len(rows)]
+    for start, stop in zip(cuts, cuts[1:]):
+        out[start:stop] = kernel(rows[start:stop], *args)
     return out
 
 

@@ -14,13 +14,18 @@ numbers that a plotting tool (or a golden test) can consume:
 * :func:`coordinate_density_grid` — the same law evaluated on a rectangular
   grid in coordinate space, where it is just a normal surface.
 
-Each density is the ``exp`` of the space's vectorised log-density kernel in
-:mod:`codanorm.laws`, which reads the law's reference-measure tag; the ternary
-grid runs it on its lattice points in blocks of ``_special._blockwise``.  The
-lattice itself does not depend on the law: the grids at one ``(resolution,
-margin)`` share its read-only ``points``, ``i_index`` and ``j_index``, and the
-last lattice built stays alive for the life of the process (about 20 MB at
-resolution 1000).
+Each density is the ``exp`` of a log density from the kernels of
+:mod:`codanorm.laws` and :mod:`codanorm.simplex`, with the log measure ratio
+added where the law's reference-measure tag asks for it.  The ternary lattice
+itself does not depend on the law: the grids at one ``(resolution, margin)``
+share its read-only ``points``, ``i_index`` and ``j_index``, and the last
+lattice built stays alive for the life of the process.  ``points`` is a
+transposed view of coordinate-major ``(3, n)`` storage, so the ternary grid
+runs in blocks of ``_special._blockwise`` on contiguous parts, and the lattice
+also holds its cells' log measure ratio, the one term by which the two labels'
+log densities differ: a Lebesgue grid is the natural one plus that array.  At
+resolution 1000 the points take 12 MB and the ratio 4 MB, built by the first
+Lebesgue grid; the index arrays, 8 MB more, are built only when first read.
 """
 
 from __future__ import annotations
@@ -47,7 +52,6 @@ from .laws import (
     _exp_rows,
     _line_logpdf,
     _require,
-    _simplex_logpdf,
     _SimplexGaussian,
     nsd_logpdf_coords,
 )
@@ -148,8 +152,10 @@ class TernaryDensityGrid:
     A maximum's ``parts`` match its row of ``points`` only to rounding, because a
     :class:`~codanorm.simplex.Composition` holds the clr image of its parts.
 
-    ``i_index``, ``j_index`` and ``points`` are read-only and shared by every
-    grid at the same lattice; copy them before writing.
+    In a grid from :func:`ternary_density_grid`, ``i_index``, ``j_index`` and
+    ``points`` are read-only and shared by every grid at the same lattice; copy
+    them before writing.  ``points`` is the transpose of coordinate-major
+    ``(3, n)`` storage, and the index arrays are built on first access.
     """
 
     resolution: int
@@ -175,6 +181,27 @@ class TernaryDensityGrid:
         )
 
 
+class _LatticeGrid(TernaryDensityGrid):
+    """The grid :func:`ternary_density_grid` returns.  Its ``i_index`` and ``j_index`` slots
+    are left unset and read from its lattice, which builds those arrays on first access: a
+    grid's values and maxima need neither, and they would be 8 MB of the lattice at
+    resolution 1000.  A copy, a pickle or ``dataclasses.replace`` sets them."""
+
+    __slots__ = ("_cells",)
+
+    @classmethod
+    def _on(cls, cells, resolution, margin, values, maxima, law):
+        grid = object.__new__(cls)
+        grid.resolution, grid.margin, grid.points = resolution, margin, cells.points
+        grid.values, grid.maxima, grid.law, grid._cells = values, maxima, law, cells
+        return grid
+
+    def __getattr__(self, name):  # called only for a slot left unset
+        if name in ("i_index", "j_index"):
+            return self._cells.indices[name == "j_index"]
+        raise AttributeError(name)
+
+
 def ternary_density_grid(law, resolution=400, margin=1e-4) -> TernaryDensityGrid:
     """Evaluate a three-part simplex law on the barycentric lattice and find
     its local maxima.  A ``margin`` that leaves no lattice point (every part at
@@ -196,29 +223,66 @@ def ternary_density_grid(law, resolution=400, margin=1e-4) -> TernaryDensityGrid
         raise InsufficientDataError(
             f"no lattice point at resolution {r} has every part >= margin {margin!r}"
         )
-    starts, ii, jj, points = _lattice(r, lo)
-    log_values = _blockwise(lambda cells: _simplex_logpdf(law, simplex._clr_rows(cells)), points)
+    cells = _lattice(r, lo)
+    Ut = simplex._as_basis(3, law.basis).matrix.T
+    # a block's clr image is coordinate-major, (3, n).T, so its coordinates are U.T @ clr.T:
+    # the product clr @ U transposed, the same BLAS call
+    log_values = _blockwise(
+        lambda block: nsd_logpdf_coords(law, (Ut @ simplex._clr_rows(block).T).T), cells.points)
+    if law._lebesgue:
+        log_values += cells.log_ratio
     values = _exp_rows(log_values)
-    maxima = _lattice_maxima(r, lo, starts, ii, jj, log_values, values)
-    return TernaryDensityGrid(r, margin, ii, jj, points, values, maxima, law)
+    maxima = _lattice_maxima(cells, log_values, values)
+    return _LatticeGrid._on(cells, r, margin, values, maxima, law)
 
 
-@functools.lru_cache(maxsize=1)
-def _lattice(r, lo):
-    """Read-only ``(starts, i_index, j_index, points)`` of the lattice at resolution
-    ``r`` whose parts are all at least ``lo`` steps; the last lattice built is kept, so
-    the grids of several laws at one lattice share its arrays."""
-    # lattice row i (lo <= i <= r - 2*lo) holds the cells j = lo .. r - lo - i
-    lengths = np.arange(r - 3 * lo + 1, 0, -1)
-    starts = np.cumsum(lengths) - lengths  # flat index of each row's first cell
-    ii = np.repeat(np.arange(lo, lo + lengths.size), lengths)
-    jj = np.arange(ii.size) - np.repeat(starts - lo, lengths)
-    points = np.empty((ii.size, 3))
-    for column, steps in enumerate((ii, jj, r - ii - jj)):
-        np.divide(steps, r, out=points[:, column])  # no (n, 3) integer temporary
-    for array in (starts, ii, jj, points):
-        array.flags.writeable = False
-    return starts, ii, jj, points
+class _Lattice:
+    """The barycentric lattice at resolution ``r`` whose parts are all at least ``lo``
+    steps, and what every grid on it shares, all read-only: ``starts``, the flat index of
+    each lattice row's first cell; ``points``, the transpose of a coordinate-major ``(3, n)``
+    array; and, each built on first access, ``log_ratio`` and ``indices``."""
+
+    def __init__(self, r, lo):
+        self.r, self.lo = r, lo
+        # lattice row i (lo <= i <= r - 2*lo) holds the cells j = lo .. r - lo - i
+        self._lengths = np.arange(r - 3 * lo + 1, 0, -1)
+        self.starts = np.cumsum(self._lengths) - self._lengths
+        ii, jj = self._steps()
+        columns = np.empty((3, ii.size))
+        np.subtract(r, ii, out=columns[2])
+        columns[2] -= jj  # the third part's steps, exact in floats: no integer temporary
+        for column, steps in zip(columns, (ii, jj, columns[2])):
+            np.divide(steps, r, out=column)
+        for array in (self.starts, columns):
+            array.flags.writeable = False
+        self.points = columns.T
+
+    def _steps(self):
+        """Fresh ``(i, j)`` step arrays of the cells, in row-major order."""
+        lengths, lo = self._lengths, self.lo
+        ii = np.repeat(np.arange(lo, lo + lengths.size), lengths)
+        return ii, np.arange(ii.size) - np.repeat(self.starts - lo, lengths)
+
+    @functools.cached_property
+    def log_ratio(self):
+        """Each cell's log measure ratio, the one law-independent term of a Lebesgue grid:
+        built by the first Lebesgue grid, so natural grids alone never pay for it."""
+        log_ratio = _blockwise(
+            lambda block: simplex._log_measure_ratio(simplex._clr_rows(block)), self.points)
+        log_ratio.flags.writeable = False
+        return log_ratio
+
+    @functools.cached_property
+    def indices(self):
+        """The cells' read-only ``(i_index, j_index)``, built when a grid's are first read."""
+        steps = self._steps()
+        for array in steps:
+            array.flags.writeable = False
+        return steps
+
+
+# the last lattice built is kept, so the grids of several laws at one lattice share it
+_lattice = functools.lru_cache(maxsize=1)(_Lattice)
 
 
 # Neighborhood on the barycentric lattice: steps whose integer barycentric
@@ -233,8 +297,8 @@ _NEIGHBOR_STEPS = [
 ]
 
 
-def _lattice_maxima(r, lo, starts, ii, jj, log_values, values):
-    """Local maxima of a log density on the barycentric lattice, as ``(parts,
+def _lattice_maxima(cells, log_values, values):
+    """Local maxima of a log density on the barycentric lattice ``cells``, as ``(parts,
     density)`` pairs from the highest down, each density read from ``values``.
 
     Cells are ranked by log density (logs stay distinct where densities
@@ -246,8 +310,10 @@ def _lattice_maxima(r, lo, starts, ii, jj, log_values, values):
 
     The cells lie in ``(i, j)`` order with row ``i`` from ``starts[i - lo]``, so
     the neighbors along a row are the flat neighbors: those two steps sift every
-    cell, and the other ten are taken only at the cells left.
+    cell, and the other ten are taken only at the cells left, whose ``(i, j)``
+    are read off ``starts``.
     """
+    r, lo, starts = cells.r, cells.lo, cells.starts
     ends = np.append(starts[1:], log_values.size) - 1
     # strictly above a neighbor that comes first, no lower than one after
     above_before = np.empty(log_values.size, dtype=bool)
@@ -257,18 +323,21 @@ def _lattice_maxima(r, lo, starts, ii, jj, log_values, values):
     above_after[:-1] = log_values[:-1] >= log_values[1:]
     above_after[ends] = log_values[ends] >= -np.inf
     at = np.flatnonzero(above_before & above_after)
+    row = np.searchsorted(starts, at, side="right") - 1
+    at_i, at_j = row + lo, at - starts[row] + lo
     for di, dj in _NEIGHBOR_STEPS:
         if di == 0:  # the two steps along a row, taken above
             continue
-        i, j = ii[at] + di, jj[at] + dj
+        i, j = at_i + di, at_j + dj
         on = (i >= lo) & (j >= lo) & (i + j <= r - lo)
         cell = np.where(on, starts[np.clip(i - lo, 0, starts.size - 1)] + j - lo, 0)
         neighbor = np.where(on, log_values[cell], -np.inf)
         core = log_values[at]
-        at = at[core > neighbor if (di, dj) < (0, 0) else core >= neighbor]
-    at = at[np.argsort(-log_values[at], kind="stable")]
-    return [(simplex.Composition(np.array([ii[k], jj[k], r - ii[k] - jj[k]], dtype=float) / r),
-             float(values[k])) for k in at]
+        keep = core > neighbor if (di, dj) < (0, 0) else core >= neighbor
+        at, at_i, at_j = at[keep], at_i[keep], at_j[keep]
+    order = np.argsort(-log_values[at], kind="stable")
+    return [(simplex.Composition(np.array([i, j, r - i - j], dtype=float) / r), float(values[k]))
+            for k, i, j in zip(at[order], at_i[order], at_j[order])]
 
 
 @dataclass(slots=True, eq=False, repr=False)

@@ -392,7 +392,7 @@ def _gof_layers(sample, fitted):
     # the pair covariances [[a, b], [b, c]], whose Cholesky factors whiten the angles
     a, b, c = sigma[j, j], sigma[j, k], sigma[k, k]
     pairs = (j, k, b / a, np.sqrt(c - b * b / a), np.sqrt(a))
-    buffer = np.empty((d + j.size + 1, min(sample.n, _BLOCK)))
+    buffer = np.empty((d + j.size + 1, min(sample.n, _BLOCK + 1)))  # see _blockwise
     return _blockwise(_gof_transforms, sample._clr, U, fitted, pairs, buffer).T
 
 

@@ -74,6 +74,33 @@ def test_blocks_join_without_seams(name):
     assert whole.shape == by_block.shape and whole.tobytes() == by_block.tobytes()
 
 
+# D -> the basis-free ilr maps at D parts, on _N rows
+def _ilr_kernels(D):
+    return {
+        f"ilr_rows D={D}": (ilr_rows, lambda rng: closure_rows(np.exp(rng.normal(0, 1.5, (_N, D))))),
+        f"ilr_inv_rows D={D}": (ilr_inv_rows, lambda rng: rng.normal(0.0, 2.0, (_N, D - 1))),
+    }
+
+
+_LONE_ROW_KERNELS = {**_KERNELS, **{k: v for D in range(3, 9) for k, v in _ilr_kernels(D).items()}}
+# at D >= 8 the closure's matrix-vector sum gives a row of a 2- or 3-row call other bits than
+# in a longer one, so there the last rows are checked in the 5-row call that starts with
+# their group of four
+_CLOSED_AT_8 = {"ilr_inv_rows D=8"}
+
+
+@pytest.mark.parametrize("n", [_B + 1, 2 * _B + 1])
+@pytest.mark.parametrize("name", list(_LONE_ROW_KERNELS))
+def test_a_lone_last_row_joins_the_block_before_it(name, n):
+    # alone in a block, the last row would go through BLAS's matrix-vector path
+    kernel, make = _LONE_ROW_KERNELS[name]
+    rows = make(np.random.default_rng(6))[:n]
+    whole = kernel(rows)
+    assert whole[:n - 1].tobytes() == kernel(rows[:n - 1]).tobytes()  # only the last row moves
+    tail = 5 if name in _CLOSED_AT_8 else 3
+    assert whole[n - tail:].tobytes() == kernel(rows[n - tail:]).tobytes()
+
+
 def test_ternary_grid_joins_without_seams():
     # 250 steps give 30,876 cells, two blocks whose seam falls inside a lattice row
     law = NormalOnSimplex([0.3, -0.2], [[0.5, 0.1], [0.1, 0.3]])

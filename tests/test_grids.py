@@ -1,6 +1,9 @@
 """Tests for histogram and density-grid artifacts."""
 
+import copy
+import dataclasses
 import math
+import pickle
 import time
 
 import numpy as np
@@ -18,6 +21,7 @@ from codanorm import (
     NormalOnSimplex,
     RPlusSample,
     SeededStream,
+    TernaryDensityGrid,
     coordinate_density_grid,
     histogram_artifact,
     lognormal_pdf,
@@ -29,7 +33,7 @@ from codanorm import (
     with_lebesgue_reference,
 )
 from codanorm import simplex
-from codanorm.grids import _NEIGHBOR_STEPS
+from codanorm.grids import _NEIGHBOR_STEPS, _lattice
 from codanorm.laws import (
     LognormalLaw,
     _simplex_logpdf,
@@ -37,7 +41,8 @@ from codanorm.laws import (
     nsd_logpdf_coords,
     nsd_pdf_rows,
 )
-from codanorm.simplex import ilr_rows
+from codanorm._special import _BLOCK
+from codanorm.simplex import ilr_rows, random_basis
 
 
 @pytest.fixture(scope="module")
@@ -442,6 +447,77 @@ class TestSharedLattice:
         m = grid.matrix()
         assert np.array_equal(m[ii, jj], grid.values)
         assert np.count_nonzero(~np.isnan(m)) == grid.values.size
+
+
+def log_ratio_of(grid):
+    """The log measure ratio of the cached lattice behind ``grid``."""
+    lattice = _lattice(grid.resolution, math.ceil(grid.margin * grid.resolution))
+    assert lattice.points is grid.points
+    return lattice.log_ratio
+
+
+class TestLatticeLogRatio:
+    """The lattice holds its cells' log measure ratio, the law-independent term of every
+    Lebesgue grid, built by the first one; ``points`` is the transpose of its
+    coordinate-major storage, and its index arrays are built when first read."""
+
+    def test_the_ratio_and_the_points_are_read_only_views_of_one_lattice(self):
+        grid = ternary_density_grid(with_lebesgue_reference(_NSD3), resolution=70)
+        log_ratio = log_ratio_of(grid)
+        assert log_ratio.shape == (grid.values.size,) and not log_ratio.flags.writeable
+        with pytest.raises(ValueError):
+            log_ratio[0] = 0.0
+        assert grid.points.T.flags.c_contiguous and not grid.points.base.flags.writeable
+
+    def test_one_ratio_serves_every_law_and_basis_at_a_lattice(self):
+        first = ternary_density_grid(AlnLaw([0.3, -0.2], [[0.9, 0.1], [0.1, 0.7]]), 80)
+        log_ratio = log_ratio_of(first)
+        for law in (AlnLaw([-1.0, 2.0], 1e-3 * np.eye(2)),
+                    AlnLaw([0.5, 0.5], np.eye(2), random_basis(3, np.random.default_rng(5))),
+                    NormalOnSimplex([0.0, 1.0], np.eye(2))):
+            assert log_ratio_of(ternary_density_grid(law, 80)) is log_ratio
+        other = ternary_density_grid(first.law, 81)
+        assert log_ratio_of(other) is not log_ratio
+        assert other.values.size == log_ratio_of(other).size
+
+    @pytest.mark.parametrize("resolution, margin", [(60, 1e-4), (250, 0.01), (300, 1e-4)])
+    def test_the_ratio_has_the_bits_of_the_measure_ratio_kernel(self, resolution, margin):
+        grid = ternary_density_grid(_NSD3, resolution, margin)
+        want = simplex._log_measure_ratio(simplex.clr_rows(grid.points))
+        assert log_ratio_of(grid).tobytes() == want.tobytes()
+
+    def test_the_ratio_and_the_index_arrays_are_built_on_first_use(self):
+        grid = ternary_density_grid(_NSD3, resolution=77)
+        lattice = _lattice(77, 1)
+        assert lattice.points is grid.points and not {"indices", "log_ratio"} & set(vars(lattice))
+        i_index = grid.i_index
+        assert set(vars(lattice)) >= {"indices"} and "log_ratio" not in vars(lattice)
+        aln = ternary_density_grid(with_lebesgue_reference(_NSD3), 77)
+        assert "log_ratio" in vars(lattice) and aln.i_index is i_index
+        ii, jj = mask_indices(77, 1e-4)
+        assert np.array_equal(i_index, ii) and np.array_equal(grid.j_index, jj)
+
+    def test_copies_and_pickles_hold_the_same_arrays(self):
+        grid = ternary_density_grid(with_lebesgue_reference(_NSD3), resolution=33)
+        shallow, deep = copy.copy(grid), copy.deepcopy(grid)
+        assert shallow.i_index is grid.i_index and shallow.values is grid.values
+        moved = dataclasses.replace(grid, margin=0.5)
+        assert moved.margin == 0.5 and moved.j_index is grid.j_index
+        for other in (deep, pickle.loads(pickle.dumps(grid))):
+            assert isinstance(other, TernaryDensityGrid) and other.law == grid.law
+            for name in ("i_index", "j_index", "points", "values"):
+                assert np.array_equal(getattr(other, name), getattr(grid, name))
+            assert np.array_equal(other.matrix(), grid.matrix(), equal_nan=True)
+
+    @pytest.mark.parametrize("resolution", [250, 300])
+    def test_nsd_then_aln_grids_are_the_pdf_rows_across_a_block_seam(self, resolution):
+        basis = random_basis(3, np.random.default_rng(resolution))
+        nsd = NormalOnSimplex([0.4, -0.3], [[0.6, -0.2], [-0.2, 0.9]], basis)
+        g_nsd = ternary_density_grid(nsd, resolution)
+        g_aln = ternary_density_grid(with_lebesgue_reference(nsd), resolution)
+        assert g_aln.points is g_nsd.points and g_nsd.values.size > _BLOCK
+        assert g_nsd.values.tobytes() == nsd_pdf_rows(nsd, g_nsd.points).tobytes()
+        assert g_aln.values.tobytes() == aln_pdf_rows(g_aln.law, g_aln.points).tobytes()
 
 
 class TestCoordinateGrid:

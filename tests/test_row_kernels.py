@@ -199,7 +199,7 @@ def test_draws_keep_their_bits(D, n):
 @pytest.mark.parametrize("D", range(2, 9))
 def test_fit_keeps_its_bits(D, n):
     # coords.mean(axis=0) adds down each column, and pairwise at one coordinate; at
-    # _BLOCK + 1 rows the last row is a block of its own (a matrix-vector product)
+    # _BLOCK + 1 rows the last row joins the block before it
     gen = np.random.default_rng(40 * D + n)
     rows = np.exp(gen.normal(0.0, 1.0, (max(n, D), D)))
     for basis in (None, random_basis(D, gen)):
