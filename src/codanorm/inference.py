@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simplex
-from ._special import _BLOCK, _blockwise, chdtr, ndtr, stdtrit
+from ._special import _blockwise, chdtr, ndtr, stdtrit
 from .errors import (
     DegenerateVarianceError,
     EmptyDataError,
@@ -179,17 +179,16 @@ def fit_nrp(sample: RPlusSample) -> NormalOnRPlus:
 
     ``mu_hat`` is the mean of the logs, so the fitted mean ``exp(mu_hat)`` is
     the geometric mean of the data; ``sigma2_hat`` uses divisor ``n - 1``.
-    A constant sample has no spread to estimate and is rejected.
+    A constant sample (every log equal to the first) has no spread to estimate and
+    is rejected.
     """
     if sample.n < 2:
         raise InsufficientDataError(f"need at least 2 observations, got {sample.n}")
-    mu = float(sample.logs.mean())
-    sigma2 = float(sample.logs.var(ddof=1))
-    if sigma2 == 0.0:
+    if (sample.logs == sample.logs[0]).all():  # the data decide, before any rounding
         raise DegenerateVarianceError(
             "all observations are identical; no spread to estimate"
         )
-    return NormalOnRPlus(mu, sigma2)
+    return NormalOnRPlus(float(sample.logs.mean()), float(sample.logs.var(ddof=1)))
 
 
 def geometric_mean(sample: RPlusSample) -> PositiveValue:
@@ -237,20 +236,32 @@ def naive_lognormal_mean(sample: RPlusSample) -> float:
 # estimation on the simplex
 # --------------------------------------------------------------------------
 
+def _coordinates(clr, U):
+    """The coordinates of clr rows in the basis ``U``, coordinate-major ``(d, n)``, a block
+    of rows at a time: ``U.T @ clr.T`` is the product ``clr @ U`` transposed, the same
+    BLAS call, so every value has its bits."""
+    return _blockwise(lambda block: (U.T @ block.T).T, clr).T
+
+
 def fit_nsd(sample: SimplexSample) -> NormalOnSimplex:
     """Maximum likelihood fit of the normal law on the simplex.
 
     Coordinate sample mean and covariance (divisor ``n - 1``) in the sample's
     own basis; the fitted center equals the closed geometric mean of the
     data.  Requires ``n >= D`` so the covariance has a chance of being
-    nonsingular.
+    nonsingular; rows all equal to the first have a singular one and are rejected.
     """
     if sample.n < sample.D:
         raise InsufficientDataError(
             f"need at least D={sample.D} observations, got {sample.n}"
         )
+    # the data decide, before any rounding: each clr column is compared with its first value
+    if all((column == column[0]).all() for column in sample._clr.T):
+        raise SingularCovarianceError(
+            "coordinate covariance is singular: all observations are identical"
+        )
     n, U = sample.n, sample.basis.matrix
-    centred = _blockwise(lambda clr: (U.T @ clr.T).T, sample._clr).T  # coordinate-major coords
+    centred = _coordinates(sample._clr, U)
     # the mean adds in the order of coords.mean(axis=0): down each column, pairwise at d = 1
     total = centred.sum(axis=1) if U.shape[1] == 1 else np.cumsum(centred, axis=1)[:, -1]
     mu = total / n
@@ -268,29 +279,24 @@ def fit_nsd(sample: SimplexSample) -> NormalOnSimplex:
 # goodness of fit
 # --------------------------------------------------------------------------
 
-def _edf_statistics(u):
-    """Anderson-Darling, Cramér-von Mises and Watson statistics of
-    probability-integral-transformed values ``u`` against uniformity: one
-    ``(a2, w2, u2)`` triple for one layer, a list of them for an ``(L, n)`` stack,
-    whose rows are taken one at a time (their temporaries stay in cache)."""
-    u = np.asarray(u, dtype=float)
-    n = u.shape[-1]
-    weights = 2.0 * np.arange(1, n + 1) - 1.0
-    centres = weights / (2.0 * n)
-    stats = []
-    for row in u.reshape(-1, n):
-        z = np.sort(row)
-        # guard the logs; exact 0/1 can only arise from floating-point saturation
-        if not (1e-15 <= z[0] and z[-1] <= 1.0 - 1e-15):
-            np.clip(z, 1e-15, 1.0 - 1e-15, out=z)
-        terms = np.log1p(-z[::-1])
-        terms += np.log(z)
-        terms *= weights
-        a2 = float(-n - terms.mean())
-        w2 = float(np.square(np.subtract(z, centres, out=terms), out=terms).sum()
-                   + 1.0 / (12.0 * n))
-        stats.append((a2, w2, w2 - n * (float(z.mean()) - 0.5) ** 2))
-    return stats if u.ndim > 1 else stats[0]
+def _edf_statistics(z, weights):
+    """Anderson-Darling, Cramér-von Mises and Watson statistics ``(a2, w2, u2)`` of one
+    layer ``z`` of probability-integral-transformed values against uniformity; ``z`` is
+    sorted in place.  ``weights`` holds ``2i - 1`` for ``i = 1..n``, built once per
+    battery."""
+    n = z.size
+    z.sort()
+    # guard the logs; exact 0/1 can only arise from floating-point saturation
+    if not (1e-15 <= z[0] and z[-1] <= 1.0 - 1e-15):
+        np.clip(z, 1e-15, 1.0 - 1e-15, out=z)
+    terms = np.log1p(-z[::-1])
+    terms += np.log(z)
+    terms *= weights
+    a2 = float(-n - terms.mean())
+    centres = np.divide(weights, 2.0 * n, out=terms)  # (2i - 1) / 2n
+    w2 = float(np.square(np.subtract(z, centres, out=terms), out=terms).sum()
+               + 1.0 / (12.0 * n))
+    return a2, w2, w2 - n * (float(z.mean()) - 0.5) ** 2
 
 
 # 1% upper-tail critical values for the modified statistics, from the
@@ -383,40 +389,27 @@ class GofReport:
 
 
 def _gof_layers(sample, fitted):
-    """The battery's probability integral transforms, one row of ``n`` per layer (the d
-    marginals, the pair angles, the radius): the sample is read in the law's basis, a
-    block of rows at a time through one ``(L, block)`` buffer."""
+    """The battery's probability integral transforms, one fresh array of ``n`` per layer
+    in report order (the d marginals, the pair angles, the radius), from the sample's
+    coordinate-major deviations from the law's mean, read in the law's basis."""
     U = simplex._as_basis(sample.D, fitted.basis).matrix  # a basis on other parts raises
     d, sigma = U.shape[1], fitted.sigma
-    j, k = np.triu_indices(d, 1)
-    # the pair covariances [[a, b], [b, c]], whose Cholesky factors whiten the angles
-    a, b, c = sigma[j, j], sigma[j, k], sigma[k, k]
-    pairs = (j, k, b / a, np.sqrt(c - b * b / a), np.sqrt(a))
-    buffer = np.empty((d + j.size + 1, min(sample.n, _BLOCK + 1)))  # see _blockwise
-    return _blockwise(_gof_transforms, sample._clr, U, fitted, pairs, buffer).T
-
-
-def _gof_transforms(clr, U, law, pairs, buffer):
-    """The battery's probability integral transforms of a block of clr rows, written
-    coordinate-major into ``buffer``, one row per layer (the d marginals, the pair
-    angles, the radius), and returned as its transpose.  ``U.T @ clr.T`` is the
-    coordinates' product transposed, the same BLAS call, so every value has its bits."""
-    d = U.shape[1]
-    u = buffer[:, :len(clr)]
-    centred = U.T @ clr.T
-    centred -= law.mu[:, None]
+    centred = _coordinates(sample._clr, U)
+    centred -= fitted.mu[:, None]
     # marginal: normality of each coordinate, z-scored with the fitted law
-    np.divide(centred, np.sqrt(np.diag(law.sigma))[:, None], out=u[:d])
-    u[:d] = ndtr(u[:d])
-    # angle: uniformity of each whitened pair's direction, in (-pi, pi] before the shift
-    for p, (j, k, slope, y_scale, x_scale) in enumerate(zip(*pairs)):
-        x, y = centred[j], centred[k]
-        np.arctan2((y - slope * x) / y_scale, x / x_scale, out=u[d + p])
-    u[d:-1] += math.pi
-    u[d:-1] /= 2.0 * math.pi
-    # radius: chi-square transform of squared Mahalanobis distances
-    u[-1] = chdtr(d, _mahalanobis2(law, centred))
-    return u.T
+    for x, sd in zip(centred, np.sqrt(np.diag(sigma))):
+        yield ndtr(x / sd)
+    # angle: uniformity of each whitened pair's direction, in (-pi, pi] before the shift;
+    # the pair covariance [[a, b], [b, c]] has the Cholesky factor that whitens it
+    for p, q in zip(*np.triu_indices(d, 1)):
+        a, b, c = sigma[p, p], sigma[p, q], sigma[q, q]
+        x, y = centred[p], centred[q]
+        u = np.arctan2((y - b / a * x) / np.sqrt(c - b * b / a), x / np.sqrt(a))
+        u += math.pi
+        u /= 2.0 * math.pi
+        yield u
+    # radius: chi-square transform of squared Mahalanobis distances, a block at a time
+    yield chdtr(d, _blockwise(lambda block: _mahalanobis2(fitted, block.T), centred.T))
 
 
 def gof_battery(sample: SimplexSample, fitted: NormalOnSimplex | AlnLaw) -> GofReport:
@@ -444,13 +437,14 @@ def gof_battery(sample: SimplexSample, fitted: NormalOnSimplex | AlnLaw) -> GofR
         raise InsufficientDataError(
             f"battery needs at least 8 observations, got {sample.n}"
         )
-    u = _gof_layers(sample, fitted)
     j, k = np.triu_indices(fitted.dim, 1)
     heads = ([("marginal", f"coord{i + 1}", "estimated") for i in range(fitted.dim)]
              + [("angle", f"coord{p + 1}-coord{q + 1}", "specified") for p, q in zip(j, k)]
              + [("radius", "all", "specified")])
+    weights = 2.0 * np.arange(1, sample.n + 1) - 1.0
     return GofReport([
         GofEntry(layer, target, test_name, stat, _CRITICAL_1PCT[case, test_name])
-        for (layer, target, case), stats in zip(heads, _edf_statistics(u))
-        for test_name, stat in _modified_statistics(stats, case, sample.n).items()
+        for (layer, target, case), u in zip(heads, _gof_layers(sample, fitted))
+        for test_name, stat in _modified_statistics(
+            _edf_statistics(u, weights), case, sample.n).items()
     ])

@@ -560,8 +560,11 @@ def _checked_kappa(kappa) -> float:
 
 def _close_rows(rows, kappa, out=None) -> np.ndarray:
     """The closure formula itself, without checks, into ``out`` (a new array by default;
-    ``rows`` itself may be given): ``@ ones`` sums short rows fastest."""
-    scale = kappa / (rows @ np.ones(rows.shape[1]))
+    ``rows`` itself may be given): ``@ ones`` sums short rows fastest.  From D = 8 on,
+    that product gives a row of a 2- or 3-row call other bits than in a longer call, so
+    there each row is summed column by column."""
+    D = rows.shape[1]
+    scale = kappa / (rows @ np.ones(D) if D < 8 else functools.reduce(np.add, rows.T))
     out = np.empty(rows.shape) if out is None else out
     np.multiply(rows.T, scale, out=out.T, order="C")
     return out

@@ -2,9 +2,12 @@
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from codanorm import (
@@ -340,11 +343,40 @@ class TestFitNsd:
         assert np.allclose(law_direct.sigma, law_transport.sigma, atol=1e-10)
 
 
+class TestEqualData:
+    """Equal observations are refused by comparing the data, before any arithmetic: no
+    rounded spread of about 1e-32 is left to fit."""
+
+    @given(st.integers(2, 40), st.floats(1.0, 9.99), st.integers(-300, 299))
+    @settings(max_examples=200, deadline=None)
+    def test_a_constant_column_is_refused(self, n, significand, exponent):
+        sample = RPlusSample([significand * 10.0**exponent] * n)
+        with pytest.raises(DegenerateVarianceError, match="all observations are identical"):
+            fit_nrp(sample)
+        with pytest.raises(DegenerateVarianceError):
+            ci_mean_nrp(sample, 0.05)
+
+    @given(st.integers(2, 4), st.integers(2, 40), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equal_part_rows_are_refused(self, D, n, data):
+        # parts down to 1e-300 of their total, as in the CLI's fuzzed part files
+        row = [data.draw(st.floats(1.0, 9.99)) * 10.0 ** data.draw(st.integers(-300, 0))
+               for _ in range(D)]
+        sample = SimplexSample.from_rows([row] * n)
+        if n < D:
+            with pytest.raises(InsufficientDataError):
+                fit_nsd(sample)
+        else:
+            with pytest.raises(SingularCovarianceError, match="all observations are identical"):
+                fit_nsd(sample)
+
+
 class TestEdfStatistics:
     def test_against_slow_oracle(self, rng):
         for n in (10, 37, 200):
             u = rng.uniform(0.001, 0.999, size=n)
-            fast = _edf_statistics(u)
+            weights = 2.0 * np.arange(1, n + 1) - 1.0
+            fast = _edf_statistics(u.copy(), weights)
             slow = slow_edf_statistics(u)
             assert fast == pytest.approx(slow, rel=1e-10)
 
@@ -352,8 +384,8 @@ class TestEdfStatistics:
         stack = rng.uniform(0.0, 1.0, size=(4, 1000))
         stack[1, :3] = [0.0, 1e-300, 1e-16]  # clipped below
         stack[2, -2:] = [1.0, 1.0 - 2.0**-53]  # clipped above
-        rows = [_edf_statistics(row) for row in stack]
-        assert _edf_statistics(stack) == rows
+        weights = 2.0 * np.arange(1, 1001) - 1.0
+        rows = [_edf_statistics(row.copy(), weights) for row in stack]
         assert rows == [per_layer_edf_statistics(row) for row in stack]
 
     def test_critical_value_table(self):
@@ -484,6 +516,18 @@ class TestGofBattery:
             s = s.with_basis(random_basis(D, gen))
         fitted = fit_nsd(s)
         assert [e.statistic for e in gof_battery(s, fitted)] == per_layer_battery(s, fitted)
+
+    def test_a_battery_never_holds_all_its_layers(self):
+        # D = 8: 7 marginals, 21 pair angles and the radius, 29 layers of n values
+        s = sample_nsd(NormalOnSimplex(np.zeros(7), np.eye(7) + 0.3), 50_000, SeededStream(8, 3))
+        fitted = fit_nsd(s)
+        tracemalloc.start()
+        try:
+            gof_battery(s, fitted)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 29 * s.n * 8  # measured: 6.2 MB against the layers' 11.6 MB
 
     def test_saturated_transforms_have_the_per_layer_bits(self):
         # coordinates 40 standard deviations out: ndtr and chdtr reach 0 and 1, which

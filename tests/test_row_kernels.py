@@ -40,7 +40,10 @@ _SIZES = (1, 2, _BLOCK, 2 * _BLOCK + 5)
 # --------------------------------------------------------------------------
 
 def close_rows(rows, kappa):
-    return rows * (kappa / (rows @ np.ones(rows.shape[1])))[:, None]
+    # from D = 8 on each row is summed part by part, in order
+    D = rows.shape[1]
+    total = rows @ np.ones(D) if D < 8 else functools.reduce(np.add, rows.T)
+    return rows * (kappa / total)[:, None]
 
 
 def clr_of_rows(rows):
