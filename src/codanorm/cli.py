@@ -39,6 +39,7 @@ from .errors import NumericalError, QuadratureUnstableError, ValidationError
 from .grids import coordinate_density_grid, histogram_artifact, ternary_density_grid
 from .inference import ci_mean_nrp, fit_nsd, fit_nrp, geometric_mean, gof_battery, naive_lognormal_mean
 from .io import (
+    _write_grid,
     dumps_report,
     law_to_dict,
     read_rplus_csv,
@@ -261,9 +262,9 @@ def _cmd_density_grid(args):
         artifact = coordinate_density_grid(law, resolution=args.resolution)
     else:
         artifact = ternary_density_grid(law, resolution=args.resolution, margin=args.margin)
-        maxima = [{"parts": c.parts.tolist(), "density": v} for c, v in artifact.maxima]
-        summary.update(n_maxima=len(maxima), maxima=maxima)
-    summary["files"] = write_grid_artifact(artifact, args.output)
+    summary["files"], meta = _write_grid(artifact, args.output)
+    if "maxima" in meta:
+        summary.update(n_maxima=len(meta["maxima"]), maxima=meta["maxima"])
     print(dumps_report(summary))
     return 0
 

@@ -44,6 +44,7 @@ from .errors import (
     DimensionMismatchError,
     InsufficientDataError,
     NonPositivePartError,
+    NumericalError,
 )
 from .inference import RPlusSample, fit_nrp
 from .laws import (
@@ -103,7 +104,7 @@ def histogram_artifact(sample: RPlusSample, metric, bins=20) -> HistogramArtifac
     line's own distance, midpoints taken in logs).  The fitted law provides the
     two density columns; a Lebesgue density past the largest float is ``inf``.
     Values too close together for ``bins`` distinct edges raise
-    :class:`DegenerateVarianceError`.
+    :class:`DegenerateVarianceError`, values past the float range :class:`NumericalError`.
     """
     if metric not in ("euclidean", "logratio"):
         raise BadIntervalError(f"metric must be 'euclidean' or 'logratio', got {metric!r}")
@@ -111,8 +112,10 @@ def histogram_artifact(sample: RPlusSample, metric, bins=20) -> HistogramArtifac
     if bins < 2:
         raise InsufficientDataError(f"need at least 2 bins, got {bins}")
     law = fit_nrp(sample)  # also rejects constant samples
-    values = np.exp(sample.logs)
+    values = _exp_rows(sample.logs)  # checked before any edge is built
     lo, hi = float(values.min()), float(values.max())
+    if not 0.0 < lo <= hi < math.inf:
+        raise NumericalError(f"the values lie past the float range: exp gives {lo!r} to {hi!r}")
     if metric == "euclidean":
         edges = np.linspace(lo, hi, bins + 1)
         measure = np.diff(edges)

@@ -24,6 +24,7 @@ Conventions shared by everything below:
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 
@@ -185,9 +186,9 @@ def read_simplex_csv(path, kappa=1.0, auto_close=True):
     tol = INGEST_CLOSURE_TOL if auto_close else CLOSURE_TOL
     positive = np.isfinite(values) & (values > 0.0)
     all_positive = positive.all(axis=1)
-    # cumsum adds left to right like sum(); ndarray.sum pairs terms from 8 parts on
+    # each row summed part by part, left to right, as the closure sums it
     with np.errstate(over="ignore", invalid="ignore"):
-        totals = np.cumsum(values, axis=1)[:, -1]
+        totals = functools.reduce(np.add, values.T)
     for i in np.flatnonzero(~all_positive):
         bad = ", ".join(c for c, ok in zip(columns, positive[i]) if not ok)
         problems[lines[i]] = f"non-positive part(s) in column(s) {bad}"
@@ -309,10 +310,12 @@ def read_report(path):
 # --------------------------------------------------------------------------
 
 def write_grid_artifact(artifact, prefix) -> list[str]:
-    """Write an artifact as ``<prefix>.csv`` plus ``<prefix>.meta.json``.
+    """Write an artifact as ``<prefix>.csv`` plus ``<prefix>.meta.json``; returns the paths."""
+    return _write_grid(artifact, prefix)[0]
 
-    Returns the list of paths written.
-    """
+
+def _write_grid(artifact, prefix):
+    """:func:`write_grid_artifact`, returning ``(paths, meta)``; a grid job prints its maxima."""
     header = ""
     if isinstance(artifact, HistogramArtifact):
         columns = {
@@ -342,7 +345,7 @@ def write_grid_artifact(artifact, prefix) -> list[str]:
     paths = [f"{prefix}.csv", f"{prefix}.meta.json"]
     _write_file(paths[0], header, payload)
     _write_file(paths[1], sidecar)
-    return paths
+    return paths, meta
 
 
 def read_grid_artifact(prefix):

@@ -104,7 +104,7 @@ def sample_nsd(law: NormalOnSimplex, n, stream: SeededStream, kappa=1.0) -> Simp
     n = _check_n(n)
     z = stream.generator().standard_normal((n, law.dim))
     # coordinate-major (d, n): L @ z.T is z @ L.T transposed, the same BLAS call and bits,
-    # and mu is added along the long axis
+    # and mu is added along the long axis.  Not blocked: that raised peak RSS (see README)
     coords = law._chol @ z.T
     coords += law.mu[:, None]
     return SimplexSample._from_clr(coords.T @ law.basis.matrix.T, kappa, law.basis)

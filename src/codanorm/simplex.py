@@ -560,11 +560,9 @@ def _checked_kappa(kappa) -> float:
 
 def _close_rows(rows, kappa, out=None) -> np.ndarray:
     """The closure formula itself, without checks, into ``out`` (a new array by default;
-    ``rows`` itself may be given): ``@ ones`` sums short rows fastest.  From D = 8 on,
-    that product gives a row of a 2- or 3-row call other bits than in a longer call, so
-    there each row is summed column by column."""
-    D = rows.shape[1]
-    scale = kappa / (rows @ np.ones(D) if D < 8 else functools.reduce(np.add, rows.T))
+    ``rows`` itself may be given).  Each row is summed part by part, left to right, so a
+    row has the same bits in a call of any length, one row included, at every D."""
+    scale = kappa / functools.reduce(np.add, rows.T)
     out = np.empty(rows.shape) if out is None else out
     np.multiply(rows.T, scale, out=out.T, order="C")
     return out
@@ -587,8 +585,8 @@ def clr_rows(rows) -> np.ndarray:
 
 
 def _clr_rows(rows) -> np.ndarray:
-    """The clr formula itself, without checks.  Each row is summed column by column, in
-    a tenth of the time of ``sum(axis=1)`` and with its bits up to D = 7."""
+    """The clr formula itself, without checks.  Each row is summed part by part, left to
+    right, as :func:`_close_rows` sums it."""
     logs = np.log(rows)
     np.subtract(logs.T, functools.reduce(np.add, logs.T) / logs.shape[1], out=logs.T, order="C")
     return logs

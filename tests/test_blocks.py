@@ -65,15 +65,6 @@ _KERNELS = {
 }
 
 
-@pytest.mark.parametrize("name", list(_KERNELS))
-def test_blocks_join_without_seams(name):
-    kernel, make = _KERNELS[name]
-    rows = make(np.random.default_rng(4))
-    whole = kernel(rows)
-    by_block = np.concatenate([kernel(rows[s:s + _B]) for s in range(0, _N, _B)])
-    assert whole.shape == by_block.shape and whole.tobytes() == by_block.tobytes()
-
-
 # D -> the basis-free ilr maps at D parts, on _N rows
 def _ilr_kernels(D):
     return {
@@ -82,14 +73,34 @@ def _ilr_kernels(D):
     }
 
 
-_LONE_ROW_KERNELS = {**_KERNELS, **{k: v for D in range(3, 9) for k, v in _ilr_kernels(D).items()}}
+# D -> the sampler's map of _N given normals to clr rows, for a D-part law in a random basis
+def _sampler_kernel(D):
+    gen = np.random.default_rng(D)
+    a = gen.normal(size=(D - 1, D - 1))
+    law = NormalOnSimplex(gen.normal(0.0, 0.5, D - 1), a @ a.T / D + 0.3 * np.eye(D - 1),
+                          random_basis(D, gen))
+    return (lambda z: sample_nsd(law, len(z), _Given(z))._clr,
+            lambda rng: rng.normal(0.0, 1.0, (_N, D - 1)))
+
+
+_ALL_KERNELS = {**_KERNELS, **{k: v for D in range(3, 9) for k, v in _ilr_kernels(D).items()},
+                **{f"sample_nsd D={D}": _sampler_kernel(D) for D in range(2, 9)}}
+
+
+@pytest.mark.parametrize("name", list(_ALL_KERNELS))
+def test_blocks_join_without_seams(name):
+    kernel, make = _ALL_KERNELS[name]
+    rows = make(np.random.default_rng(4))
+    whole = kernel(rows)
+    by_block = np.concatenate([kernel(rows[s:s + _B]) for s in range(0, _N, _B)])
+    assert whole.shape == by_block.shape and whole.tobytes() == by_block.tobytes()
 
 
 @pytest.mark.parametrize("n", [_B + 1, 2 * _B + 1])
-@pytest.mark.parametrize("name", list(_LONE_ROW_KERNELS))
+@pytest.mark.parametrize("name", list(_ALL_KERNELS))
 def test_a_lone_last_row_joins_the_block_before_it(name, n):
     # alone in a block, the last row would go through BLAS's matrix-vector path
-    kernel, make = _LONE_ROW_KERNELS[name]
+    kernel, make = _ALL_KERNELS[name]
     rows = make(np.random.default_rng(6))[:n]
     whole = kernel(rows)
     assert whole[:n - 1].tobytes() == kernel(rows[:n - 1]).tobytes()  # only the last row moves
@@ -98,11 +109,10 @@ def test_a_lone_last_row_joins_the_block_before_it(name, n):
 
 @pytest.mark.parametrize("D", range(2, 13))
 def test_short_calls_close_rows_as_a_long_call_does(D):
-    # 1-, 2- and 3-row windows against a call of 16,387 rows, whose last block has 3; at
-    # D = 4..7 a one-row call sums its row on BLAS's vector path, with other bits
+    # 1-, 2- and 3-row windows against a call of 16,387 rows, whose last block has 3
     raw = np.exp(np.random.default_rng(D).normal(0.0, 1.5, (_B + 3, D)))
     whole = closure_rows(raw, 2.0)
-    for width in (2, 3) if 4 <= D <= 7 else (1, 2, 3):
+    for width in (1, 2, 3):
         for start in [*range(0, _B, 97), _B]:
             window = slice(start, start + width)
             assert closure_rows(raw[window], 2.0).tobytes() == whole[window].tobytes(), window

@@ -19,6 +19,7 @@ from codanorm import (
     NonPositivePartError,
     NormalOnRPlus,
     NormalOnSimplex,
+    NumericalError,
     RPlusSample,
     SeededStream,
     TernaryDensityGrid,
@@ -123,6 +124,14 @@ class TestHistogram:
         # the edges would repeat, leaving bins of zero measure and NaN densities
         with pytest.raises(DegenerateVarianceError, match="too narrow a range for 20 bins"):
             histogram_artifact(RPlusSample(values), metric, bins=20)
+
+    @pytest.mark.parametrize("logs", [[1000.0, 1001.0, 1003.0], [-1000.0, -1001.0, -1003.0],
+                                      [0.0, 1.0, 800.0]])
+    @pytest.mark.parametrize("metric", ["euclidean", "logratio"])
+    def test_values_past_the_float_range_rejected(self, logs, metric):
+        # their exp is inf or 0.0: no edge could bin them
+        with pytest.raises(NumericalError, match="past the float range"):
+            histogram_artifact(RPlusSample.from_logs(logs), metric)
 
     def test_bad_metric_rejected(self, rplus_sample):
         from codanorm import ValidationError

@@ -40,10 +40,8 @@ _SIZES = (1, 2, _BLOCK, 2 * _BLOCK + 5)
 # --------------------------------------------------------------------------
 
 def close_rows(rows, kappa):
-    # from D = 8 on each row is summed part by part, in order
-    D = rows.shape[1]
-    total = rows @ np.ones(D) if D < 8 else functools.reduce(np.add, rows.T)
-    return rows * (kappa / total)[:, None]
+    # each row is summed part by part, in order
+    return rows * (kappa / functools.reduce(np.add, rows.T))[:, None]
 
 
 def clr_of_rows(rows):
