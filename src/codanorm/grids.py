@@ -204,6 +204,19 @@ class _LatticeGrid(TernaryDensityGrid):
             return self._cells.indices[name == "j_index"]
         raise AttributeError(name)
 
+    def matrix(self) -> np.ndarray:
+        """The dense matrix, each lattice row filled from the run of values it starts; a
+        ``dataclasses.replace`` copy has no lattice and reads its index arrays."""
+        cells = getattr(self, "_cells", None)
+        if cells is None:
+            return super().matrix()
+        r, lo, values = self.resolution, cells.lo, self.values
+        m = np.full((r + 1, r + 1), np.nan)
+        for i, (start, length) in enumerate(zip(cells.starts.tolist(), cells._lengths.tolist()),
+                                            start=lo):
+            m[i, lo:lo + length] = values[start:start + length]
+        return m
+
 
 def ternary_density_grid(law, resolution=400, margin=1e-4) -> TernaryDensityGrid:
     """Evaluate a three-part simplex law on the barycentric lattice and find

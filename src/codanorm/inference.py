@@ -243,6 +243,22 @@ def _coordinates(clr, U):
     return _blockwise(lambda block: (U.T @ block.T).T, clr).T
 
 
+def _running_total(values, block=4096):
+    """Each row of ``values`` summed left to right, the bits of ``np.cumsum(values,
+    axis=1)[:, -1]``, through one ``(d, block)`` scratch buffer: each block of columns is
+    copied in, the running total added to its first column and the block summed in place."""
+    d, n = values.shape
+    scratch = np.empty((d, min(block, n)))
+    carry = None
+    for start in range(0, n, block):
+        part = scratch[:, :min(block, n - start)]
+        np.copyto(part, values[:, start:start + block])
+        if carry is not None:
+            part[:, 0] += carry
+        carry = np.cumsum(part, axis=1, out=part)[:, -1].copy()
+    return carry
+
+
 def fit_nsd(sample: SimplexSample) -> NormalOnSimplex:
     """Maximum likelihood fit of the normal law on the simplex.
 
@@ -263,7 +279,7 @@ def fit_nsd(sample: SimplexSample) -> NormalOnSimplex:
     n, U = sample.n, sample.basis.matrix
     centred = _coordinates(sample._clr, U)
     # the mean adds in the order of coords.mean(axis=0): down each column, pairwise at d = 1
-    total = centred.sum(axis=1) if U.shape[1] == 1 else np.cumsum(centred, axis=1)[:, -1]
+    total = centred.sum(axis=1) if U.shape[1] == 1 else _running_total(centred)
     mu = total / n
     centred -= mu[:, None]
     sigma = (centred @ centred.T) / (n - 1)

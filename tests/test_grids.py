@@ -506,6 +506,19 @@ class TestLatticeLogRatio:
         ii, jj = mask_indices(77, 1e-4)
         assert np.array_equal(i_index, ii) and np.array_equal(grid.j_index, jj)
 
+    @pytest.mark.parametrize("resolution, margin", [(4, 0.25), (12, 1e-4), (250, 0.05),
+                                                    (1000, 1e-4)])
+    def test_matrix_fills_lattice_rows_without_the_index_arrays(self, resolution, margin):
+        _lattice.cache_clear()  # a fresh lattice, whose index arrays no grid has read
+        grid = ternary_density_grid(with_lebesgue_reference(_NSD3), resolution, margin)
+        lattice = _lattice(resolution, math.ceil(margin * resolution))
+        dense = grid.matrix()
+        assert "indices" not in vars(lattice)
+        want = np.full((resolution + 1, resolution + 1), np.nan)
+        want[grid.i_index, grid.j_index] = grid.values
+        assert np.array_equal(dense, want, equal_nan=True)
+        assert np.array_equal(dense, TernaryDensityGrid.matrix(grid), equal_nan=True)
+
     def test_copies_and_pickles_hold_the_same_arrays(self):
         grid = ternary_density_grid(with_lebesgue_reference(_NSD3), resolution=33)
         shallow, deep = copy.copy(grid), copy.deepcopy(grid)

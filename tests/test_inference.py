@@ -42,7 +42,13 @@ from codanorm import (
     with_lebesgue_reference,
 )
 from codanorm._special import chdtr, ndtr
-from codanorm.inference import _CRITICAL_1PCT, _edf_statistics, _modified_statistics
+from codanorm.inference import (
+    _CRITICAL_1PCT,
+    _coordinates,
+    _edf_statistics,
+    _modified_statistics,
+    _running_total,
+)
 from codanorm.laws import nsd_logpdf_coords
 from codanorm.simplex import closure_rows, ilr_rows
 
@@ -341,6 +347,36 @@ class TestFitNsd:
         law_transport = nsd_transform(law, a, b)
         assert np.allclose(law_direct.mu, law_transport.mu, atol=1e-10)
         assert np.allclose(law_direct.sigma, law_transport.sigma, atol=1e-10)
+
+
+class TestFitNsdTotal:
+    """The coordinate total is summed left to right through one scratch block, with the
+    bits of ``np.cumsum(..., axis=1)[:, -1]`` and without its ``(d, n)`` temporary."""
+
+    @pytest.mark.parametrize("d, n", [(2, 1), (2, 4095), (3, 4096), (3, 4097), (7, 200_003)])
+    @pytest.mark.parametrize("block", [1, 3, 4096])
+    def test_running_total_has_the_cumsum_bits(self, d, n, block):
+        rng = np.random.default_rng(d * n + block)
+        values = rng.normal(size=(d, n)) * 10.0 ** rng.integers(-8, 8, size=(d, n))
+        want = np.cumsum(values, axis=1)[:, -1]
+        assert _running_total(values, block).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("D, n", [(3, 1000), (5, 16_385), (8, 200_003)])
+    def test_fitted_mean_has_the_cumsum_bits(self, D, n):
+        law = NormalOnSimplex(np.linspace(-1.0, 1.0, D - 1), np.eye(D - 1) + 0.4)
+        s = sample_nsd(law, n, SeededStream(D, n))
+        centred = _coordinates(s._clr, s.basis.matrix)
+        assert fit_nsd(s).mu.tobytes() == (np.cumsum(centred, axis=1)[:, -1] / n).tobytes()
+
+    def test_total_holds_no_coordinate_sized_temporary(self):
+        values = np.random.default_rng(1).normal(size=(7, 200_003))
+        tracemalloc.start()
+        try:
+            _running_total(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < values.nbytes / 20  # one (7, 4096) block: 0.23 MB against 11.2 MB
 
 
 class TestEqualData:

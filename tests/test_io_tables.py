@@ -1,8 +1,12 @@
 """The shared CSV reader, the row writer, the JSON metadata loader and the
 CLI's exit code for unreadable files."""
 
+import functools
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from unittest import mock
 
@@ -274,6 +278,11 @@ class TestRowWriter:
         head = '# codanorm-samples {"law_family": "x", "schema_version": 1}\na,b,c\n'
         assert p.read_text() == head + "".join(reference_row(r) for r in rows)
 
+    def test_rows_without_columns_are_empty_lines(self, tmp_path):
+        p = tmp_path / "s.csv"
+        write_samples_csv(p, {}, [], np.empty((3, 0)))
+        assert p.read_text().split("\n", 1)[1] == "\n" * 4
+
     def test_histogram_bytes_with_integer_counts(self, tmp_path):
         sample = sample_nrp(NormalOnRPlus(0.5, 1.0), 200, SeededStream(3, 0))
         art = histogram_artifact(sample, "euclidean", bins=7)
@@ -311,6 +320,132 @@ class TestRowWriter:
                                      NormalOnSimplex([0.0, 0.0], np.eye(2)))
         write_grid_artifact(grid, tmp_path / "c")
         assert (tmp_path / "c.csv").read_text() == "".join(reference_row(r) for r in values)
+
+
+# Cells that stress repr: NaN, both infinities, both zeros, the smallest subnormal, another
+# subnormal, the smallest normal, and both sides of repr's switches to exponent form at
+# 1e16 and 1e-4.
+_EDGE_CELLS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e-310, 2.2250738585072014e-308,
+               1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05, 1e22, -1.5e300]
+
+
+@functools.lru_cache(maxsize=None)
+def _peer_table(n, m):
+    """A read-only ``(n, m)`` table of mixed magnitudes with every edge cell in it, and its
+    rows as ``reference_row`` text; a 1001-column table carries the NaN triangle of a
+    ternary grid."""
+    rng = np.random.default_rng(n * 1009 + m)
+    table = rng.lognormal(0.0, 8.0, (n, m)) * rng.choice([-1.0, 1.0], (n, m))
+    cells = rng.choice(table.size, 4 * len(_EDGE_CELLS), replace=False)
+    table.flat[cells] = np.resize(_EDGE_CELLS, cells.size)
+    if m == 1001:
+        i, j = np.indices(table.shape)
+        table[i + j > 1000] = np.nan
+    table.flags.writeable = False
+    return table, "".join(map(reference_row, table))
+
+
+def _peer_tables():
+    """Each shape below, at and above the peer threshold, by cells."""
+    cells = codanorm_io._PEER_CELLS
+    for m in (1, 3, 1001):
+        below = -(-cells // m) - 1
+        for n in (below, below + 1, 3 * below):
+            yield pytest.param(n, m, id=f"{n}x{m}")
+
+
+def _replaced_peer(code):
+    """A ``subprocess.Popen`` that starts ``python -c code M`` in place of the peer."""
+    popen = subprocess.Popen
+
+    def start(args, **kwargs):
+        return popen([sys.executable, "-c", code, args[-1]], **kwargs)
+
+    return start
+
+
+_FAILING_PEERS = {
+    "exits at once": "import sys; sys.exit(3)",
+    "exits non-zero after its lines": (
+        "import sys; n = len(sys.stdin.buffer.read()) // 8 // int(sys.argv[1]);"
+        " sys.stdout.write('0.0\\n' * n); sys.exit(1)"),
+    "one line short": (
+        "import sys; n = len(sys.stdin.buffer.read()) // 8 // int(sys.argv[1]);"
+        " sys.stdout.write('0.0\\n' * (n - 1))"),
+}
+
+
+def _first_difference(got, want):
+    """The first line where two texts differ, ``(index, got, want)``, or None: a cheap
+    failure message for texts of megabytes."""
+    if got == want:
+        return None
+    got, want = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    k = next((k for k, pair in enumerate(zip(got, want)) if pair[0] != pair[1]),
+             min(len(got), len(want)))
+    return k, got[k:k + 1], want[k:k + 1]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestTwoProcessWriter:
+    """A table of ``_PEER_CELLS`` cells or more is formatted by this process and a peer;
+    whatever becomes of the peer, the bytes are those of ``reference_row``, and no child
+    process is left."""
+
+    def _check(self, tmp_path, n, m):
+        table, want = _peer_table(n, m)
+        path = tmp_path / "t.csv"
+        write_samples_csv(path, {}, [f"c{k}" for k in range(m)], table)
+        _no_child_left()
+        assert _first_difference(path.read_text().split("\n", 2)[2], want) is None
+
+    @pytest.mark.parametrize("n, m", _peer_tables())
+    def test_bytes(self, tmp_path, n, m):
+        with mock.patch("subprocess.Popen", wraps=subprocess.Popen) as spawn:
+            self._check(tmp_path, n, m)
+        assert spawn.call_count == (n * m >= codanorm_io._PEER_CELLS and codanorm_io._cpus() > 1)
+
+    @pytest.mark.parametrize("n, m", _peer_tables())
+    def test_bytes_when_the_peer_cannot_start(self, tmp_path, n, m):
+        with mock.patch("subprocess.Popen", side_effect=OSError("no process")):
+            self._check(tmp_path, n, m)
+
+    @pytest.mark.parametrize("peer", list(_FAILING_PEERS))
+    @pytest.mark.parametrize("n, m", _peer_tables())
+    def test_bytes_when_the_peer_fails(self, tmp_path, n, m, peer):
+        with mock.patch("subprocess.Popen", side_effect=_replaced_peer(_FAILING_PEERS[peer])):
+            self._check(tmp_path, n, m)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+    @pytest.mark.parametrize("n, m", _peer_tables())
+    def test_one_cpu_starts_no_peer(self, tmp_path, n, m):
+        cpus = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(cpus)})
+        try:
+            with mock.patch("subprocess.Popen", wraps=subprocess.Popen) as spawn:
+                self._check(tmp_path, n, m)
+        finally:
+            os.sched_setaffinity(0, cpus)
+        assert spawn.call_count == 0
+
+    def test_a_raising_parent_kills_and_waits_for_the_peer(self, tmp_path):
+        table = np.ones((2 * codanorm_io._PEER_CELLS, 1))
+        with mock.patch.object(codanorm_io, "format_rows", side_effect=MemoryError):
+            with pytest.raises(MemoryError):
+                write_samples_csv(tmp_path / "t.csv", {}, ["c"], table)
+        _no_child_left()
+
+    def test_samples_round_trip_through_two_processes(self, tmp_path):
+        table = _peer_table(codanorm_io._PEER_CELLS, 3)[0]
+        path = tmp_path / "s.csv"
+        write_samples_csv(path, {"n": len(table)}, ["a", "b", "c"], table)
+        meta, columns, values = read_samples_csv(path)
+        assert meta["n"] == len(table) and columns == ["a", "b", "c"]
+        assert values.tobytes() == table.tobytes()
 
 
 # ---------------------------------------------------------------------------
