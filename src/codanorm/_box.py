@@ -1,15 +1,16 @@
 """The normal mass of a box, ``P(lower < X < upper)`` for a centred normal ``X``
 at d >= 2, on numpy and ``math`` alone.
 
-* d = 2: Genz's bivariate method (Drezner & Wesolowsky, *J. Statist. Comput.
-  Simul.* 35, 1990, refined in Genz, *Stat. Comput.* 14, 2004), to about 1e-15.
+* d = 2: the d = 1 mass of the second coordinate given the first
+  (``_special.normal_mass``), integrated against the first's density by
+  12-node Gauss-Legendre pieces, halved adaptively to a relative tolerance.
 * d >= 3: Genz's separation of variables (*J. Comput. Graph. Stat.* 1, 1992)
   with Genz-Bretz variable ordering, integrated over 10 random shifts of a
   rank-1 lattice built by fast component-by-component construction (Nuyens &
   Cools, MCQMC 2004) under the tent transform; the point count grows by sqrt 2
   until 3 standard errors over the shifts are within 1e-5.
 
-Both are adapted from Genz's MATLAB routines and their Python port:
+The lattice code is adapted from Genz's MATLAB routines and their Python port:
 Copyright (C) 2013, Alan Genz; Python implementation Copyright (C) 2022,
 Robert Kern; all rights reserved; used under the three-clause BSD licence,
 which disclaims every warranty.
@@ -25,7 +26,7 @@ import math
 
 import numpy as np
 
-from ._special import _BLOCK, _SQRT_HALF, _Estimate, ndtr, ndtri
+from ._special import _BLOCK, _GL_RULE, _SQRT_HALF, _Estimate, ndtr, ndtri, normal_mass
 from .errors import QuadratureUnstableError
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -41,7 +42,7 @@ def _phi(z):
 
 def normal_box(sigma, lower, upper, seed) -> _Estimate:
     """``P(lower < X < upper)`` for ``X ~ N(0, sigma)`` at d >= 2 (bounds may be
-    infinite, each ``lower < upper``): the bivariate method at d = 2, the shifted
+    infinite, each ``lower < upper``): the conditional rule at d = 2, the shifted
     lattice from d = 3, its shifts drawn from ``default_rng(seed)`` on each call.
     Needing more than ``1e6 d`` points raises :class:`QuadratureUnstableError`."""
     if len(sigma) == 2:
@@ -49,72 +50,65 @@ def normal_box(sigma, lower, upper, seed) -> _Estimate:
     return _lattice_box(sigma, lower, upper, seed)
 
 
-def _bvn_nodes(r):
-    return 6 if abs(r) < 0.3 else 12 if abs(r) < 0.75 else 20
+# The value's own rounding: z standard deviations out, the integrand's exponent -z^2 / 2
+# ~ ln P moves by about z^2 eps with each rounding in it, so 16 eps |ln P| P is both the
+# halving's target (a fixed 1e-15 never settles on far tails) and part of its error.
+def _tolerance(p):
+    return 16.0 * 2.0 ** -52 * max(1.0, -math.log(p)) * p if p > 0.0 else 0.0
 
 
-@functools.lru_cache(maxsize=None)
-def _legendre_half(n):
-    """The ``n``-node Gauss-Legendre rule moved to [0, 2]: nodes and weights."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 1.0 + x, w
-
-
-def _bvnu(h, k, r):
-    """``P(X > h, Y > k)`` for standard normals of correlation ``r``, ``|r| < 1``:
-    Genz's ``bvnu``.  Below ``|r| = 0.925`` a Gauss-Legendre rule in ``asin r`` of 6,
-    12 or 20 nodes; above, the expansion about ``|r| = 1`` and a rule for what it
-    leaves (Drezner & Wesolowsky 1990; Genz 2004)."""
-    if h == math.inf or k == math.inf:
-        return 0.0
-    if h == -math.inf:
-        return 1.0 if k == -math.inf else _phi(-k)
-    if k == -math.inf:
-        return _phi(-h)
-    if r == 0.0:
-        return _phi(-h) * _phi(-k)
-    x, w = _legendre_half(_bvn_nodes(r))
-    hk, tp, bvn = h * k, 2.0 * math.pi, 0.0
-    if abs(r) < 0.925:
-        asr = 0.5 * math.asin(r)
-        sn = np.sin(asr * x)
-        bvn = float(np.exp((sn * hk - 0.5 * (h * h + k * k)) / (1.0 - sn * sn)) @ w)
-        return max(0.0, min(1.0, bvn * asr / tp + _phi(-h) * _phi(-k)))
-    if r < 0.0:
-        k, hk = -k, -hk
-    as_, bs = 1.0 - r * r, (h - k) ** 2
-    a, c, d = math.sqrt(as_), (4.0 - hk) / 8.0, (12.0 - hk) / 80.0
-    asr = -0.5 * (bs / as_ + hk)
-    if asr > -100.0:
-        bvn = a * math.exp(asr) * (1.0 - c * (bs - as_) * (1.0 - d * bs) / 3.0 + c * d * as_ * as_)
-    if hk > -100.0:
-        b = math.sqrt(bs)
-        sp = math.sqrt(tp) * _phi(-b / a)
-        bvn -= math.exp(-0.5 * hk) * sp * b * (1.0 - c * bs * (1.0 - d * bs) / 3.0)
-    xs = (0.5 * a * x) ** 2
-    asr = -0.5 * (bs / xs + hk)
-    keep = asr > -100.0  # there 3 |hk| < 200, so no exponent below overflows
-    xs = xs[keep]
-    rs = np.sqrt(1.0 - xs)
-    ep = np.exp(-0.5 * hk * xs / (1.0 + rs) ** 2) / rs
-    bvn = (0.5 * a * float((np.exp(asr[keep]) * (1.0 + c * xs * (1.0 + 5.0 * d * xs) - ep))
-                           @ w[keep]) - bvn) / tp
-    if r > 0.0:
-        bvn += _phi(-max(h, k))
-    elif h >= k:
-        bvn = -bvn
-    else:
-        bvn = (_phi(k) - _phi(h) if h < 0.0 else _phi(-h) - _phi(-k)) - bvn
-    return max(0.0, min(1.0, bvn))
+# Over twice the most pieces (43) that any box of two 80-box sweeps needed: |rho| = 1 -
+# 10^-(0.1...4), bounds in +-8, widths 1e-2 to 6, some ends infinite.  No piece is halved
+# past it, but the first pieces are all kept: about 30 a side of each turn near |rho| = 1.
+_MAX_PIECES = 100
 
 
 def _bivariate_box(sigma, lower, upper):
-    s1, s2 = math.sqrt(sigma[0, 0]), math.sqrt(sigma[1, 1])
-    r = float(sigma[0, 1] / (s1 * s2))
-    xl, xu, yl, yu = (float(v) for v in (lower[0] / s1, upper[0] / s1, lower[1] / s2,
-                                         upper[1] / s2))
-    p = _bvnu(xl, yl, r) - _bvnu(xu, yl, r) - _bvnu(xl, yu, r) + _bvnu(xu, yu, r)
-    return _Estimate(max(0.0, min(p, 1.0)), "genz-bivariate", _bvn_nodes(r), 1e-15, 1)
+    """``int phi(x) normal_mass((l2 - r x) / s, (h2 - r x) / s) dx`` over ``l1 < x < h1``
+    in standard units, ``s = sqrt(1 - r^2)``: the d = 1 mass of the second coordinate
+    given the first.  A piece is worth its halves' 12-node Gauss-Legendre rules, and
+    its error is their distance from its own rule; the piece of largest error is halved
+    until the errors sum to ``_tolerance`` or there are ``_MAX_PIECES``."""
+    sd = np.sqrt(np.diag(sigma))
+    (l1, l2), (h1, h2), (w1, w2) = (v.tolist() for v in (lower / sd, upper / sd,
+                                                         (upper - lower) / sd))
+    if -l1 == h1 == math.inf or -l2 == h2 == math.inf:  # a side is the line: the d = 1 box
+        p = normal_mass(l2, h2, w2) if -l1 == h1 == math.inf else normal_mass(l1, h1, w1)
+        return _Estimate(p, "conditional-legendre", 1, _tolerance(p), 0)
+    r = float(sigma[0, 1] / (sd[0] * sd[1]))
+    r = math.copysign(min(abs(r), 1.0 - 2.0 ** -53), r)  # not +-1 by rounding
+    s = math.sqrt((1.0 - r) * (1.0 + r))
+    a, b = (min(max(x, -39.0), 39.0) for x in (l1, h1))  # phi is 0 past |x| = 38.6
+    ends = {a, b}
+    for y in (l2, h2):  # the mass turns at x = y / r, within about s / |r|
+        if math.isfinite(y) and r != 0.0:
+            c, t = y / r, s / abs(r)
+            while c - t > a or c + t < b:
+                ends.update(e for e in (c - t, c + t) if a < e < b)
+                t *= 2.0
+    ends = sorted(ends)
+
+    def rule(u, v):  # the weights carry phi's 1 / sqrt(2 pi)
+        c, h = 0.5 * (u + v), 0.5 * (v - u)
+        return h * sum(w * math.exp(-0.5 * x * x) * normal_mass((l2 - r * x) / s,
+                                                                (h2 - r * x) / s, w2 / s)
+                       for t, w in _GL_RULE for x in (c - h * t, c + h * t))
+
+    def piece(u, v, whole):
+        m = 0.5 * (u + v)
+        left, right = rule(u, m), rule(m, v)
+        return [abs(left + right - whole), u, v, left, right]
+
+    pieces = [piece(u, v, rule(u, v)) for u, v in zip(ends, ends[1:])]
+    first = len(pieces)
+    while True:
+        value, error = math.fsum(p[3] + p[4] for p in pieces), math.fsum(p[0] for p in pieces)
+        if error <= _tolerance(value) or len(pieces) >= _MAX_PIECES:
+            return _Estimate(value, "conditional-legendre", 12 * (4 * len(pieces) - first),
+                             error + _tolerance(value), len(pieces))
+        pieces.sort()
+        _, u, v, left, right = pieces.pop()
+        pieces += [piece(u, 0.5 * (u + v), left), piece(0.5 * (u + v), v, right)]
 
 
 def _permuted_cholesky(sigma, lower, upper, tol=1e-10):

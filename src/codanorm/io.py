@@ -2,7 +2,8 @@
 
 Conventions shared by everything below:
 
-* CSV files are UTF-8 with a header row and '.' decimals; lines starting
+* Text files are UTF-8, a leading byte-order mark dropped.  CSV files have
+  a header row (a grid payload has none) and '.' decimals; lines starting
   with ``#`` are comments (the sample writer uses one to carry metadata) and
   blank lines are ignored.  One parser, ``_read_table``, reads every table;
   each public reader adds only its own checks, vectorized.  numpy's C reader
@@ -65,9 +66,10 @@ _SAMPLES_TAG = "# codanorm-samples "
 
 
 def _read_text(path):
-    """Whole file as text; a file that is not UTF-8 is a dataset problem."""
+    """Whole file as text, a leading byte-order mark dropped (spreadsheets write one);
+    a file that is not UTF-8 is a dataset problem."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise DatasetValidationError(
@@ -75,13 +77,15 @@ def _read_text(path):
         ) from None
 
 
-def _read_table(text_lines, path):
+def _read_table(text_lines, path, width=None):
     """The one CSV parser of ``path``'s lines: ``(columns, line_numbers, values, problems)``.
 
     Comment and blank lines are skipped but counted, and the first kept line
-    is the header.  A clean table (every data line ``width`` plain numbers)
-    parses in numpy's C reader, which gives ``float``'s values bit for bit;
-    any other table, and every problem, is left to :func:`_parse_lines`.
+    is the header; given a ``width``, the table has no header (``columns`` is
+    ``None``) and every kept line is data.  A clean table (every data line
+    ``width`` plain numbers) parses in numpy's C reader, which gives
+    ``float``'s values bit for bit; any other table, and every problem, is
+    left to :func:`_parse_lines`.
     """
     numbers, lines = [], []
     for lineno, line in enumerate(text_lines, start=1):
@@ -89,13 +93,16 @@ def _read_table(text_lines, path):
         if stripped and not stripped.startswith("#"):
             numbers.append(lineno)
             lines.append(line)
-    if not lines:
+    if width is not None:  # an empty header slot, which the parsers skip
+        columns, numbers, lines = None, [0, *numbers], ["", *lines]
+    elif not lines:
         raise DatasetValidationError([f"{path}: file has no header row"])
-    try:
-        columns = [h.strip() for h in next(csv.reader(lines[:1]))]
-    except csv.Error as exc:
-        raise DatasetValidationError([f"line {numbers[0]}: {exc}"]) from None
-    width = len(columns)
+    else:
+        try:
+            columns = [h.strip() for h in next(csv.reader(lines[:1]))]
+        except csv.Error as exc:
+            raise DatasetValidationError([f"line {numbers[0]}: {exc}"]) from None
+        width = len(columns)
     data = lines[1:]
     joined = "".join(data)
     # loadtxt warns on no lines; a field past csv's size limit is a problem, and
@@ -422,11 +429,36 @@ def _write_grid(artifact, prefix):
     return paths, meta
 
 
+# the payload's (rows, columns) that each kind's sidecar records (rows None: one or more)
+_GRID_SHAPES = {
+    "histogram": lambda meta: (None, len(meta["columns"])),
+    "ternary_density": lambda meta: (int(meta["resolution"]) + 1,) * 2,
+    "coordinate_density": lambda meta: (len(meta["x_axis"]), len(meta["y_axis"])),
+}
+
+
 def read_grid_artifact(prefix):
-    """Read back ``(meta, payload)`` written by :func:`write_grid_artifact`."""
-    where = f"{prefix}.meta.json"
+    """Read back ``(meta, payload)`` written by :func:`write_grid_artifact`.  A payload
+    that is ragged, non-numeric, empty or of another shape than its sidecar records
+    raises :class:`DatasetValidationError`, with line numbers where a line is at fault."""
+    where, path = f"{prefix}.meta.json", f"{prefix}.csv"
     meta = _load_meta(_read_text(where), where)
-    if meta.get("kind") not in ("histogram", "ternary_density", "coordinate_density"):
-        raise DatasetValidationError([f"{where}: unknown grid kind {meta.get('kind')!r}"])
-    skip = int(meta["kind"] == "histogram")  # the histogram's column header
-    return meta, np.loadtxt(f"{prefix}.csv", delimiter=",", skiprows=skip, ndmin=2)
+    kind = meta.get("kind")
+    if kind not in _GRID_SHAPES:
+        raise DatasetValidationError([f"{where}: unknown grid kind {kind!r}"])
+    try:
+        rows, width = _GRID_SHAPES[kind](meta)
+    except (KeyError, TypeError, ValueError):
+        raise DatasetValidationError([f"{where}: no payload shape for a {kind} grid"]) from None
+    text_lines = _read_text(path).split("\n")
+    # the histogram's header names its columns; the grids have none
+    columns, _, payload, problems = _read_table(text_lines, path, None if rows is None else width)
+    if columns is not None and len(columns) != width:
+        raise DatasetValidationError(
+            [f"{path}: header has {len(columns)} columns, the sidecar records {width}"])
+    _raise_problems(problems)
+    if (len(payload) != rows) if rows is not None else not len(payload):
+        want = "at least 1" if rows is None else rows
+        raise DatasetValidationError(
+            [f"{path}: {len(payload)} rows of {width} values, the sidecar records {want}"])
+    return meta, payload

@@ -1,6 +1,7 @@
 """Oracle tests for the box probabilities of ``codanorm._box``: against scipy at
-d = 2 and from d = 3, against closed forms in the tails, and of the lattice's
-parts (the component-by-component generator, the variable ordering)."""
+d = 2 and from d = 3, against closed forms in the tails, Sheppard's orthant
+forms and 60-digit references at d = 2, and of the lattice's parts (the
+component-by-component generator, the variable ordering)."""
 
 import math
 
@@ -109,9 +110,13 @@ class TestNormalBox:
             probability_of_box(law, -np.ones(3), np.ones(3))
 
     def test_bivariate_estimate(self):
+        # two first pieces: the bound 1 / sqrt 2 of the second coordinate turns its mass
+        # at x = 2, and of the graded ends 2 -+ 2.65 * 2**k only -0.65 lies in [-1, 0.5];
+        # three 12-node rules a piece, no halving, and _tolerance added to the error
         est = normal_box(np.array([[1.0, 0.5], [0.5, 2.0]]), np.array([-1.0, -np.inf]),
                          np.array([0.5, 1.0]), 1)
-        assert (est.method, est.points, est.error, est.rounds) == ("genz-bivariate", 12, 1e-15, 1)
+        assert (est.method, est.points, est.rounds) == ("conditional-legendre", 72, 2)
+        assert _box._tolerance(est.value) <= est.error <= 2.0 * _box._tolerance(est.value)
 
     @pytest.mark.parametrize("dim, n", [(4, 101), (6, 421), (3, 563)])
     def test_cbc_components_minimize_the_worst_case_error(self, dim, n):
@@ -137,3 +142,128 @@ class TestNormalBox:
             assert np.allclose(np.tril(got[0]), want[0], rtol=0, atol=1e-12)
             assert np.allclose(got[1], want[1], rtol=1e-12)
             assert np.allclose(got[2], want[2], rtol=1e-12)
+
+
+def _correlated(rho):
+    return np.array([[1.0, rho], [rho, 1.0]])
+
+
+# |rho| anywhere in (0.99, 1 - 2**-52], sign either way, or within 0.99 of 0
+_RHOS = st.one_of(st.floats(-0.99, 0.99),
+                  st.builds(lambda k, sign: sign * (1.0 - 2.0 ** -k), st.floats(6.7, 52.0),
+                            st.sampled_from([-1.0, 1.0])))
+
+
+@st.composite
+def tail_boxes(draw):
+    """A correlation from ``_RHOS`` and a box in standard units with bounds in +-8, widths
+    from 1e-2 to 6 and some infinite ends, as ``(rho, lower, upper)``."""
+    rho = draw(_RHOS)
+    lower, upper = [], []
+    for _ in range(2):
+        lo = draw(st.floats(-8.0, 8.0))
+        hi = lo + 10.0 ** draw(st.floats(-2.0, math.log10(6.0)))
+        end = draw(st.sampled_from(["finite", "finite", "lower", "upper"]))
+        lower.append(-math.inf if end == "lower" else lo)
+        upper.append(math.inf if end == "upper" else hi)
+    return rho, np.array(lower), np.array(upper)
+
+
+# Boxes whose digits the four-corner bivariate method lost to cancellation (a mirror
+# pair, a tail box, a box of probability 3.27e-43 that it returned as 0.0, and a d = 1
+# event written at d = 2, which it gave 7 % off), as (rho, lower, upper, P), P by 60-digit
+# mpmath, the same to all 30 digits shown in both orientations (x and y exchanged):
+#
+#   from mpmath import mp, mpf, inf
+#   mp.dps = 60
+#   def ref(r, l1, h1, l2, h2):  # the mass of Y given X, integrated over X
+#       r = mpf(r)
+#       s = mp.sqrt((1 - r) * (1 + r))
+#       def mass(lo, hi):  # P(lo < Z < hi), from the upper tails when lo > 0
+#           if lo > 0:
+#               return (mp.erfc(lo / mp.sqrt(2)) - mp.erfc(hi / mp.sqrt(2))) / 2
+#           return (mp.erfc(-hi / mp.sqrt(2)) - mp.erfc(-lo / mp.sqrt(2))) / 2
+#       a, b = max(mpf(l1), -40), min(mpf(h1), 40)
+#       ends = ({a + (b - a) * mpf(2) ** -j for j in range(40)}
+#               | {b - (b - a) * mpf(2) ** -j for j in range(40)})
+#       for y in (l2, h2):  # graded about each turn y / r of the mass
+#           if mp.isfinite(y):
+#               ends |= {y / r + k * s / abs(r) * mpf(2) ** j
+#                        for k in (-1, 1) for j in range(-4, 12)}
+#       ends = sorted(e for e in ends if a <= e <= b)
+#       return mp.quad(lambda x: mp.npdf(x) * mass((l2 - r * x) / s, (h2 - r * x) / s),
+#                      ends, method="gauss-legendre")
+#   x, y = ref(r, l1, h1, l2, h2), ref(r, l2, h2, l1, h1)
+#
+# References must resolve the integrand's scale: mp.quad at 40 digits with breakpoints at
+# the integers gives 3.269489e-43 for the fourth box, 1.6e-5 off.
+_CANCELLING_BOXES = [
+    (-0.5, [6.0, 6.0], [7.0, 7.0], 6.71320939419820667128792813136e-35),
+    (0.5, [6.0, -7.0], [7.0, -6.0], 6.71320939419820667128792813136e-35),
+    (0.5, [-7.0, -7.0], [-6.0, -6.0], 3.82822474577363881363417133516e-13),
+    (0.9, [-math.inf, 3.0], [-3.0, math.inf], 3.26943601688393172602012774956e-43),
+    (0.3, [-math.inf, -math.inf], [math.inf, -8.0], 6.22096057427178412351599517259e-16),
+]
+
+
+def _bound(p):
+    """What a d = 2 box must hold: 1e-13 relative, or 16 eps |ln P| where that is larger."""
+    return max(1e-13, 16.0 * 2.0 ** -52 * abs(math.log(p))) * p
+
+
+class TestConditionalBox:
+    @given(_RHOS)
+    @settings(max_examples=200, deadline=None)
+    def test_sheppard_orthants(self, rho):
+        # P(X < 0 < Y) = acos(rho) / 2 pi and P(X > 0, Y > 0) = 1/4 + asin(rho) / 2 pi,
+        # the latter written acos(-rho) / 2 pi, which keeps its digits near rho = -1
+        law = NormalOnSimplex([0.0, 0.0], _correlated(rho))
+        apart = probability_of_box(law, [-np.inf, 0.0], [0.0, np.inf])
+        assert apart == pytest.approx(math.acos(rho) / (2.0 * math.pi), rel=1e-13, abs=0)
+        above = probability_of_box(law, [0.0, 0.0], [np.inf, np.inf])
+        assert above == pytest.approx(math.acos(-rho) / (2.0 * math.pi), rel=1e-13, abs=0)
+
+    @given(tail_boxes(), st.integers(0, 1))
+    @settings(max_examples=200, deadline=None)
+    def test_mirrored_boxes_agree(self, box, k):
+        # the image of the box under X_k -> -X_k, under the correlation -rho
+        rho, lower, upper = box
+        flip = np.where(np.arange(2) == k, -1.0, 1.0)
+        p = normal_box(_correlated(rho), lower, upper, 1).value
+        q = normal_box(_correlated(-rho), np.minimum(flip * lower, flip * upper),
+                       np.maximum(flip * lower, flip * upper), 1).value
+        assert q == pytest.approx(p, rel=1e-13, abs=1e-300)
+
+    @pytest.mark.parametrize("rho", [0.3, -0.999999, 1.0 - 2.0 ** -52])
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("lo, hi", [(-math.inf, -8.0), (-0.5, 1.25), (3.0, 3.0 + 1e-9),
+                                        (37.0, math.inf)])
+    def test_a_side_that_is_the_line_is_the_d_1_box(self, rho, side, lo, hi):
+        scale = 2.5
+        sigma = _correlated(rho) * np.outer([1.0, scale], [1.0, scale])
+        lower, upper = np.full(2, -np.inf), np.full(2, np.inf)
+        lower[1 - side], upper[1 - side] = lo, hi
+        sd = math.sqrt(sigma[1 - side, 1 - side])
+        want = normal_mass(lo / sd, hi / sd, (hi - lo) / sd)
+        assert normal_box(sigma, lower, upper, 1).value == want
+        law_1 = NormalOnSimplex([0.0], [[sigma[1 - side, 1 - side]]])
+        law_2 = NormalOnSimplex([0.0, 0.0], sigma)
+        assert probability_of_box(law_2, lower, upper) == probability_of_box(law_1, [lo], [hi])
+
+    @pytest.mark.parametrize("rho, lower, upper, want", _CANCELLING_BOXES)
+    def test_boxes_that_four_corners_cancelled(self, rho, lower, upper, want):
+        est = normal_box(_correlated(rho), np.array(lower), np.array(upper), 1)
+        assert abs(est.value - want) <= _bound(want)
+        assert abs(est.value - want) <= est.error
+
+    def test_a_correlation_that_rounds_to_1(self):
+        # a valid law whose sigma_12 / (sd_1 sd_2) rounds to 1: here Y / sd_2 is X / sd_1
+        # to within s = 1.5e-8, so a box is the d = 1 box of the two sides' overlap
+        sigma = np.array([[0.07268608093786182, 0.24447345104598045],
+                          [0.24447345104598045, 0.8222656593278913]])
+        sd = np.sqrt(np.diag(sigma))
+        assert sigma[0, 1] / (sd[0] * sd[1]) == 1.0
+        law = NormalOnSimplex([0.0, 0.0], sigma)
+        got = probability_of_box(law, [-1.0, -1.0], [1.0, 2.0])
+        assert abs(got - normal_mass(-1.0 / sd[1], 2.0 / sd[1], 3.0 / sd[1])) <= 1e-7
+        assert 0.0 <= probability_of_box(law, [-np.inf, 0.0], [0.0, np.inf]) <= 1e-8

@@ -260,6 +260,25 @@ class TestSharedReader:
             read_rplus_csv(p)
         assert str(p) in exc.value.problems[0] and "UTF-8" in exc.value.problems[0]
 
+    @pytest.mark.parametrize("reader", ["rplus", "samples", "report"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, reader):
+        # spreadsheets' "CSV UTF-8" starts the file with U+FEFF
+        p = tmp_path / "f"
+        if reader == "rplus":
+            p.write_text("flow\n1.5\n")
+        elif reader == "samples":
+            write_samples_csv(p, {"seed": 4}, ["a", "b"], [[1.0, 2.0]])
+        else:
+            write_report({"command": "fit", "n": 3}, p)
+        p.write_text("\ufeff" + p.read_text(encoding="utf-8"), encoding="utf-8")
+        if reader == "rplus":
+            assert read_rplus_csv(p)[1] == "flow"
+        elif reader == "samples":
+            meta, columns, rows = read_samples_csv(p)
+            assert meta["seed"] == 4 and columns == ["a", "b"] and rows.tolist() == [[1.0, 2.0]]
+        else:
+            assert read_report(p)["n"] == 3
+
 
 # ---------------------------------------------------------------------------
 # writer
@@ -500,6 +519,88 @@ class TestMetadataLoader:
         write_samples_csv(tmp_path / "s.csv", {"seed": 4}, ["v"], [2.5])
         meta, columns, rows = read_samples_csv(tmp_path / "s.csv")
         assert meta["seed"] == 4 and columns == ["v"] and rows.tolist() == [[2.5]]
+
+
+def _grid_files(tmp_path, kind):
+    """Write a small artifact of ``kind``; return its prefix and its payload's lines."""
+    law = NormalOnSimplex([0.3, -1.0], [[1.0, 0.2], [0.2, 0.5]])
+    artifact = {
+        "histogram": lambda: histogram_artifact(
+            sample_nrp(NormalOnRPlus(0.5, 1.0), 200, SeededStream(3, 0)), "euclidean", bins=7),
+        "ternary_density": lambda: ternary_density_grid(law, resolution=10),
+        "coordinate_density": lambda: CoordinateDensityGrid(
+            np.array([0.0, 1.0]), np.array([0.0, 1.0, 2.0]), np.arange(6.0).reshape(2, 3), law),
+    }[kind]()
+    write_grid_artifact(artifact, tmp_path / "g")
+    return tmp_path / "g", (tmp_path / "g.csv").read_text().splitlines()
+
+
+def _grid_problems(prefix):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DatasetValidationError) as exc:
+            read_grid_artifact(prefix)
+    return exc.value.problems
+
+
+_GRID_KINDS = ["histogram", "ternary_density", "coordinate_density"]
+
+
+class TestGridPayload:
+    @pytest.mark.parametrize("kind", _GRID_KINDS)
+    def test_ragged_line(self, tmp_path, kind):
+        prefix, lines = _grid_files(tmp_path, kind)
+        (tmp_path / "g.csv").write_text("\n".join(lines) + "\n1,2\n")
+        width = len(lines[-1].split(","))
+        assert _grid_problems(prefix) == [f"line {len(lines) + 1}: expected {width} fields, got 2"]
+
+    @pytest.mark.parametrize("kind", _GRID_KINDS)
+    def test_non_numeric_cell(self, tmp_path, kind):
+        prefix, lines = _grid_files(tmp_path, kind)
+        fields = lines[1].split(",")
+        lines[1] = ",".join(["oops", *fields[1:]])
+        (tmp_path / "g.csv").write_text("\n".join(lines) + "\n")
+        assert _grid_problems(prefix) == [
+            f"line 2: non-numeric field among {['oops', *fields[1:]]!r}"]
+
+    @pytest.mark.parametrize("kind", _GRID_KINDS)
+    def test_empty_payload(self, tmp_path, kind):
+        prefix, lines = _grid_files(tmp_path, kind)
+        (tmp_path / "g.csv").write_text(lines[0] + "\n" if kind == "histogram" else "")
+        want = ("at least 1" if kind == "histogram" else
+                "11" if kind == "ternary_density" else "2")
+        assert _grid_problems(prefix) == [
+            f"{prefix}.csv: 0 rows of {len(lines[-1].split(','))} values, the sidecar records {want}"]
+
+    @pytest.mark.parametrize("kind", ["ternary_density", "coordinate_density"])
+    def test_row_count_disagrees_with_the_sidecar(self, tmp_path, kind):
+        prefix, lines = _grid_files(tmp_path, kind)
+        (tmp_path / "g.csv").write_text("\n".join(lines[:-1]) + "\n")
+        assert _grid_problems(prefix) == [
+            f"{prefix}.csv: {len(lines) - 1} rows of {len(lines[0].split(','))} values, "
+            f"the sidecar records {len(lines)}"]
+
+    def test_width_disagrees_with_the_sidecar(self, tmp_path):
+        prefix, lines = _grid_files(tmp_path, "coordinate_density")
+        (tmp_path / "g.csv").write_text("".join(reference_row(r) for r in np.ones((3, 2))))
+        assert _grid_problems(prefix) == [f"line {n}: expected 3 fields, got 2" for n in (1, 2, 3)]
+        prefix, lines = _grid_files(tmp_path, "histogram")
+        (tmp_path / "g.csv").write_text("\n".join(line.rsplit(",", 1)[0] for line in lines))
+        assert _grid_problems(prefix) == [f"{prefix}.csv: header has 7 columns, the sidecar records 8"]
+
+    def test_sidecar_without_a_shape(self, tmp_path):
+        prefix, _ = _grid_files(tmp_path, "ternary_density")
+        meta = json.loads((tmp_path / "g.meta.json").read_text())
+        del meta["resolution"]
+        (tmp_path / "g.meta.json").write_text(json.dumps(meta))
+        assert _grid_problems(prefix) == [f"{prefix}.meta.json: no payload shape for a "
+                                          "ternary_density grid"]
+
+    @pytest.mark.parametrize("kind", _GRID_KINDS)
+    def test_payload_round_trips(self, tmp_path, kind):
+        prefix, lines = _grid_files(tmp_path, kind)
+        meta, payload = read_grid_artifact(prefix)
+        assert "".join(reference_row(r) for r in payload) == "\n".join(lines[kind == "histogram":]) + "\n"
 
 
 # ---------------------------------------------------------------------------
