@@ -59,7 +59,7 @@ def _tolerance(p):
 
 # Over twice the most pieces (43) that any box of two 80-box sweeps needed: |rho| = 1 -
 # 10^-(0.1...4), bounds in +-8, widths 1e-2 to 6, some ends infinite.  No piece is halved
-# past it, but the first pieces are all kept: about 30 a side of each turn near |rho| = 1.
+# past it; the first pieces are at most 29.
 _MAX_PIECES = 100
 
 
@@ -80,12 +80,12 @@ def _bivariate_box(sigma, lower, upper):
     s = math.sqrt((1.0 - r) * (1.0 + r))
     a, b = (min(max(x, -39.0), 39.0) for x in (l1, h1))  # phi is 0 past |x| = 38.6
     ends = {a, b}
-    for y in (l2, h2):  # the mass turns at x = y / r, within about s / |r|
+    # a finite bound y's term of the mass turns at x = y / r, within about s / |r|; at
+    # 64 s / |r| out its argument is +-64, where the term is 0 or 1 to the last bit
+    for y in (l2, h2):
         if math.isfinite(y) and r != 0.0:
             c, t = y / r, s / abs(r)
-            while c - t > a or c + t < b:
-                ends.update(e for e in (c - t, c + t) if a < e < b)
-                t *= 2.0
+            ends.update(e for k in range(7) for e in (c - t * 2**k, c + t * 2**k) if a < e < b)
     ends = sorted(ends)
 
     def rule(u, v):  # the weights carry phi's 1 / sqrt(2 pi)

@@ -14,11 +14,12 @@ numpy and ``math`` alone, the record of an estimate with no closed form, and
 * :func:`stdtrit` at integer degrees of freedom: closed forms for 1 and 2,
   the Cornish-Fisher expansion (A&S 26.7.5) wherever its first omitted term
   is below 1e-16 (every ``p >= 1e-300`` from ``nu = 3.5e5``, the centre from
-  ``nu = 1000``), and elsewhere Newton's method on ``I_x(nu/2, 1/2)``, the
-  regularized incomplete beta function, as a modified-Lentz continued
-  fraction (*Numerical Recipes* §6.4) taken in log space.  The fraction loses
-  up to 1e-11 near ``nu = 1e5`` at moderate ``t``, which is why the expansion
-  takes over by its error term, not at a fixed ``nu``.
+  ``nu = 1000``), and elsewhere Newton's method in log space on A&S 26.7.3-4:
+  the centre mass as a finite sum of ``nu / 2`` terms, the tail as its positive
+  remainder, which ``chdtr`` has in the same shape.  Both sums lengthen and lose
+  digits with ``nu``: forced past the switch they cost up to 25 ms and 1.7e-12 at
+  ``nu = 1e5``, 170 ms and 2e-11 at ``nu = 1e6`` (one call, 2-core Xeon), which is
+  why the expansion takes over by its error term, not at a fixed ``nu``.
 * :func:`ndtri`: Wichura's AS241 (PPND16, *Appl. Statist.* 37, 1988), the normal
   quantile to about 1e-16 relative from ``p = 1e-300`` to ``1 - 2**-53``.
 """
@@ -294,26 +295,6 @@ def _ln_gamma_half_ratio(a):
             + stirling(a + 0.5) - stirling(a))
 
 
-def _betacf(a, b, x):
-    """Continued fraction of ``I_x(a, b)`` by the modified Lentz method; converges
-    fast for ``x < (a + 1) / (a + b + 2)``."""
-    tiny = 1e-300
-    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
-    d = 1.0 / (d if abs(d) > tiny else tiny)
-    f = d
-    for m in range(1, 100_000):
-        for num in (m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
-                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))):
-            d = 1.0 + num * d
-            d = 1.0 / (d if abs(d) > tiny else tiny)
-            c = 1.0 + num / c
-            c = c if abs(c) > tiny else tiny
-            f *= c * d
-        if abs(c * d - 1.0) < 4e-16:
-            return f
-    raise NumericalError(f"incomplete beta continued fraction did not converge at a={a}, x={x}")
-
-
 def _newton_in_log(residual, s):
     """Root ``s > 0`` of ``residual(s) -> (r, dr / d ln s)`` by Newton's method in ``ln s``.
 
@@ -330,28 +311,40 @@ def _newton_in_log(residual, s):
 
 def _t_residual(nu, p):
     """Residual of ``ln P(T <= -s) = ln p`` (or ``ln P(-s < T <= 0) = ln(1/2 - p)``
-    for ``p >= 1/4``, where ``1/2 - p`` is exact) and its slope in ``ln s``."""
-    a = 0.5 * nu
+    for ``p >= 1/4``, where ``1/2 - p`` is exact) and its slope in ``ln s``.
+
+    A&S 26.7.3-4: with ``c = nu / (nu + s^2)``, ``theta = atan(s / sqrt nu)``,
+    ``m = nu // 2`` and ``g_0 = 1``, ``g_k / g_(k-1) = (2k - 1 + odd) / (2k + odd)``,
+    ``P(-s < T <= 0) = F sum_(k<m) g_k c^k``, plus ``theta / pi`` at odd ``nu``, with
+    ``F = sin(theta) / 2`` at even ``nu`` and ``sin(theta) cos(theta) / pi`` at odd.  The
+    rest of the series is ``P(T <= -s)``, and ``F g_m c^m = s f(s) / nu`` for the density
+    ``f``.  The tail is that remainder where ``p < 0.05``, and ``1/2`` less the centre mass
+    elsewhere: that loses under a digit, and the Newton branch never has ``m`` past about
+    840 there, where the remainder would need about ``37.5 nu / s^2`` terms."""
+    m, odd = nu // 2, nu % 2
     centre = p >= 0.25
     target = math.log(0.5 - p if centre else p)
-    ln_ratio = _ln_gamma_half_ratio(a)
-    ln_density0 = ln_ratio - 0.5 * math.log(math.pi * nu)
+    ln_density0 = _ln_gamma_half_ratio(0.5 * nu) - 0.5 * math.log(math.pi * nu)
+
+    def series(k0, n, c):  # sum_(j<n) g_(k0+j) c^j / g_k0: n terms, each below c times the last
+        r = np.arange(2 * k0 + 2 + odd, 2 * (k0 + n) + odd, 2, dtype=float)  # 2k + odd
+        r = (r - 1.0) / r
+        r *= c
+        return 1.0 + float(np.cumprod(r, out=r).sum())
 
     def residual(s):
         q = s * s / nu
-        l1 = math.log1p(q)
-        x = 1.0 / (1.0 + q)  # P(T <= -s) = I_x(a, 1/2) / 2, P(-s < T <= 0) = I_(1-x)(1/2, a) / 2
-        common = -a * l1 + 0.5 * (math.log(q) - l1) - 0.5 * math.log(math.pi) + ln_ratio
-        if x < (a + 1.0) / (a + 2.5):
-            ln_tail = common - math.log(nu) + math.log(_betacf(a, 0.5, x))
-            ln_mid = math.log(0.5 - math.exp(ln_tail))
+        l1, c = math.log1p(q), 1.0 / (1.0 + q)  # l1 = -ln c
+        ln_s_density = math.log(s) + ln_density0 - 0.5 * (nu + 1) * l1
+        if p < 0.05:  # past n terms the rest is c^n / (1 - c^n) of them at most: below 2^-54
+            ln_mass = ln_s_density - math.log(nu) + math.log(series(m, math.ceil(37.5 / l1), c))
         else:
-            ln_mid = common + math.log(_betacf(0.5, a, q / (1.0 + q)))
-            ln_tail = math.log(0.5 - math.exp(ln_mid))
-        ln_s_density = math.log(s) + ln_density0 - (a + 0.5) * l1
-        if centre:
-            return ln_mid - target, math.exp(ln_s_density - ln_mid)
-        return ln_tail - target, -math.exp(ln_s_density - ln_tail)
+            theta = math.atan2(s, math.sqrt(nu))
+            f = math.sin(theta) * (math.cos(theta) / math.pi if odd else 0.5)
+            mid = f * series(0, m, c) + odd * theta / math.pi
+            ln_mass = math.log(mid if centre else 0.5 - mid)
+        slope = math.exp(ln_s_density - ln_mass)
+        return ln_mass - target, slope if centre else -slope
 
     return residual
 

@@ -267,3 +267,14 @@ class TestConditionalBox:
         got = probability_of_box(law, [-1.0, -1.0], [1.0, 2.0])
         assert abs(got - normal_mass(-1.0 / sd[1], 2.0 / sd[1], 3.0 / sd[1])) <= 1e-7
         assert 0.0 <= probability_of_box(law, [-np.inf, 0.0], [0.0, np.inf]) <= 1e-8
+
+    def test_first_pieces_stop_64_turn_widths_out(self):
+        # near |rho| = 1 a bound's term turns within s / |r| of x = y / r, and 64 s / |r|
+        # out it is 0 or 1 to the bit: the first pieces end there (69 of them when they ran
+        # on to the interval's ends).  The reference is the script above's, both orientations
+        rho, want = 1.0 - 1e-10, 0.624655260005155037633210569628
+        est = normal_box(_correlated(rho), np.array([-1.0, -0.5]), np.array([2.0, 1.5]), 1)
+        assert abs(est.value - want) <= _bound(want)
+        assert est.rounds <= 30
+        mirror = normal_box(_correlated(rho), np.array([-2.0, -1.5]), np.array([1.0, 0.5]), 1)
+        assert mirror.value == pytest.approx(est.value, rel=1e-13, abs=0)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from codanorm import (
+    AlnLaw,
     DegenerateVarianceError,
     DimensionMismatchError,
     EmptyDataError,
@@ -347,6 +348,42 @@ class TestFitNsd:
         law_transport = nsd_transform(law, a, b)
         assert np.allclose(law_direct.mu, law_transport.mu, atol=1e-10)
         assert np.allclose(law_direct.sigma, law_transport.sigma, atol=1e-10)
+
+
+class TestOneLawAcrossSpaces:
+    """Independent normal laws on R+, one a part, closed into a composition: the closed
+    sample's coordinates, fit and battery are those of the logs ``L`` read through the
+    contrast matrix ``U``, and both labels of the fitted law give the same battery.  An
+    identity of the arithmetic, not a statistical test, so the tolerances are rounding.
+
+    With ``e = 2^-52`` and ``s = 1 + max|L|``: each clr entry of ``exp(L)`` is within
+    ``(D + 2) e s`` of the centred logs (the ``log`` of the ``exp``, a row mean of ``D``
+    terms, a subtraction), and a column of ``U`` has ``sum |U| <= sqrt D``, so a
+    coordinate and ``L U`` in floats differ by at most ``sqrt(D) (4D + 2) e s <= 4 D^2 e s``.
+    A coordinate is at most ``c = 2 sqrt(D) s``; a mean of ``n`` of them adds ``n e c`` on
+    either side, and a covariance ``2 c`` times the centred values' error plus ``(n + D^2)
+    e c^2`` of rounding on either side."""
+
+    @pytest.mark.parametrize("D", [2, 3, 4, 5, 6])
+    def test_closed_logs_are_one_simplex_law(self, D):
+        n, rng = 200, np.random.default_rng(D)
+        laws = [NormalOnRPlus(m, s2)
+                for m, s2 in zip(rng.uniform(-3, 3, D), rng.uniform(0.2, 4, D))]
+        logs = np.column_stack([sample_nrp(law, n, SeededStream(35, i)).logs
+                                for i, law in enumerate(laws)])
+        sample = SimplexSample.from_rows(np.exp(logs))
+        U, e, s = sample.basis.matrix, 2.0 ** -52, 1.0 + np.max(np.abs(logs))
+        c = 2.0 * math.sqrt(D) * s
+        coord_tol = 4 * D * D * e * s
+        assert np.max(np.abs(sample.coords - logs @ U)) <= coord_tol
+        law = fit_nsd(sample)
+        mean_tol = coord_tol + 2 * n * e * c
+        assert np.max(np.abs(law.mu - U.T @ logs.mean(axis=0))) <= mean_tol
+        cov_tol = 3 * c * (coord_tol + mean_tol) + 3 * (n + D * D) * e * c * c
+        assert np.max(np.abs(law.sigma - U.T @ np.cov(logs, rowvar=False) @ U)) <= cov_tol
+        nsd, aln = ([entry.statistic for entry in gof_battery(sample, label)]
+                    for label in (law, AlnLaw(law.mu, law.sigma, law.basis)))
+        assert nsd == aln and len(nsd) == 3 * (D + (D - 1) * (D - 2) // 2)
 
 
 class TestFitNsdTotal:

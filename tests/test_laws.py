@@ -7,10 +7,12 @@ Monte Carlo oracles computed inside the tests.
 
 import itertools
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 from scipy.special import logsumexp, ndtr
@@ -73,6 +75,7 @@ from codanorm import (
 )
 from codanorm.laws import (
     _line_logpdf,
+    _log_abs_expm1,
     _simplex_logpdf,
     aln_pdf_rows,
     nsd_logpdf_coords,
@@ -808,6 +811,74 @@ class TestSparseGridClassicalMean:
         # each row is shifted by its largest log before exp, so no part overflows
         mean = aln_classical_mean(AlnLaw([2000.0, 0.0], np.eye(2)))
         assert np.max(np.abs(mean - [1.0, 0.0, 0.0])) <= 1e-12
+
+
+def _assert_value(got, exact, tol):
+    """A float ``got`` against an mpmath ``exact``: ``+-inf`` past the largest float, else
+    within ``tol`` relative plus half the spacing of the subnormals, where it underflows."""
+    if math.isinf(got):
+        assert abs(exact) >= sys.float_info.max * (1.0 - tol) and (got > 0) == (exact > 0)
+    else:
+        assert abs(got - exact) <= tol * abs(exact) + mpmath.mpf(2) ** -1075
+
+
+_EPS = 2.0 ** -52
+_LOG_MEANS = st.floats(-300.0, 300.0)
+_LOG_VARIANCES = st.floats(math.log(1e-12), math.log(630.0)).map(math.exp)
+
+
+class TestClosedFormsAgainstMpmath:
+    """The classical moments and naive interval of the lognormal law, and the log of
+    ``|expm1|`` they use, against 50-digit mpmath.
+
+    Each value is ``exp(t)``, ``t`` a sum of float terms (``mu``, ``sigma2 / 2``,
+    ``ln expm1 sigma2``, ``ln k``).  Each term and each partial sum rounds by at most
+    ``eps / 2`` of its own size, and ``exp`` adds an ulp, so the relative error is at most
+    ``eps`` times about the sum of those sizes: within ``8 eps max(1, |ln value|)`` where
+    no term outgrows ``t``.  The variance and the naive ends add terms that can cancel
+    (``2 mu + sigma2`` against ``ln expm1 sigma2``; ``mu + sigma2 / 2`` against
+    ``ln k + ln expm1(sigma2) / 2``), so their bound takes the largest term in place of
+    ``|ln value|``, the exponent's own condition.  The naive lower end
+    ``mean - k sd`` also cancels, and its bound is multiplied by that difference's
+    condition number ``(mean + k sd) / |mean - k sd|``."""
+
+    @given(_LOG_MEANS, _LOG_VARIANCES)
+    @settings(max_examples=300, deadline=None)
+    @example(8.291961087897882, 1.1183284862405543e-07)  # ln variance near 0: terms of 16
+    def test_moments(self, mu, s2):
+        m = lognormal_moments(LognormalLaw(mu, s2))
+        with mpmath.workdps(50):
+            a, b = mpmath.mpf(mu), mpmath.mpf(s2)
+            for got, ln_exact, size in ((m.mean, a + b / 2, 0.0), (m.median, a, 0.0),
+                                        (m.mode, a - b, 0.0),
+                                        (m.variance, 2 * a + b + mpmath.log(mpmath.expm1(b)),
+                                         max(abs(2 * mu + s2), abs(math.log(math.expm1(s2)))))):
+                tol = 8.0 * _EPS * max(1.0, abs(float(ln_exact)), size)
+                _assert_value(got, mpmath.exp(ln_exact), tol)
+
+    @given(_LOG_MEANS, _LOG_VARIANCES, st.floats(math.log(0.01), math.log(100.0)).map(math.exp))
+    @settings(max_examples=300, deadline=None)
+    @example(-227.71143901342737, 224.45411870587296, 56.02060609796005)  # terms of 115
+    def test_naive_interval(self, mu, s2, k):
+        got = lognormal_naive_interval(LognormalLaw(mu, s2), k)
+        size = max(abs(mu + 0.5 * s2), abs(math.log(k)) + 0.5 * abs(math.log(math.expm1(s2))))
+        with mpmath.workdps(50):
+            a, b = mpmath.mpf(mu), mpmath.mpf(s2)
+            mean = mpmath.exp(a + b / 2)
+            k_sd = k * mpmath.sqrt(mpmath.expm1(b)) * mean
+            cancel = (mean + k_sd) / abs(mean - k_sd)
+            for end, exact, condition in ((got.lower, mean - k_sd, cancel),
+                                          (got.upper, mean + k_sd, 1)):
+                tol = 8.0 * _EPS * max(1.0, abs(float(mpmath.log(abs(exact)))), size)
+                _assert_value(end, exact, tol * float(condition))
+
+    @given(st.floats(-300.0, math.log10(2.0)), st.sampled_from([-1.0, 1.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_log_abs_expm1_near_0(self, log10_x, sign):
+        x = sign * 10.0 ** log10_x
+        with mpmath.workdps(50):
+            exact = mpmath.log(abs(mpmath.expm1(mpmath.mpf(x))))
+            assert abs(_log_abs_expm1(x) - exact) <= 8.0 * _EPS * max(1.0, abs(float(exact)))
 
 
 class TestClassicalMomentOverflow:

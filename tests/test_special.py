@@ -141,6 +141,31 @@ class TestStdtrit:
         assert stdtrit(1, 1.8e-309) == pytest.approx(-1.0 / (math.pi * 1.8e-309), rel=1e-15)
 
 
+
+class TestStdtritSwitches:
+    """Each quantile within 1e-13 of mpmath on both sides of every switch of ``stdtrit``:
+    the tail from the remainder series below ``p = 0.05`` and from the centre mass above
+    it, the target ``ln(1/2 - p)`` from ``p = 1/4``, and Cornish-Fisher from
+    ``nu = 250 (w^2 + 4)``, ``w`` the normal quantile."""
+
+    @given(st.floats(math.log(3.0), math.log(4e5)), st.floats(math.log(1e-300), math.log(0.4999)))
+    @settings(max_examples=300, deadline=None)
+    def test_log_uniform_sweep(self, ln_nu, ln_p):
+        nu, p = round(math.exp(ln_nu)), math.exp(ln_p)
+        assert _t_quantile_error(nu, p, stdtrit(nu, p)) <= 1e-13
+
+    @pytest.mark.parametrize("nu", [3, 4, 5, 17, 120, 999, 1675, 1676])
+    @pytest.mark.parametrize("p", [0.05 - 1e-7, 0.05 + 1e-7, 0.25 - 1e-7, 0.25 + 1e-7])
+    def test_either_side_of_the_residual_switches(self, nu, p):
+        assert _t_quantile_error(nu, p, stdtrit(nu, p)) <= 1e-13
+
+    @pytest.mark.parametrize("p", [1e-300, 1e-120, 1e-30, 1e-9, 1e-3, 0.05, 0.2, 0.4999])
+    @pytest.mark.parametrize("step", [-1, 0, 1])
+    def test_either_side_of_cornish_fisher(self, p, step):
+        w = -float(ndtri(p))
+        nu = math.ceil(250.0 * (w * w + 4.0)) + step  # step -1 is the last Newton nu
+        assert _t_quantile_error(nu, p, stdtrit(nu, p)) <= 1e-13
+
 def _mass_exact(lo, hi):
     """``P(lo < Z < hi)`` at 50 digits for exact (mpf) ``lo < hi``, from the upper
     tails when ``lo >= 0`` so that neither term rounds to 1."""
