@@ -35,6 +35,9 @@ from .errors import NumericalError
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_HALF = math.sqrt(0.5)
+_SQRT2_REST = -9.667293313452913e-17  # sqrt(2) - _SQRT2
+_SQRT2_SPLIT = (1.4142135679721832, -5.599088082064441e-09)  # _SQRT2 in two 26-bit halves
+_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 # the 12-node Gauss-Legendre rule on [-1, 1]: nodes +-t, weights over sqrt(2 pi)
 _GL_RULE = ((0.1252334085114689, 0.09939529061207912), (0.3678314989981802, 0.0931500449833261),
             (0.5873179542866175, 0.08105207652019089), (0.7699026741943047, 0.06386201343193229),
@@ -213,8 +216,27 @@ def normal_mass(lo, hi, width) -> float:
         mass = sum(w * math.exp(u * (a + u * b)) for t, w in _GL_RULE for u in (1 - t, 1 + t))
         return abs(step) * math.exp(-0.5 * m * m) * math.exp(-0.5 * (c - m) * (c + m)) * mass
     if lo > 0.0:
-        return 0.5 * (math.erfc(lo / _SQRT2) - math.erfc(hi / _SQRT2))
-    return 0.5 * (math.erfc(-hi / _SQRT2) - math.erfc(-lo / _SQRT2))
+        return 0.5 * (_erfc_half(lo) - _erfc_half(hi))
+    return 0.5 * (_erfc_half(-hi) - _erfc_half(-lo))
+
+
+def _erfc_half(z) -> float:
+    """``erfc(z / sqrt 2)`` with the rounding of ``x = z / sqrt 2`` corrected from ``z = 2`` up,
+    where it costs about ``z**2 eps`` relative (1.2e-13 at z = 30; under 4 eps below 2).  The
+    rest ``e = z / sqrt 2 - x`` is ``z - x sqrt 2`` over ``sqrt 2``, with ``x sqrt 2`` exact by
+    Dekker's product on Veltkamp's splits, and ``erfc(x + e) = erfc(x) - e 2 exp(-x**2) / sqrt
+    pi`` to first order."""
+    x = z / _SQRT2
+    if not 2.0 <= z < 40.0:  # erfc(x) is 0 from z = 38.6, and at an infinite end
+        return math.erfc(x)
+    s_high, s_low = _SQRT2_SPLIT
+    c = 134217729.0 * x  # 2**27 + 1: Veltkamp's split of x
+    high = c - (c - x)
+    low = x - high
+    p = x * _SQRT2
+    q = ((high * s_high - p) + high * s_low + low * s_high) + low * s_low  # x * _SQRT2 - p
+    e = ((z - p) - q - x * _SQRT2_REST) * _SQRT_HALF
+    return math.erfc(x) - e * _TWO_OVER_SQRT_PI * math.exp(-x * x)
 
 
 # --------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -414,19 +415,24 @@ def nsd_logpdf_coords(law, coords) -> np.ndarray:
         raise DimensionMismatchError(
             f"coordinates have dimension {coords.shape[1]}, law has {law.dim}"
         )
-    centred = np.subtract(coords.T, law.mu[:, None], order="C")
-    return law._log_norm - 0.5 * _mahalanobis2(law, centred)
+    return _coords_logpdf(law, coords)
+
+
+def _coords_logpdf(law, coords) -> np.ndarray:
+    """The normal log density of coordinate rows ``(n, d)`` or one 1-d row, unchecked."""
+    mu = law.mu if coords.ndim == 1 else law.mu[:, None]
+    return law._log_norm - 0.5 * _mahalanobis2(law, np.subtract(coords.T, mu, order="C"))
 
 
 def _mahalanobis2(law, centred) -> np.ndarray:
     """Squared Mahalanobis length of each column of ``centred``, the ``(d, n)``
-    coordinate-major deviations from ``law.mu``, through the law's whitening factor;
-    ``inf`` past the largest float.  ``L**-1 @ centred`` is the product
+    coordinate-major deviations from ``law.mu`` (or one 1-d deviation), through the law's
+    whitening factor; ``inf`` past the largest float.  ``L**-1 @ centred`` is the product
     ``(coords - mu) @ L**-T`` transposed, the same BLAS call, so it has its bits at
     every ``n``; its rows are the whitened coordinates, squared and summed in order."""
     z = law._chol_inv @ centred
     with np.errstate(over="ignore"):
-        return functools.reduce(np.add, [c * c for c in z])
+        return functools.reduce(operator.add, [c * c for c in z])
 
 
 def _exp_rows(t) -> np.ndarray:
@@ -436,10 +442,10 @@ def _exp_rows(t) -> np.ndarray:
 
 
 def _simplex_logpdf(law, clr) -> np.ndarray:
-    """The simplex's log-density kernel at clr rows ``(n, D)``: the coordinate normal
-    log density of ``clr @ U``, plus the log measure ratio under the Lebesgue tag."""
-    U = simplex._as_basis(clr.shape[1], law.basis).matrix
-    log_density = nsd_logpdf_coords(law, clr @ U)
+    """The simplex's log-density kernel at clr rows ``(n, D)`` or one 1-d clr: the coordinate
+    normal log density of ``clr @ U``, plus the log measure ratio under the Lebesgue tag."""
+    U = simplex._as_basis(clr.shape[-1], law.basis).matrix
+    log_density = _coords_logpdf(law, clr @ U)
     return log_density + simplex._log_measure_ratio(clr) if law._lebesgue else log_density
 
 
@@ -447,7 +453,7 @@ def nsd_pdf(law: NormalOnSimplex, x: Composition) -> float:
     """Density with respect to the natural simplex measure (``math.inf`` past the
     largest float)."""
     _require(law, NormalOnSimplex)
-    return _exp_or_inf(float(_simplex_logpdf(law, x._clr[None])[0]))
+    return _exp_or_inf(float(_simplex_logpdf(law, x._clr)))
 
 
 def nsd_pdf_rows(law: NormalOnSimplex, rows) -> np.ndarray:
@@ -466,7 +472,7 @@ def aln_pdf(law: AlnLaw, x: Composition) -> float:
     float is ``math.inf``.
     """
     _require(law, AlnLaw)
-    return _exp_or_inf(float(_simplex_logpdf(law, x._clr[None])[0]))
+    return _exp_or_inf(float(_simplex_logpdf(law, x._clr)))
 
 
 def aln_pdf_rows(law: AlnLaw, rows) -> np.ndarray:

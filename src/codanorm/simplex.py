@@ -24,13 +24,15 @@ about ``1e-308 * kappa`` reads as 0.0.  One validator checks part rows where
 logs are taken of them (:func:`clr_rows`, behind every row map, density and
 sample built from rows) and on the output of a closure, where it rejects parts
 that underflow.  The ``*_rows`` functions check a whole array, then run their
-kernel in blocks of rows through ``_special._blockwise``.
+kernel in blocks of rows through ``_special._blockwise``; one composition runs
+them on its 1-d clr, summed as numpy scalars in order, with a one-row call's bits.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -98,11 +100,11 @@ def _checked_rows(rows, where):
 
 
 def _one_row(values, where):
-    """``values`` as a ``(1, n)`` float array, after checking it is 1-d."""
+    """``values`` as a float array, after checking it is 1-d."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise DimensionMismatchError(f"{where} must be a 1-d vector, got shape {arr.shape}")
-    return arr[None]
+    return arr
 
 
 class Composition:
@@ -120,7 +122,7 @@ class Composition:
     __slots__ = ("_clr", "_kappa")
 
     def __init__(self, parts, kappa=1.0):
-        row = _one_row(parts, "parts")[0]
+        row = _one_row(parts, "parts")
         closed, total = closure(row, kappa), row.sum()
         if abs(total - closed.kappa) > CLOSURE_TOL * closed.kappa:
             raise ClosureError(
@@ -131,10 +133,10 @@ class Composition:
     @classmethod
     def _from_clr(cls, clr, kappa):
         """Wrap a clr image as it is (any row offset reads the same parts)."""
-        if not np.isfinite(clr).all():
+        if not all(map(math.isfinite, clr.tolist())):
             raise NonPositivePartError(f"the clr image must be finite, got {clr}")
         obj = object.__new__(cls)
-        clr.flags.writeable = False
+        clr.setflags(write=False)
         obj._clr = clr
         obj._kappa = float(kappa)
         return obj
@@ -142,8 +144,8 @@ class Composition:
     @property
     def parts(self):
         """Read-only array of the ``D`` parts."""
-        parts = _clr_inv_rows(self._clr[None], self._kappa)[0]
-        parts.flags.writeable = False
+        parts = _clr_inv_rows(self._clr, self._kappa)
+        parts.setflags(write=False)
         return parts
 
     @property
@@ -159,7 +161,7 @@ class Composition:
     @property
     def proportions(self):
         """Parts rescaled to sum to one (independent of ``kappa``)."""
-        return _clr_inv_rows(self._clr[None], 1.0)[0]
+        return _clr_inv_rows(self._clr, 1.0)
 
     def __eq__(self, other):
         if not isinstance(other, Composition):
@@ -185,10 +187,15 @@ class Composition:
 
 def closure(values, kappa=1.0) -> Composition:
     """Close a vector of positive values to constant sum ``kappa``."""
-    kappa = _checked_kappa(kappa)
-    # the input is checked (a negative row closes to positive parts), then the closed row
-    rows = _close_rows(_checked_rows(_one_row(values, "parts"), "parts"), kappa)
-    return Composition._from_clr(_clr_rows(_checked_rows(rows, "parts"))[0], kappa)
+    kappa, row = _checked_kappa(kappa), _one_row(values, "parts")
+    # the parts, then the closed parts (a negative row closes to positive ones), are checked
+    # in Python: positive, with a finite total; any other row goes through closure_rows,
+    # which raises its validator's message or closes a row whose total overflows
+    if row.size > 1 and 0.0 < min(parts := row.tolist()) and sum(parts) < math.inf:
+        closed = _close_rows(row, kappa)
+        if 0.0 < min(parts := closed.tolist()) and sum(parts) < math.inf:
+            return Composition._from_clr(_clr_rows(closed), kappa)
+    return Composition._from_clr(_clr_rows(closure_rows(row[None], kappa)[0]), kappa)
 
 
 def uniform(D, kappa=1.0) -> Composition:
@@ -262,7 +269,7 @@ def clr_inv(v, kappa=1.0) -> Composition:
     """The closure of ``exp(v)``, built as the clr image ``v - mean(v)``; inverts
     :func:`clr`.  With no ``exp`` taken, entries far from the centre (``[800, -800]``,
     ``[1e308, 1e308]``) are valid; a non-finite image raises :class:`NonPositivePartError`."""
-    row = _one_row(v, "clr image")[0]
+    row = _one_row(v, "clr image")
     if row.size < 2:
         raise DimensionMismatchError(f"need at least 2 parts, got {row.size}")
     return Composition._from_clr(_centred(row), _checked_kappa(kappa))
@@ -287,7 +294,7 @@ def alr(x: Composition) -> np.ndarray:
 def alr_inv(v, kappa=1.0) -> Composition:
     """Inverse of :func:`alr`: :func:`clr_inv` of ``v`` with a last log part 0
     appended, so it too takes entries far from the centre."""
-    return clr_inv(np.append(_one_row(v, "coordinates")[0], 0.0), kappa)
+    return clr_inv(np.append(_one_row(v, "coordinates"), 0.0), kappa)
 
 
 class ContrastBasis:
@@ -386,7 +393,7 @@ def ilr(x: Composition, basis: ContrastBasis | None = None) -> np.ndarray:
 
 def ilr_inv(coords, basis: ContrastBasis | None = None, kappa=1.0) -> Composition:
     """Composition with the given orthonormal coordinates."""
-    row = _one_row(coords, "coordinates")[0]
+    row = _one_row(coords, "coordinates")
     return Composition._from_clr(_as_basis(row.size + 1, basis).matrix @ row, _checked_kappa(kappa))
 
 
@@ -522,7 +529,7 @@ def measure_ratio(x: Composition) -> float:
     parts (one part is redundant); it is computed from the clr image, so the
     value does not depend on ``kappa``.  Past the largest float it is ``math.inf``.
     """
-    return _exp_or_inf(float(_log_measure_ratio(x._clr[None])[0]))
+    return _exp_or_inf(float(_log_measure_ratio(x._clr)))
 
 
 def _log_measure_ratio(clr) -> np.ndarray:
@@ -530,10 +537,10 @@ def _log_measure_ratio(clr) -> np.ndarray:
     ``-sum(ln x_i) = D * logsumexp(clr)`` for the unit-simplex parts, taken with each
     row shifted by its maximum so that no ``exp`` overflows.  The shifted rows are
     taken coordinate-major, ``(D, n)``, and summed a column at a time."""
-    top = functools.reduce(np.maximum, clr.T)
+    top = functools.reduce(np.maximum, clr.T) if clr.ndim == 2 else max(clr.tolist())
     shifted = np.subtract(clr.T, top, order="C")
-    total = functools.reduce(np.add, np.exp(shifted, out=shifted))
-    return -0.5 * math.log(clr.shape[1]) + clr.shape[1] * (top + np.log(total))
+    total = functools.reduce(operator.add, np.exp(shifted, out=shifted))
+    return -0.5 * math.log(clr.shape[-1]) + clr.shape[-1] * (top + np.log(total))
 
 
 # --------------------------------------------------------------------------
@@ -544,11 +551,22 @@ def closure_rows(rows, kappa=1.0) -> np.ndarray:
     """Close each row of a 2-d array of positive values to sum ``kappa``.
 
     Both the input and the closed output are checked, so a part that
-    underflows to zero in the closure is rejected, never returned.
+    underflows to zero in the closure is rejected, never returned.  A row whose
+    total passes the largest float is closed from its parts scaled down by a
+    power of two, which leaves every other row as it is.
     """
     kappa = _checked_kappa(kappa)
     rows = _checked_rows(np.asarray(rows, dtype=float), "parts")
-    return _checked_rows(_blockwise(_close_rows, rows, kappa), "closed parts")
+    with np.errstate(over="ignore"):  # a row whose total overflows closes to zeros
+        closed = _blockwise(_close_rows, rows, kappa)
+    try:
+        return _checked_rows(closed, "closed parts")
+    except NonPositivePartError:
+        # scaled by 2**-k <= 1 / (2 D), the parts of those rows have a finite total
+        with np.errstate(over="ignore"):
+            far = np.flatnonzero(functools.reduce(operator.add, rows.T) == math.inf)
+        closed[far] = _close_rows(rows[far] * 2.0 ** -(rows.shape[1].bit_length() + 1), kappa)
+        return _checked_rows(closed, "closed parts")
 
 
 def _checked_kappa(kappa) -> float:
@@ -562,17 +580,18 @@ def _close_rows(rows, kappa, out=None) -> np.ndarray:
     """The closure formula itself, without checks, into ``out`` (a new array by default;
     ``rows`` itself may be given).  Each row is summed part by part, left to right, so a
     row has the same bits in a call of any length, one row included, at every D."""
-    scale = kappa / functools.reduce(np.add, rows.T)
+    scale = kappa / functools.reduce(operator.add, rows.T)
     out = np.empty(rows.shape) if out is None else out
     np.multiply(rows.T, scale, out=out.T, order="C")
     return out
 
 
 def _clr_inv_rows(logs, kappa) -> np.ndarray:
-    """Closed part rows of log rows, each shifted by its maximum (taken column by column,
-    which is fastest) before ``exp``: no part overflows, one below ``1e-308 * kappa`` is 0."""
+    """Closed part rows of log rows, each shifted by its maximum (column by column, which is
+    fastest; a 1-d row's in Python) before ``exp``: none overflows, one below 1e-308 kappa is 0."""
     parts = np.empty(logs.shape)
-    np.subtract(logs.T, functools.reduce(np.maximum, logs.T), out=parts.T, order="C")
+    top = functools.reduce(np.maximum, logs.T) if logs.ndim == 2 else max(logs.tolist())
+    np.subtract(logs.T, top, out=parts.T, order="C")
     return _close_rows(np.exp(parts, out=parts), kappa, out=parts)
 
 
@@ -588,7 +607,8 @@ def _clr_rows(rows) -> np.ndarray:
     """The clr formula itself, without checks.  Each row is summed part by part, left to
     right, as :func:`_close_rows` sums it."""
     logs = np.log(rows)
-    np.subtract(logs.T, functools.reduce(np.add, logs.T) / logs.shape[1], out=logs.T, order="C")
+    total = functools.reduce(operator.add, logs.T)
+    np.subtract(logs.T, total / logs.shape[-1], out=logs.T, order="C")
     return logs
 
 

@@ -12,14 +12,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codanorm import (
+    NonPositivePartError,
     NormalOnSimplex,
     SeededStream,
     SimplexSample,
     aln_pdf,
     closure,
+    clr_inv,
     fit_nsd,
+    ilr,
+    ilr_inv,
     nsd_pdf,
     random_basis,
     sample_nsd,
@@ -28,9 +34,11 @@ from codanorm import (
 from codanorm._special import (
     _BLOCK, _ERF_T, _ERF_U, _ERFC_P, _ERFC_Q, _ERFC_R, _ERFC_S, _ratio, ndtr,
 )
-from codanorm.laws import aln_pdf_rows, nsd_logpdf_coords, nsd_pdf_rows
+from codanorm.laws import _simplex_logpdf, aln_pdf_rows, nsd_logpdf_coords, nsd_pdf_rows
 from codanorm.rplus import _exp_or_inf
-from codanorm.simplex import _clr_inv_rows, closure_rows, clr_rows, ilr_inv_rows, measure_ratio
+from codanorm.simplex import (
+    _clr_inv_rows, _log_measure_ratio, closure_rows, clr_rows, ilr_inv_rows, measure_ratio,
+)
 
 _SIZES = (1, 2, _BLOCK, 2 * _BLOCK + 5)
 
@@ -184,6 +192,59 @@ def test_scalar_maps_and_densities_keep_their_bits(D):
         assert aln_pdf(aln, x) == _exp_or_inf(float(simplex_logpdf(aln, x._clr[None])[0]))
         assert measure_ratio(x) == _exp_or_inf(float(log_measure_ratio(x._clr[None])[0]))
         _same(_clr_inv_rows(x._clr[None], 5.0), clr_inv_of_rows(x._clr[None], 5.0))
+
+
+# hypothesis strategy: D = 2..12, the default or a random basis, kappa, and parts
+# log-uniform over 1e-300..1e300, parts whose total passes the largest float, or a clr
+# image with entries up to +-700
+@st.composite
+def one_composition(draw):
+    D = draw(st.integers(min_value=2, max_value=12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    basis = draw(st.sampled_from((None, random_basis(D, np.random.default_rng(seed)))))
+    kappa = draw(st.floats(min_value=1e-3, max_value=1e3))
+    kind = draw(st.sampled_from(("parts", "overflow", "clr")))
+    if kind == "clr":
+        return D, basis, kappa, None, np.array(draw(st.lists(
+            st.floats(min_value=-700.0, max_value=700.0), min_size=D, max_size=D)))
+    if kind == "parts":
+        logs = draw(st.lists(st.floats(min_value=-300.0, max_value=300.0), min_size=D, max_size=D))
+        return D, basis, kappa, 10.0 ** np.array(logs), None
+    big = st.floats(min_value=0.9e308, max_value=1.79e308)  # two of them overflow their sum
+    rest = st.floats(min_value=290.0, max_value=308.0)
+    parts = draw(st.lists(big, min_size=2, max_size=2)) + [10.0 ** e for e in draw(
+        st.lists(rest, min_size=D - 2, max_size=D - 2))]
+    return D, basis, kappa, np.array(draw(st.permutations(parts))), None
+
+
+@given(case=one_composition())
+@settings(max_examples=300, deadline=None)
+def test_one_composition_has_the_bits_of_its_one_row_kernel_call(case):
+    # the one-composition API runs the row kernels on its 1-d clr; a 1-d product and a
+    # (1, D) one may take different BLAS paths, so bits are compared, not closeness
+    D, basis, kappa, raw, image = case
+    if raw is None:
+        x = clr_inv(image, kappa)
+    else:
+        try:
+            want = clr_rows(closure_rows(raw[None], kappa))[0]
+        except NonPositivePartError:
+            with pytest.raises(NonPositivePartError):
+                closure(raw, kappa)
+            return
+        x = closure(raw, kappa)
+        _same(x._clr, want)
+    _same(x.parts, _clr_inv_rows(x._clr[None], kappa)[0])
+    _same(x.proportions, _clr_inv_rows(x._clr[None], 1.0)[0])
+    assert measure_ratio(x) == _exp_or_inf(float(_log_measure_ratio(x._clr[None])[0]))
+    nsd = _law(D, basis)
+    aln = with_lebesgue_reference(nsd)
+    assert nsd_pdf(nsd, x) == _exp_or_inf(float(_simplex_logpdf(nsd, x._clr[None])[0]))
+    assert aln_pdf(aln, x) == _exp_or_inf(float(_simplex_logpdf(aln, x._clr[None])[0]))
+    coords = ilr(x, basis)
+    y = ilr_inv(coords, basis, kappa)
+    _same(y._clr, (coords[None] @ nsd.basis.matrix.T)[0])
+    _same(y.parts, ilr_inv_rows(coords[None], basis, kappa)[0])
 
 
 @pytest.mark.parametrize("n", _SIZES)

@@ -581,6 +581,24 @@ class TestClosureOutputCheck:
         with pytest.raises(NonPositivePartError):
             closure_rows([[1.0, 2.0], [1e300, 1e-100]])
 
+    def test_parts_whose_total_overflows_close(self):
+        # each part is a valid float; only their sum passes the largest float
+        assert closure([1e308] * 3) == uniform(3)
+        assert closure([1.7e308, 1.7e308]) == uniform(2)
+        assert closure([1e308, 1e308, 2e307], kappa=5.0) == closure([5.0, 5.0, 1.0], kappa=5.0)
+        np.testing.assert_allclose(closure_rows([[1.7e308, 1.7e308]], 3.0), [[1.5, 1.5]],
+                                   rtol=1e-15)
+        with pytest.raises(NonPositivePartError):
+            closure([1e308, 1e308, 1e-300])  # 1e-300 / 2e308 underflows
+
+    def test_an_overflowing_row_leaves_the_other_rows_alone(self):
+        rows = np.array([[0.3, 2.5, 7.1], [1e308, 1.5e308, 0.5e308], [4e-200, 1e-201, 3e-199]])
+        closed = closure_rows(rows, 2.0)
+        for i in (0, 2):
+            assert closed[i].tobytes() == closure_rows(rows[i:i + 1], 2.0)[0].tobytes()
+        assert closed[1].tobytes() == closure_rows(rows[1:2], 2.0)[0].tobytes()
+        np.testing.assert_allclose(closed[1], [2.0 / 3.0, 1.0, 1.0 / 3.0], rtol=1e-15)
+
 
 # hypothesis strategy: a random basis and two coordinate vectors up to +-1e3,
 # where most parts lie below the smallest float and read as 0.0

@@ -19,7 +19,7 @@ from codanorm import (
     probability_of_interval,
     with_lebesgue_reference,
 )
-from codanorm._special import chdtr, ndtr, ndtri, normal_mass, stdtrit
+from codanorm._special import _erfc_half, chdtr, ndtr, ndtri, normal_mass, stdtrit
 
 mpmath.mp.dps = 50
 
@@ -215,10 +215,25 @@ class TestNormalMass:
         lo, hi = interval
         width = hi - lo
         assume(width * max(1.0, abs(lo), abs(hi)) > 1.0)
-        s = math.sqrt(2.0)
-        want = (0.5 * (math.erfc(lo / s) - math.erfc(hi / s)) if lo > 0.0
-                else 0.5 * (math.erfc(-hi / s) - math.erfc(-lo / s)))
+        want = (0.5 * (_erfc_half(lo) - _erfc_half(hi)) if lo > 0.0
+                else 0.5 * (_erfc_half(-hi) - _erfc_half(-lo)))
         assert normal_mass(lo, hi, width) == want
+
+    @given(st.floats(2.0, 37.5), st.floats(-1.0, 1.5), st.booleans(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_tails_hold_a_few_eps(self, lo, log_width, open_end, lower_tail):
+        # a rounded z / sqrt 2 cost about z**2 eps relative: 1.2e-13 at z = 30
+        hi = math.inf if open_end else lo + 10.0 ** log_width
+        assume(hi > lo and (hi - lo) * hi > 1.0)  # the erfc difference, not the Legendre rule
+        exact = _mass_exact(mpmath.mpf(lo), mpmath.mpf(hi))
+        got = (normal_mass(-hi, -lo, hi - lo) if lower_tail else normal_mass(lo, hi, hi - lo))
+        assert abs(got - exact) <= 8.0 * 2.0**-52 * exact, (got, float(exact))
+
+    def test_tail_mass_at_minus_8_to_the_last_bit(self):
+        # Phi(-8) = 6.2209605742717841235e-16; the plain erfc difference read ...819e-16
+        law = NormalOnSimplex([0.0, 0.0], [[1.0, 0.3], [0.3, 1.0]])
+        got = probability_of_box(law, [-np.inf, -np.inf], [np.inf, -8.0])
+        assert abs(got - 6.2209605742717841e-16) <= math.ulp(6.2209605742717841e-16)
 
     @given(standard_intervals(), st.sampled_from([NormalOnRPlus, LognormalLaw]))
     @settings(max_examples=300, deadline=None)
