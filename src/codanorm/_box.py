@@ -3,7 +3,10 @@ at d >= 2, on numpy and ``math`` alone.
 
 * d = 2: the d = 1 mass of the second coordinate given the first
   (``_special.normal_mass``), integrated against the first's density by
-  12-node Gauss-Legendre pieces, halved adaptively to a relative tolerance.
+  :func:`_adaptive_legendre`, the package's one accuracy-controlled rule in one
+  dimension: 12-node Gauss-Legendre pieces from graded first ends
+  (:func:`_graded_ends`), halved adaptively to a relative tolerance.  The D = 2
+  classical ALN mean (``laws.aln_classical_mean``) is its other user.
 * d >= 3: Genz's separation of variables (*J. Comput. Graph. Stat.* 1, 1992)
   with Genz-Bretz variable ordering, integrated over 10 random shifts of a
   rank-1 lattice built by fast component-by-component construction (Nuyens &
@@ -16,7 +19,8 @@ Robert Kern; all rights reserved; used under the three-clause BSD licence,
 which disclaims every warranty.
 
 ``probability_of_box`` imports this module on its first box of two or more
-coordinates, so ``import codanorm`` neither loads nor compiles it.
+coordinates, and ``aln_classical_mean`` on its first two-part law, so ``import
+codanorm`` neither loads nor compiles it.
 """
 
 from __future__ import annotations
@@ -26,18 +30,13 @@ import math
 
 import numpy as np
 
-from ._special import _BLOCK, _GL_RULE, _SQRT_HALF, _Estimate, ndtr, ndtri, normal_mass
+from ._special import _BLOCK, _GL_RULE, _Estimate, ndtr, ndtri, normal_mass
 from .errors import QuadratureUnstableError
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SHIFTS = 10  # random shifts of the lattice; their spread gives the standard error
 _BOX_TOLERANCE = 1e-5  # on 3 standard errors over the shifts
 _BOX_POINTS_PER_DIM = 1_000_000  # no further round once d times this many are spent
-
-
-def _phi(z):
-    """The normal distribution function at one float."""
-    return 0.5 * math.erfc(-z * _SQRT_HALF)
 
 
 def normal_box(sigma, lower, upper, seed) -> _Estimate:
@@ -58,17 +57,45 @@ def _tolerance(p):
 
 
 # Over twice the most pieces (43) that any box of two 80-box sweeps needed: |rho| = 1 -
-# 10^-(0.1...4), bounds in +-8, widths 1e-2 to 6, some ends infinite.  No piece is halved
-# past it; the first pieces are at most 29.
+# 10^-(0.1...4), bounds in +-8, widths 1e-2 to 6, some ends infinite; D = 2 means took at
+# most 24.  No piece is halved past it; the first pieces are at most 29 (15 for a mean).
 _MAX_PIECES = 100
 
 
+def _graded_ends(a, b, turns):
+    """``a``, ``b`` and each turn ``(c, w)``'s ``c -+ w 2**k``, k = 0..6, between them, sorted."""
+    return sorted({a, b}.union(e for c, w in turns for k in range(7)
+                               for e in (c - w * 2**k, c + w * 2**k) if a < e < b))
+
+
+def _adaptive_legendre(f, ends, method) -> _Estimate:
+    """``int g`` from ``ends[0]`` to ``ends[-1]`` by ``f(x, w) = w g(x)``, each weight (it carries
+    ``1 / sqrt(2 pi)``) first in its product, from first pieces between the ends.  A piece is
+    worth its halves' 12-node Gauss-Legendre rules, its error their distance from its own, and
+    the one of largest error is halved until the errors sum to ``_tolerance`` or there are
+    ``_MAX_PIECES``; a halving evaluates 48 points, each first piece 36."""
+    def rule(u, v):
+        c, h = 0.5 * (u + v), 0.5 * (v - u)
+        return h * sum(f(x, w) for t, w in _GL_RULE for x in (c - h * t, c + h * t))
+
+    def piece(u, v, whole):
+        left, right = rule(u, 0.5 * (u + v)), rule(0.5 * (u + v), v)
+        return [abs(left + right - whole), u, v, left, right]
+
+    pieces = [piece(u, v, rule(u, v)) for u, v in zip(ends, ends[1:])]
+    while True:
+        value, error = math.fsum(p[3] + p[4] for p in pieces), math.fsum(p[0] for p in pieces)
+        if error <= _tolerance(value) or len(pieces) >= _MAX_PIECES:
+            return _Estimate(value, method, 12 * (4 * len(pieces) - len(ends) + 1),
+                             error + _tolerance(value), len(pieces))
+        pieces.sort()
+        _, u, v, left, right = pieces.pop()
+        pieces += [piece(u, 0.5 * (u + v), left), piece(0.5 * (u + v), v, right)]
+
+
 def _bivariate_box(sigma, lower, upper):
-    """``int phi(x) normal_mass((l2 - r x) / s, (h2 - r x) / s) dx`` over ``l1 < x < h1``
-    in standard units, ``s = sqrt(1 - r^2)``: the d = 1 mass of the second coordinate
-    given the first.  A piece is worth its halves' 12-node Gauss-Legendre rules, and
-    its error is their distance from its own rule; the piece of largest error is halved
-    until the errors sum to ``_tolerance`` or there are ``_MAX_PIECES``."""
+    """``int phi(x) normal_mass((l2 - r x) / s, (h2 - r x) / s) dx`` over ``l1 < x < h1`` in
+    standard units, ``s = sqrt(1 - r^2)``: the d = 1 mass of the second given the first."""
     sd = np.sqrt(np.diag(sigma))
     (l1, l2), (h1, h2), (w1, w2) = (v.tolist() for v in (lower / sd, upper / sd,
                                                          (upper - lower) / sd))
@@ -79,36 +106,12 @@ def _bivariate_box(sigma, lower, upper):
     r = math.copysign(min(abs(r), 1.0 - 2.0 ** -53), r)  # not +-1 by rounding
     s = math.sqrt((1.0 - r) * (1.0 + r))
     a, b = (min(max(x, -39.0), 39.0) for x in (l1, h1))  # phi is 0 past |x| = 38.6
-    ends = {a, b}
     # a finite bound y's term of the mass turns at x = y / r, within about s / |r|; at
     # 64 s / |r| out its argument is +-64, where the term is 0 or 1 to the last bit
-    for y in (l2, h2):
-        if math.isfinite(y) and r != 0.0:
-            c, t = y / r, s / abs(r)
-            ends.update(e for k in range(7) for e in (c - t * 2**k, c + t * 2**k) if a < e < b)
-    ends = sorted(ends)
-
-    def rule(u, v):  # the weights carry phi's 1 / sqrt(2 pi)
-        c, h = 0.5 * (u + v), 0.5 * (v - u)
-        return h * sum(w * math.exp(-0.5 * x * x) * normal_mass((l2 - r * x) / s,
-                                                                (h2 - r * x) / s, w2 / s)
-                       for t, w in _GL_RULE for x in (c - h * t, c + h * t))
-
-    def piece(u, v, whole):
-        m = 0.5 * (u + v)
-        left, right = rule(u, m), rule(m, v)
-        return [abs(left + right - whole), u, v, left, right]
-
-    pieces = [piece(u, v, rule(u, v)) for u, v in zip(ends, ends[1:])]
-    first = len(pieces)
-    while True:
-        value, error = math.fsum(p[3] + p[4] for p in pieces), math.fsum(p[0] for p in pieces)
-        if error <= _tolerance(value) or len(pieces) >= _MAX_PIECES:
-            return _Estimate(value, "conditional-legendre", 12 * (4 * len(pieces) - first),
-                             error + _tolerance(value), len(pieces))
-        pieces.sort()
-        _, u, v, left, right = pieces.pop()
-        pieces += [piece(u, 0.5 * (u + v), left), piece(0.5 * (u + v), v, right)]
+    turns = [(y / r, s / abs(r)) for y in (l2, h2) if math.isfinite(y) and r != 0.0]
+    return _adaptive_legendre(lambda x, w: w * math.exp(-0.5 * x * x) * normal_mass(
+        (l2 - r * x) / s, (h2 - r * x) / s, w2 / s), _graded_ends(a, b, turns),
+        "conditional-legendre")
 
 
 def _permuted_cholesky(sigma, lower, upper, tol=1e-10):
@@ -127,7 +130,7 @@ def _permuted_cholesky(sigma, lower, upper, tol=1e-10):
             if a[i, i] > tol:
                 ci, s = math.sqrt(a[i, i]), float(a[i, :k] @ y[:k])
                 li, hi_i = (lo[i] - s) / ci, (hi[i] - s) / ci
-                de = _phi(hi_i) - _phi(li)
+                de = normal_mass(li, hi_i, (hi[i] - lo[i]) / ci)
                 if de <= mass:
                     pick, ck, mass, ends = i, ci, de, (li, hi_i)
         swap = [k, pick]

@@ -1,8 +1,9 @@
 """The normal and chi-square distribution functions, the normal quantile, the
 normal mass of an interval and the Student t quantile that the goodness-of-fit
 battery, the probabilities of intervals and boxes and the t interval need, on
-numpy and ``math`` alone, the record of an estimate with no closed form, and
-:func:`_blockwise`, the one block loop behind the package's row kernels.
+numpy and ``math`` alone, the 12-node Gauss-Legendre rule that ``normal_mass`` and
+``_box._adaptive_legendre`` share, the record of an estimate with no closed form,
+and :func:`_blockwise`, the one block loop behind the package's row kernels.
 
 * :func:`ndtr`: the rational approximations of Cephes' ``ndtr.c``
   (Moshier, *Methods and Programs for Mathematical Functions*, 1989; the

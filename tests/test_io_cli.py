@@ -367,6 +367,17 @@ class TestCliFit:
         assert body["null_reason"].startswith("aln_classical_mean: ")
         assert len(body["moments"]["center"]) == 8
 
+    def test_two_part_fit_spanning_1e_300_has_a_classical_mean(self, capsys, tmp_path):
+        # the fitted law (mu = -219, sigma2 = 26,832) ran the sparse grid's 150 levels for a
+        # null; at D = 2 the mean is one adaptive Gauss-Legendre estimate per part
+        p = tmp_path / "two.csv"
+        first = np.logspace(-300.0, math.log10(0.5), 10).tolist()
+        p.write_text("a,b\n" + "".join(f"{x!r},{1.0 - x!r}\n" for x in first))
+        code, out, err = run_cli(capsys, "fit", "--input", str(p), "--space", "simplex")
+        assert code == 0, err
+        mean = _strict_json(out)["aln_classical_mean"]
+        assert mean is not None and abs(sum(mean) - 1.0) <= 1e-15, mean
+
     def test_report_to_file(self, capsys, rplus_csv, tmp_path):
         out_path = tmp_path / "report.json"
         code, out, _ = run_cli(capsys, "fit", "--input", str(rplus_csv),

@@ -21,6 +21,7 @@ from codanorm import (
     AlnLaw,
     BadIntervalError,
     Composition,
+    ContrastBasis,
     DegenerateScaleError,
     DimensionMismatchError,
     LognormalLaw,
@@ -74,6 +75,7 @@ from codanorm import (
     with_natural_reference,
 )
 from codanorm.laws import (
+    _aln_mean_line,
     _line_logpdf,
     _log_abs_expm1,
     _simplex_logpdf,
@@ -811,6 +813,74 @@ class TestSparseGridClassicalMean:
         # each row is shifted by its largest log before exp, so no part overflows
         mean = aln_classical_mean(AlnLaw([2000.0, 0.0], np.eye(2)))
         assert np.max(np.abs(mean - [1.0, 0.0, 0.0])) <= 1e-12
+
+
+def _logit_normal_means(mu, s2, k, dps=40):
+    """``int phi(t) logistic(+-k (mu + s t)) dt`` at ``dps`` digits, ``s = sqrt(s2)`` and ``k``
+    the floats the code takes.  ``mp.quad`` alone steps over the logistic's turn at
+    ``t = -mu / s``, of width ``1 / (|k| s)``, so the breakpoints are graded about it by
+    ``2**j``, j = 0..6, besides every 8 on [-40, 40]; and as its tolerance is absolute, each
+    integrand is divided by its largest value at the breakpoints."""
+    with mpmath.workdps(dps + 5):
+        mu, s, k = mpmath.mpf(mu), mpmath.mpf(math.sqrt(s2)), mpmath.mpf(k)
+        c, w = -mu / s, 1 / (abs(k) * s)
+        points = {mpmath.mpf(x) for x in range(-40, 41, 8)} | {c}
+        points |= {c + sign * w * 2**j for j in range(7) for sign in (-1, 1)}
+        points = sorted(x for x in points if -40 < x < 40)
+        means = []
+        for kk in (k, -k):
+            def f(t, kk=kk):
+                return mpmath.npdf(t) / (1 + mpmath.exp(-kk * (mu + s * t)))
+
+            top = max(f(x) for x in points)
+            means.append(top * mpmath.quad(lambda t: f(t) / top,
+                                           [-mpmath.inf, *points, mpmath.inf]))
+        return means
+
+
+class TestTwoPartClassicalMean:
+    """At D = 2 each part of the mean is ``int phi(t) logistic(+-k (mu + sigma t)) dt`` with
+    ``k = U[0] - U[1] = +-sqrt 2``, one adaptive Gauss-Legendre estimate per part."""
+
+    @given(st.floats(-300.0, 300.0), st.floats(math.log(1e-6), math.log(3e4)).map(math.exp),
+           st.booleans())
+    @settings(max_examples=16, deadline=None)
+    def test_parts_within_their_error_of_mpmath(self, mu, s2, mirror):
+        basis = ContrastBasis(-default_basis(2).matrix) if mirror else default_basis(2)
+        law = AlnLaw([mu], [[s2]], basis)
+        parts = _aln_mean_line(law)
+        exact = _logit_normal_means(mu, s2, float(basis.matrix[0, 0] - basis.matrix[1, 0]))
+        mean = aln_classical_mean(law)
+        closing = sum(part.error for part in parts)  # the closed parts move by their sum's error
+        for part, got, ref in zip(parts, mean, exact):
+            assert abs(part.value - ref) <= part.error + 4 * _EPS * ref
+            assert abs(got - ref) <= part.error + (closing + 4 * _EPS) * ref
+        assert abs(mean.sum() - 1.0) <= 1e-15
+        assert np.array_equal(mean, aln_classical_mean(NormalOnSimplex([mu], [[s2]], basis)))
+        # the mirrored law, and the law in the mirrored basis, have the mirrored bits
+        mirrored = ContrastBasis(-basis.matrix)
+        assert np.array_equal(aln_classical_mean(AlnLaw([-mu], [[s2]], basis)), mean[::-1])
+        assert np.array_equal(aln_classical_mean(AlnLaw([mu], [[s2]], mirrored)), mean[::-1])
+
+    @pytest.mark.parametrize("mu, s2, want", [
+        (0.5, 9.0, ("0.56109126826776153283", "0.43890873173223846717")),
+        (-219.0, 26832.0, ("0.090624948542995516016", "0.90937505145700448398")),
+        (0.707, 4.0, ("0.61817122770088843725", "0.38182877229911156275")),
+        (0.0, 225.0, ("0.5", "0.5")),
+        (3.0, 1e-4, ("0.98583260709765871451", "0.014167392902341285485")),
+    ])
+    def test_pinned_means(self, mu, s2, want):
+        # 50-digit means with sqrt 2 and sqrt(s2) exact, which the law's floats round by an
+        # ulp or so; the sparse grid was 1.1e-6 off the first and raised on the second
+        law = AlnLaw([mu], [[s2]])
+        mean = aln_classical_mean(law)
+        for part, got, ref in zip(_aln_mean_line(law), mean, map(mpmath.mpf, want)):
+            assert abs(got - ref) <= part.error + 4 * _EPS * ref
+        assert abs(mean.sum() - 1.0) <= 1e-15
+
+    def test_order_is_still_checked(self):
+        with pytest.raises(BadIntervalError):
+            aln_classical_mean(AlnLaw([0.0], [[1.0]]), order=1)
 
 
 def _assert_value(got, exact, tol):
