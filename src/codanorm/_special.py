@@ -3,7 +3,7 @@ normal mass of an interval and the Student t quantile that the goodness-of-fit
 battery, the probabilities of intervals and boxes and the t interval need, on
 numpy and ``math`` alone, the 12-node Gauss-Legendre rule that ``normal_mass`` and
 ``_box._adaptive_legendre`` share, the record of an estimate with no closed form,
-and :func:`_blockwise`, the one block loop behind the package's row kernels.
+:func:`_blockwise`, the one block loop behind the package's row kernels, and :func:`_cpus`.
 
 * :func:`ndtr`: the rational approximations of Cephes' ``ndtr.c``
   (Moshier, *Methods and Programs for Mathematical Functions*, 1989; the
@@ -28,6 +28,7 @@ and :func:`_blockwise`, the one block loop behind the package's row kernels.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +103,12 @@ def _blockwise(kernel, rows, *args):
     for start, stop in zip(cuts, cuts[1:]):
         out[start:stop] = kernel(rows[start:stop], *args)
     return out
+
+
+def _cpus():
+    """How many CPUs this process may run on: the one rule by which the CSV writer's peer
+    process and the goodness-of-fit battery's second thread decide whether to start."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 # --------------------------------------------------------------------------

@@ -19,12 +19,13 @@ radius (chi-square probability integral transform).
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import simplex
-from ._special import _blockwise, chdtr, ndtr, stdtrit
+from ._special import _blockwise, _cpus, chdtr, ndtr, stdtrit
 from .errors import (
     DegenerateVarianceError,
     EmptyDataError,
@@ -295,24 +296,82 @@ def fit_nsd(sample: SimplexSample) -> NormalOnSimplex:
 # goodness of fit
 # --------------------------------------------------------------------------
 
-def _edf_statistics(z, weights):
+def _edf_statistics(z, weights, scratch=None):
     """Anderson-Darling, Cramér-von Mises and Watson statistics ``(a2, w2, u2)`` of one
     layer ``z`` of probability-integral-transformed values against uniformity; ``z`` is
     sorted in place.  ``weights`` holds ``2i - 1`` for ``i = 1..n``, built once per
-    battery."""
+    battery; ``scratch`` is a pair of arrays of ``n`` floats the terms are computed in
+    (a fresh pair when it is None), so scoring a layer allocates no array of ``n``."""
     n = z.size
+    terms, logs = (np.empty(n), np.empty(n)) if scratch is None else scratch
     z.sort()
     # guard the logs; exact 0/1 can only arise from floating-point saturation
     if not (1e-15 <= z[0] and z[-1] <= 1.0 - 1e-15):
         np.clip(z, 1e-15, 1.0 - 1e-15, out=z)
-    terms = np.log1p(-z[::-1])
-    terms += np.log(z)
+    np.log1p(np.negative(z[::-1], out=terms), out=terms)
+    terms += np.log(z, out=logs)
     terms *= weights
     a2 = float(-n - terms.mean())
     centres = np.divide(weights, 2.0 * n, out=terms)  # (2i - 1) / 2n
     w2 = float(np.square(np.subtract(z, centres, out=terms), out=terms).sum()
                + 1.0 / (12.0 * n))
     return a2, w2, w2 - n * (float(z.mean()) - 0.5) ** 2
+
+
+# Rows from which the battery scores its layers on a second thread (_scores).  On a 2-core
+# Xeon, timing the two paths in turn in one process, the thread lost below about 25,000
+# rows at D = 5 and 50,000 at D = 3 (its start and hand-offs cost about 1-2 ms) and won
+# from there: at 1e5 rows 34.0 -> 25.9 ms at D = 5, 18.3 -> 16.7 ms at D = 3.  D = 2 has
+# two layers, and the two paths stay within 2 % of each other up to 2e5 rows.
+_THREAD_ROWS = 50_000
+
+
+def _scores(layers, weights):
+    """The :func:`_edf_statistics` of each layer of ``layers`` in order, in one pair of
+    scratch arrays.  From ``_THREAD_ROWS`` rows, on a process that may run on two CPUs
+    or more, one thread started here sorts and scores layer k while this thread forms
+    layer k + 1, so at most two layers are alive; each statistic is the same arithmetic
+    on the same layer, so the bits do not change.  The thread is joined before this
+    returns or raises, and an exception it met is raised here."""
+    n = weights.size
+    scratch = (np.empty(n), np.empty(n))
+    if n < _THREAD_ROWS or _cpus() < 2:
+        return [_edf_statistics(u, weights, scratch) for u in layers]
+    stats, failed, slot = [], [], [None]
+    ready, idle = threading.Semaphore(0), threading.Semaphore(1)
+
+    def score():
+        while True:
+            ready.acquire()
+            layer, slot[0] = slot[0], None
+            if layer is None:
+                return
+            if not failed:
+                try:
+                    stats.append(_edf_statistics(layer, weights, scratch))
+                except BaseException as exc:  # raised again in the caller, below
+                    failed.append(exc)
+            del layer  # dropped before this thread is idle again
+            idle.release()
+
+    def hand(layer):  # wait for the layer before to be scored, then pass this one on
+        idle.acquire()
+        slot[0] = layer
+        ready.release()
+
+    worker = threading.Thread(target=score, name="codanorm-gof", daemon=True)
+    worker.start()
+    try:
+        for u in layers:  # u is the layer the thread scores while the next is formed
+            hand(u)
+            if failed:
+                break
+    finally:
+        hand(None)
+        worker.join()
+    if failed:
+        raise failed[0]
+    return stats
 
 
 # 1% upper-tail critical values for the modified statistics, from the
@@ -447,6 +506,11 @@ def gof_battery(sample: SimplexSample, fitted: NormalOnSimplex | AlnLaw) -> GofR
     critical values assume estimated parameters.  Either label of the law is
     accepted, as both name one probability law.  The sample is read in the
     law's basis, whatever basis it carries.
+
+    From 50,000 rows, on a process that may run on two CPUs or more, a second
+    thread sorts and scores each layer while the caller's thread forms the
+    next; the statistics have the bits of the one-thread battery, and the
+    thread ends before the call returns.
     """
     _require(fitted, _SimplexGaussian)
     if sample.n < 8:
@@ -460,7 +524,7 @@ def gof_battery(sample: SimplexSample, fitted: NormalOnSimplex | AlnLaw) -> GofR
     weights = 2.0 * np.arange(1, sample.n + 1) - 1.0
     return GofReport([
         GofEntry(layer, target, test_name, stat, _CRITICAL_1PCT[case, test_name])
-        for (layer, target, case), u in zip(heads, _gof_layers(sample, fitted))
-        for test_name, stat in _modified_statistics(
-            _edf_statistics(u, weights), case, sample.n).items()
+        for (layer, target, case), stats in zip(heads, _scores(_gof_layers(sample, fitted),
+                                                              weights))
+        for test_name, stat in _modified_statistics(stats, case, sample.n).items()
     ])

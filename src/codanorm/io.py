@@ -37,6 +37,7 @@ import sys
 import numpy as np
 
 from ._peer import format_rows
+from ._special import _cpus
 from .errors import DatasetValidationError, DimensionMismatchError, NumericalError
 from .grids import CoordinateDensityGrid, HistogramArtifact, TernaryDensityGrid
 from .inference import RPlusSample, SimplexSample
@@ -248,11 +249,6 @@ def _write_file(path, text, rows=None):
 # cells, half of them NaN) takes the peer.
 _PEER_CELLS = 65_536
 _PEER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_peer.py")
-
-
-def _cpus():
-    """How many CPUs this process may run on."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _rows_text(rows):

@@ -212,13 +212,30 @@ def lognormal_moments(law: LognormalLaw) -> LebesgueMoments:
     A moment past the largest float is ``math.inf``."""
     _require(law, LognormalLaw)
     mu, s2 = law.mu, law.sigma2
+    # the variance's exponent is summed exactly: its terms can cancel
+    variance = _exp_or_inf(math.fsum((2.0 * mu, s2, *_log_abs_expm1_terms((s2,)))))
     return LebesgueMoments(_exp_or_inf(mu + 0.5 * s2), _exp_or_inf(mu), _exp_or_inf(mu - s2),
-                           _exp_or_inf(2.0 * mu + s2 + _log_abs_expm1(s2)))
+                           variance)
 
 
-def _log_abs_expm1(x) -> float:
-    """``log|exp(x) - 1|`` for ``x != 0``, also where ``exp(x)`` passes the largest float."""
-    return x if x > 700.0 else math.log(abs(math.expm1(x)))
+# fdlibm's ln 2 in two parts; the first has 32 significant bits, so e * _LN2_HI is exact
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
+
+
+def _log_abs_expm1_terms(terms):
+    """Float terms whose sum is ``log|exp(x) - 1|``, where ``x != 0`` is the sum of the float
+    ``terms``, also where ``exp(x)`` passes the largest float.  From ``x > 1``, ``terms``
+    themselves and ``log1p(-exp(-x))``; on ``(0, 1]``, ``log x`` as its binary exponent
+    times ``ln 2`` (in two parts) and the log of its mantissa, and ``log(expm1(x) / x)``;
+    below 0, ``log(-expm1(x))``.  No term but ``terms`` is much larger than 1 then, so an
+    exact sum of these with other terms loses no digits to their rounding."""
+    x = math.fsum(terms)
+    if x > 1.0:
+        return (*terms, math.log1p(-math.exp(-x)))
+    if x < 0.0:
+        return (math.log(-math.expm1(x)),)
+    m, e = math.frexp(x)
+    return e * _LN2_HI, e * _LN2_LO, math.log(m), math.log(math.expm1(x) / x)
 
 
 @dataclass(slots=True, eq=False)
@@ -248,10 +265,15 @@ def lognormal_naive_interval(law: LognormalLaw, k) -> NaiveInterval:
     k = float(k)
     if not math.isfinite(k) or k <= 0.0:
         raise BadIntervalError(f"k must be strictly positive, got {k!r}")
-    # in logs: mean = exp(a) and k * sd = exp(a + r)
-    a, r = law.mu + 0.5 * law.sigma2, math.log(k) + 0.5 * _log_abs_expm1(law.sigma2)
-    lower = math.copysign(_exp_or_inf(a + _log_abs_expm1(r)), -r) if r else 0.0
-    return NaiveInterval(lower, _exp_or_inf(a + max(r, 0.0) + math.log1p(math.exp(-abs(r)))))
+    # in logs: mean = exp(a) and k * sd = exp(a + r), a and r sums of float terms; each
+    # end's exponent is summed exactly, as a and r can cancel
+    a = (law.mu, 0.5 * law.sigma2)
+    r_terms = (math.log(k), *(0.5 * t for t in _log_abs_expm1_terms((law.sigma2,))))
+    r = math.fsum(r_terms)
+    lower = math.copysign(_exp_or_inf(math.fsum((*a, *_log_abs_expm1_terms(r_terms)))),
+                          -r) if r else 0.0
+    upper = math.fsum((*a, *(r_terms if r > 0.0 else ()), math.log1p(math.exp(-abs(r)))))
+    return NaiveInterval(lower, _exp_or_inf(upper))
 
 
 def probability_of_interval(law, a, b) -> float:

@@ -2,6 +2,9 @@
 
 import functools
 import math
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -42,9 +45,11 @@ from codanorm import (
     uniform,
     with_lebesgue_reference,
 )
+from codanorm import inference
 from codanorm._special import chdtr, ndtr
 from codanorm.inference import (
     _CRITICAL_1PCT,
+    _THREAD_ROWS,
     _coordinates,
     _edf_statistics,
     _modified_statistics,
@@ -639,3 +644,155 @@ class TestGofBattery:
         other_rate = other_rejections / (reps * 6)
         assert 0.0 <= marginal_rate < 0.03
         assert other_rate < 0.02
+
+
+def _on_cpus(monkeypatch, count):
+    """Make the process look as if it may run on ``count`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+class _CountedThread(threading.Thread):
+    started = 0
+
+    def start(self):
+        type(self).started += 1
+        super().start()
+
+
+class TestThreadedBattery:
+    """From ``_THREAD_ROWS`` rows, on two CPUs or more, a second thread sorts and scores
+    each layer while the calling thread forms the next; on one CPU, or below that row
+    count, the battery runs inline.  Both give every statistic the same bits."""
+
+    @staticmethod
+    def _law_sample(D, n):
+        gen = np.random.default_rng(D + n)
+        a = gen.normal(size=(D - 1, D - 1))
+        law = NormalOnSimplex(gen.normal(size=D - 1), a @ a.T + 0.2 * np.eye(D - 1))
+        return sample_nsd(law, n, SeededStream(D, 4))
+
+    @staticmethod
+    def _statistics(sample, fitted):
+        return [e.statistic for e in gof_battery(sample, fitted)]
+
+    @pytest.mark.parametrize("n", [_THREAD_ROWS - 1, _THREAD_ROWS, 2 * 16_384 + 1])
+    @pytest.mark.parametrize("D", [2, 3, 5, 8])
+    def test_threaded_and_inline_statistics_have_the_same_bits(self, monkeypatch, D, n):
+        s = self._law_sample(D, n)
+        fitted = fit_nsd(s)
+        # coordinates 40 standard deviations out: every marginal layer takes the clip
+        far = NormalOnSimplex(fitted.mu + 40.0, fitted.sigma)
+        _on_cpus(monkeypatch, 1)
+        inline = [self._statistics(s, law) for law in (fitted, far)]
+        _on_cpus(monkeypatch, 2)
+        monkeypatch.setattr(inference, "_THREAD_ROWS", 8)  # every n takes the thread
+        monkeypatch.setattr(threading, "Thread", _CountedThread)
+        _CountedThread.started = 0
+        assert [self._statistics(s, law) for law in (fitted, far)] == inline
+        assert _CountedThread.started == 2
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_the_thread_starts_from_its_row_count_on_two_cpus(self, monkeypatch, cpus):
+        _on_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(threading, "Thread", _CountedThread)
+        for n in (_THREAD_ROWS - 1, _THREAD_ROWS):
+            s = self._law_sample(3, n)
+            _CountedThread.started = 0
+            gof_battery(s, fit_nsd(s))
+            assert _CountedThread.started == (n >= _THREAD_ROWS and cpus > 1), n
+
+    def test_a_worker_exception_reaches_the_caller(self, monkeypatch):
+        s = self._law_sample(5, 2_000)
+        fitted = fit_nsd(s)
+        calls = []
+
+        def failing(z, weights, scratch=None):
+            calls.append(threading.current_thread())
+            if len(calls) == 3:
+                raise FloatingPointError("third layer")
+            return _edf_statistics(z, weights, scratch)
+
+        _on_cpus(monkeypatch, 2)
+        monkeypatch.setattr(inference, "_THREAD_ROWS", 8)
+        monkeypatch.setattr(inference, "_edf_statistics", failing)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="third layer"):
+            gof_battery(s, fitted)
+        assert threading.active_count() == before
+        assert threading.main_thread() not in calls and len(calls) == 3
+
+    def test_an_exception_forming_a_layer_joins_the_worker(self, monkeypatch):
+        s = self._law_sample(5, 2_000)
+        fitted = fit_nsd(s)
+
+        def failing(d, x):
+            raise FloatingPointError("radius layer")
+
+        _on_cpus(monkeypatch, 2)
+        monkeypatch.setattr(inference, "_THREAD_ROWS", 8)
+        monkeypatch.setattr(inference, "chdtr", failing)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="radius layer"):
+            gof_battery(s, fitted)
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_a_call(self, monkeypatch):
+        # a later fork inherits no thread of the battery
+        _on_cpus(monkeypatch, 2)
+        s = self._law_sample(3, _THREAD_ROWS)
+        fitted = fit_nsd(s)
+        before = threading.active_count()
+        gof_battery(s, fitted)
+        assert threading.active_count() == before
+
+    def test_concurrent_batteries_each_keep_their_bits(self, monkeypatch):
+        # four callers on two CPUs, each battery with its own second thread, the
+        # interpreter switching threads every 10 us: a layer handed to the wrong thread or
+        # a statistic lost or reordered changes a caller's list
+        samples = [self._law_sample(D, 3_000) for D in (2, 3, 5, 8)]
+        fits = [fit_nsd(s) for s in samples]
+        _on_cpus(monkeypatch, 1)
+        want = [self._statistics(s, f) for s, f in zip(samples, fits)]
+        _on_cpus(monkeypatch, 2)
+        monkeypatch.setattr(inference, "_THREAD_ROWS", 8)
+        got = [[] for _ in samples]
+
+        def caller(i):
+            for _ in range(5):
+                got[i].append(self._statistics(samples[i], fits[i]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=caller, args=(i,)) for i in range(len(samples))]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert got == [[w] * 5 for w in want]
+
+    def test_scoring_a_layer_allocates_no_array_of_n(self, rng):
+        # the second thread allocates nothing of size n, so no heap of its own grows
+        n = 100_000
+        weights = 2.0 * np.arange(1, n + 1) - 1.0
+        scratch = (np.empty(n), np.empty(n))
+        u = rng.uniform(0.0, 1.0, size=n)
+        u[:2] = [0.0, 1.0]  # clipped in place
+        tracemalloc.start()
+        try:
+            _edf_statistics(u, weights, scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n  # measured: 2.7 kB, against 800 kB for one array of n
+
+    def test_scratch_arrays_give_the_bits_of_fresh_ones(self, rng):
+        n = 1_000
+        weights = 2.0 * np.arange(1, n + 1) - 1.0
+        scratch = (np.full(n, np.nan), np.full(n, np.nan))
+        for _ in range(3):  # reused, as a battery reuses them from layer to layer
+            u = rng.uniform(0.0, 1.0, size=n)
+            assert _edf_statistics(u.copy(), weights, scratch) == _edf_statistics(u, weights)

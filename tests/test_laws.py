@@ -77,7 +77,7 @@ from codanorm import (
 from codanorm.laws import (
     _aln_mean_line,
     _line_logpdf,
-    _log_abs_expm1,
+    _log_abs_expm1_terms,
     _simplex_logpdf,
     aln_pdf_rows,
     nsd_logpdf_coords,
@@ -902,15 +902,18 @@ class TestClosedFormsAgainstMpmath:
     ``|expm1|`` they use, against 50-digit mpmath.
 
     Each value is ``exp(t)``, ``t`` a sum of float terms (``mu``, ``sigma2 / 2``,
-    ``ln expm1 sigma2``, ``ln k``).  Each term and each partial sum rounds by at most
-    ``eps / 2`` of its own size, and ``exp`` adds an ulp, so the relative error is at most
-    ``eps`` times about the sum of those sizes: within ``8 eps max(1, |ln value|)`` where
-    no term outgrows ``t``.  The variance and the naive ends add terms that can cancel
-    (``2 mu + sigma2`` against ``ln expm1 sigma2``; ``mu + sigma2 / 2`` against
-    ``ln k + ln expm1(sigma2) / 2``), so their bound takes the largest term in place of
-    ``|ln value|``, the exponent's own condition.  The naive lower end
-    ``mean - k sd`` also cancels, and its bound is multiplied by that difference's
-    condition number ``(mean + k sd) / |mean - k sd|``."""
+    ``ln expm1 sigma2``, ``ln k``).  Where the terms are added one by one, each term and
+    each partial sum rounds by at most ``eps / 2`` of its own size, and ``exp`` adds an ulp,
+    so the relative error is at most ``eps`` times about the sum of those sizes: within
+    ``8 eps max(1, |ln value|)`` where no term outgrows ``t``.  The variance and the naive
+    ends have terms that can cancel (``2 mu + sigma2`` against ``ln expm1 sigma2``;
+    ``mu + sigma2 / 2`` against ``ln k + ln expm1(sigma2) / 2``), so they are summed
+    exactly (``math.fsum``) from terms that are exact or at most about 1 in size
+    (``sigma2`` and ``log1p(-exp(-sigma2))`` from 1, the binary exponent times ``ln 2``
+    and the log of the mantissa below), plus ``ln k``, below 5 in size: the exponent's error
+    is then a few ``eps`` whatever the terms' size, and the same bound holds.  The naive
+    lower end ``mean - k sd`` also cancels, and its bound is multiplied by that
+    difference's condition number ``(mean + k sd) / |mean - k sd|``."""
 
     @given(_LOG_MEANS, _LOG_VARIANCES)
     @settings(max_examples=300, deadline=None)
@@ -919,19 +922,16 @@ class TestClosedFormsAgainstMpmath:
         m = lognormal_moments(LognormalLaw(mu, s2))
         with mpmath.workdps(50):
             a, b = mpmath.mpf(mu), mpmath.mpf(s2)
-            for got, ln_exact, size in ((m.mean, a + b / 2, 0.0), (m.median, a, 0.0),
-                                        (m.mode, a - b, 0.0),
-                                        (m.variance, 2 * a + b + mpmath.log(mpmath.expm1(b)),
-                                         max(abs(2 * mu + s2), abs(math.log(math.expm1(s2)))))):
-                tol = 8.0 * _EPS * max(1.0, abs(float(ln_exact)), size)
-                _assert_value(got, mpmath.exp(ln_exact), tol)
+            for got, ln_exact in ((m.mean, a + b / 2), (m.median, a), (m.mode, a - b),
+                                  (m.variance, 2 * a + b + mpmath.log(mpmath.expm1(b)))):
+                _assert_value(got, mpmath.exp(ln_exact),
+                              8.0 * _EPS * max(1.0, abs(float(ln_exact))))
 
     @given(_LOG_MEANS, _LOG_VARIANCES, st.floats(math.log(0.01), math.log(100.0)).map(math.exp))
     @settings(max_examples=300, deadline=None)
     @example(-227.71143901342737, 224.45411870587296, 56.02060609796005)  # terms of 115
     def test_naive_interval(self, mu, s2, k):
         got = lognormal_naive_interval(LognormalLaw(mu, s2), k)
-        size = max(abs(mu + 0.5 * s2), abs(math.log(k)) + 0.5 * abs(math.log(math.expm1(s2))))
         with mpmath.workdps(50):
             a, b = mpmath.mpf(mu), mpmath.mpf(s2)
             mean = mpmath.exp(a + b / 2)
@@ -939,7 +939,7 @@ class TestClosedFormsAgainstMpmath:
             cancel = (mean + k_sd) / abs(mean - k_sd)
             for end, exact, condition in ((got.lower, mean - k_sd, cancel),
                                           (got.upper, mean + k_sd, 1)):
-                tol = 8.0 * _EPS * max(1.0, abs(float(mpmath.log(abs(exact)))), size)
+                tol = 8.0 * _EPS * max(1.0, abs(float(mpmath.log(abs(exact)))))
                 _assert_value(end, exact, tol * float(condition))
 
     @given(st.floats(-300.0, math.log10(2.0)), st.sampled_from([-1.0, 1.0]))
@@ -948,7 +948,20 @@ class TestClosedFormsAgainstMpmath:
         x = sign * 10.0 ** log10_x
         with mpmath.workdps(50):
             exact = mpmath.log(abs(mpmath.expm1(mpmath.mpf(x))))
-            assert abs(_log_abs_expm1(x) - exact) <= 8.0 * _EPS * max(1.0, abs(float(exact)))
+            got = math.fsum(_log_abs_expm1_terms((x,)))
+            assert abs(got - exact) <= 8.0 * _EPS * max(1.0, abs(float(exact)))
+
+    @given(st.floats(2.0, 1e6), st.floats(-0.5, 0.5))
+    @settings(max_examples=300, deadline=None)
+    def test_log_abs_expm1_terms_stay_near_1_from_1(self, x, shift):
+        # the terms past the given ones are at most about 1, however large x is: a sum
+        # of them with terms near -x keeps its digits
+        terms = _log_abs_expm1_terms((x, shift))
+        assert terms[:2] == (x, shift) and all(abs(t) <= 1.0 for t in terms[2:])
+        with mpmath.workdps(50):
+            sum_x = mpmath.mpf(x) + mpmath.mpf(shift)
+            exact = mpmath.log(mpmath.expm1(sum_x)) - sum_x
+            assert abs(math.fsum((*terms, -x, -shift)) - exact) <= 2.0 * _EPS
 
 
 class TestClassicalMomentOverflow:
@@ -972,16 +985,20 @@ class TestClassicalMomentOverflow:
         "a, s2", [(709.9, 0.04), (710.0, math.log(3.25)), (710.0, math.log(2.0))]
     )
     def test_naive_interval_in_logs_keeps_a_finite_lower_end(self, a, s2):
-        # the mean exp(a) overflows; mean - sd = exp(a) (1 - sqrt(expm1(s2)))
-        # does not, and keeps its sign
-        ni = lognormal_naive_interval(LognormalLaw(a - 0.5 * s2, s2), 1.0)
-        factor = 1.0 - math.sqrt(math.expm1(s2))
+        # the mean exp(a) overflows; mean - sd = exp(a) (1 - sqrt(expm1(s2))) does not, and
+        # keeps its sign.  At s2 = ln 2 rounded, the factor is 2.3e-17 (0.0 in floats): the
+        # end is held to the bound of TestClosedFormsAgainstMpmath, conditioned by the
+        # cancellation of mean and sd
+        law = LognormalLaw(a - 0.5 * s2, s2)
+        ni = lognormal_naive_interval(law, 1.0)
         assert ni.upper == math.inf
-        if factor == 0.0:  # sd equals the mean: the lower end is exactly 0
-            assert ni.lower == 0.0
-            return
-        assert math.copysign(1.0, ni.lower) == math.copysign(1.0, factor)
-        assert math.log(abs(ni.lower)) == pytest.approx(a + math.log(abs(factor)), rel=1e-12)
+        with mpmath.workdps(50):
+            mean = mpmath.exp(mpmath.mpf(law.mu) + mpmath.mpf(s2) / 2)
+            sd = mpmath.sqrt(mpmath.expm1(mpmath.mpf(s2))) * mean
+            cancel = float((mean + sd) / abs(mean - sd))
+            tol = 8.0 * _EPS * abs(float(mpmath.log(abs(mean - sd)))) * cancel
+            assert math.isfinite(ni.lower) and (ni.lower > 0) == (mean > sd)
+            _assert_value(ni.lower, mean - sd, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from codanorm import (
     NormalOnSimplex,
     NumericalError,
     SeededStream,
+    SimplexSample,
     ait_distance,
     fit_nrp,
     fit_nsd,
@@ -166,6 +167,49 @@ class TestSimplexSampling:
         # the coordinates are scale-free: same draws at kappa=1 have the same
         s1 = sample_nsd(law, 10, SeededStream(0, 0), kappa=1.0)
         assert np.allclose(s1.coords, s.coords, atol=1e-12)
+
+
+class TestSampleBlocks:
+    """``sample_nsd`` runs its two products a block of rows at a time into whole arrays;
+    every clr row has the bits of the whole-array products of the same stream."""
+
+    @staticmethod
+    def _law(d, label, basis):
+        gen = np.random.default_rng(d)
+        a = gen.normal(size=(d, d))
+        args = (gen.normal(0.0, 1.0, d), a @ a.T / d + 0.3 * np.eye(d))
+        if basis == "random":
+            args += (random_basis(d + 1, gen),)
+        return (NormalOnSimplex if label == "nsd" else AlnLaw)(*args)
+
+    @staticmethod
+    def _whole_array_clr(law, n, stream):
+        z = stream.generator().standard_normal((n, law.dim))
+        coords = law._chol @ z.T
+        coords += law.mu[:, None]
+        return coords.T @ law.basis.matrix.T
+
+    @pytest.mark.parametrize("n", [1, 16_384, 16_385, 16_386, 32_769, 100_000])
+    @pytest.mark.parametrize("d", range(1, 8))
+    @pytest.mark.parametrize("label", ["nsd", "aln"])
+    @pytest.mark.parametrize("basis", ["default", "random"])
+    def test_rows_have_the_bits_of_whole_array_products(self, n, d, label, basis):
+        law = self._law(d, label, basis)
+        stream = SeededStream(d, n)
+        s = (sample_nsd if label == "nsd" else sample_aln)(law, n, stream)
+        want = self._whole_array_clr(law, n, stream)
+        assert s._clr.shape == want.shape and s._clr.tobytes() == want.tobytes()
+
+    def test_vectorized_mc_keeps_its_estimate_bits(self):
+        law = self._law(4, "nsd", "default")
+        stream = SeededStream(12, 5)
+        est = mc_expectation(lambda rows: rows[:, 0] * rows[:, 4], law, 100_000, stream,
+                             vectorized=True)
+        rows = SimplexSample._from_clr(self._whole_array_clr(law, 100_000, stream), 1.0,
+                                       law.basis).rows
+        vals = rows[:, 0] * rows[:, 4]
+        assert (est.estimate, est.standard_error) == \
+            (float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(100_000)))
 
 
 class TestMcExpectation:
