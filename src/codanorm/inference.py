@@ -19,7 +19,6 @@ radius (chi-square probability integral transform).
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -283,7 +282,10 @@ def fit_nsd(sample: SimplexSample) -> NormalOnSimplex:
     total = centred.sum(axis=1) if U.shape[1] == 1 else _running_total(centred)
     mu = total / n
     centred -= mu[:, None]
-    sigma = (centred @ centred.T) / (n - 1)
+    # at d = 1 the product is a (1, n) @ (n, 1) dot, which OpenBLAS splits across its
+    # threads, so its bits would follow the CPU count; numpy's reduction runs on one
+    sigma = (centred @ centred.T if U.shape[1] > 1
+             else np.square(centred).sum(axis=1, keepdims=True)) / (n - 1)
     try:
         return NormalOnSimplex(mu, sigma, sample.basis)
     except NotSPDError as exc:
@@ -329,48 +331,27 @@ _THREAD_ROWS = 50_000
 def _scores(layers, weights):
     """The :func:`_edf_statistics` of each layer of ``layers`` in order, in one pair of
     scratch arrays.  From ``_THREAD_ROWS`` rows, on a process that may run on two CPUs
-    or more, one thread started here sorts and scores layer k while this thread forms
-    layer k + 1, so at most two layers are alive; each statistic is the same arithmetic
-    on the same layer, so the bits do not change.  The thread is joined before this
-    returns or raises, and an exception it met is raised here."""
+    or more, a one-worker executor started here sorts and scores layer k while this
+    thread forms layer k + 1; layer k + 1 is handed over only once layer k's result is
+    in, so at most two layers are alive.  Each statistic is the same arithmetic on the
+    same layer, so the bits do not change.  The worker's exception is raised here, and
+    its thread is joined before this returns or raises."""
     n = weights.size
     scratch = (np.empty(n), np.empty(n))
     if n < _THREAD_ROWS or _cpus() < 2:
         return [_edf_statistics(u, weights, scratch) for u in layers]
-    stats, failed, slot = [], [], [None]
-    ready, idle = threading.Semaphore(0), threading.Semaphore(1)
+    from concurrent.futures import ThreadPoolExecutor  # loads logging: only on this path
 
-    def score():
-        while True:
-            ready.acquire()
-            layer, slot[0] = slot[0], None
-            if layer is None:
-                return
-            if not failed:
-                try:
-                    stats.append(_edf_statistics(layer, weights, scratch))
-                except BaseException as exc:  # raised again in the caller, below
-                    failed.append(exc)
-            del layer  # dropped before this thread is idle again
-            idle.release()
+    def score(held):  # the layer leaves the work item before its result is set
+        return _edf_statistics(held.pop(), weights, scratch)
 
-    def hand(layer):  # wait for the layer before to be scored, then pass this one on
-        idle.acquire()
-        slot[0] = layer
-        ready.release()
-
-    worker = threading.Thread(target=score, name="codanorm-gof", daemon=True)
-    worker.start()
-    try:
-        for u in layers:  # u is the layer the thread scores while the next is formed
-            hand(u)
-            if failed:
-                break
-    finally:
-        hand(None)
-        worker.join()
-    if failed:
-        raise failed[0]
+    stats, scored = [], None
+    with ThreadPoolExecutor(1, thread_name_prefix="codanorm-gof") as worker:
+        for u in layers:  # u is formed while the worker scores the layer before
+            if scored is not None:
+                stats.append(scored.result())
+            scored = worker.submit(score, [u])
+        stats.append(scored.result())
     return stats
 
 
@@ -507,10 +488,11 @@ def gof_battery(sample: SimplexSample, fitted: NormalOnSimplex | AlnLaw) -> GofR
     accepted, as both name one probability law.  The sample is read in the
     law's basis, whatever basis it carries.
 
-    From 50,000 rows, on a process that may run on two CPUs or more, a second
-    thread sorts and scores each layer while the caller's thread forms the
-    next; the statistics have the bits of the one-thread battery, and the
-    thread ends before the call returns.
+    From 50,000 rows, on a process that may run on two CPUs or more, a
+    one-worker executor sorts and scores each layer while the caller's thread
+    forms the next; the statistics have the bits of the one-thread battery,
+    and its thread ends before the call returns.  The first such call in a
+    process imports ``concurrent.futures`` (about 5 ms).
     """
     _require(fitted, _SimplexGaussian)
     if sample.n < 8:

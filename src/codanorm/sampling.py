@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._special import _BLOCK
+from ._special import _blockwise
 from .errors import InsufficientDataError, NonPositivePartError, NumericalError
 from .inference import RPlusSample, SimplexSample
 from .laws import (
@@ -100,23 +100,22 @@ def sample_lognormal(law: LognormalLaw, n, stream: SeededStream) -> RPlusSample:
 
 
 def sample_nsd(law: NormalOnSimplex, n, stream: SeededStream, kappa=1.0) -> SimplexSample:
-    """``n`` compositional draws held as their clr rows ``(mu + L Z) U'``, the products
-    run a block of rows at a time with the bits of whole-array products."""
+    """``n`` compositional draws held as their clr rows ``(mu + L Z) U'``, a block of rows
+    at a time with the bits of whole-array products."""
     _require(law, _SimplexGaussian)
     n = _check_n(n)
     z = stream.generator().standard_normal((n, law.dim))
+    return SimplexSample._from_clr(_blockwise(_clr_block, z, law), kappa, law.basis)
+
+
+def _clr_block(z, law):
     # coordinate-major (d, n): L @ z.T is z @ L.T transposed, the same BLAS call and bits,
-    # and mu is added along the long axis.  Both products run a block of rows at a time
-    # into the whole arrays (a lone last row joins the block before it, as in _blockwise):
-    # up to d = 5 each block stays below OpenBLAS's threading threshold, while a whole
-    # 1e5-row product leaves a worker spinning for about 135 ms of CPU after the call
-    coords, clr = np.empty((law.dim, n)), np.empty((n, law.basis.matrix.shape[0]))
-    cuts = [*range(0, max(n - 1, 1), _BLOCK), n]
-    for start, stop in zip(cuts, cuts[1:]):
-        block = np.matmul(law._chol, z[start:stop].T, out=coords[:, start:stop])
-        block += law.mu[:, None]
-        np.matmul(block.T, law.basis.matrix.T, out=clr[start:stop])
-    return SimplexSample._from_clr(clr, kappa, law.basis)
+    # and mu is added along the long axis.  Up to d = 5 a block's products stay below
+    # OpenBLAS's threading threshold, while a whole 1e5-row product leaves a worker
+    # spinning for about 135 ms of CPU after the call
+    coords = law._chol @ z.T
+    coords += law.mu[:, None]
+    return coords.T @ law.basis.matrix.T
 
 
 def sample_aln(law: AlnLaw, n, stream: SeededStream, kappa=1.0) -> SimplexSample:

@@ -3,9 +3,11 @@
 import functools
 import math
 import os
+import subprocess
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -296,7 +298,32 @@ class TestSimplexSamples:
         assert np.allclose(s2.coords, s.coords @ M.T, atol=1e-12)
 
 
+_TWO_PART_FITS = """
+from codanorm import NormalOnSimplex, SeededStream, fit_nsd, sample_nsd
+
+def two_part_fits():
+    law = NormalOnSimplex([0.3], [[0.7]])
+    return [fit_nsd(sample_nsd(law, n, SeededStream(5, n))).sigma[0, 0].hex()
+            for n in (32_769, 100_000, 200_000)]
+"""
+
+
 class TestFitNsd:
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs two CPUs")
+    def test_two_part_fit_has_the_bits_of_one_cpu(self):
+        # at d = 1 the covariance is a (1, n) @ (n, 1) product, which OpenBLAS splits
+        # across its threads: a process pinned to one CPU before numpy loads (so OpenBLAS
+        # starts one thread) gave Sigma a few ulps apart from about 20,000 rows
+        code = ("import os\n"
+                "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+                + _TWO_PART_FITS + "print(two_part_fits())\n")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        scope = {}
+        exec(_TWO_PART_FITS, scope)
+        assert result.stdout.strip() == str(scope["two_part_fits"]())
+
     def test_matches_direct_mean_and_covariance(self, rng):
         rows = closure_rows(np.exp(rng.normal(0, 1, size=(40, 3))))
         s = SimplexSample.from_rows(rows)
@@ -773,6 +800,31 @@ class TestThreadedBattery:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in callers)
         assert got == [[w] * 5 for w in want]
+
+    def test_at_most_two_layers_are_alive(self, monkeypatch):
+        # the worker scores layer k while layer k + 1 is formed, and layer k + 1 is handed
+        # over only once layer k is scored and dropped; handing every layer over as it is
+        # formed (Executor.map) would hold them all
+        n, count = 2_000, 12
+        weights = 2.0 * np.arange(1, n + 1) - 1.0
+        tracked, alive = [], []
+
+        def layers():
+            gen = np.random.default_rng(9)
+            for _ in range(count):
+                u = gen.uniform(0.0, 1.0, n)
+                tracked.append(weakref.finalize(u, lambda: None))
+                alive.append(sum(f.alive for f in tracked))
+                yield u
+
+        _on_cpus(monkeypatch, 1)
+        inline = inference._scores(layers(), weights)
+        _on_cpus(monkeypatch, 2)
+        monkeypatch.setattr(inference, "_THREAD_ROWS", 8)
+        tracked.clear()
+        alive.clear()
+        assert inference._scores(layers(), weights) == inline
+        assert len(alive) == count and max(alive) <= 2, alive
 
     def test_scoring_a_layer_allocates_no_array_of_n(self, rng):
         # the second thread allocates nothing of size n, so no heap of its own grows

@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import pathlib
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -713,6 +715,15 @@ class TestImportPath:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
 
+    def test_import_loads_no_executor_or_logging(self):
+        # the battery's one-worker executor is imported on its threaded path only:
+        # concurrent.futures loads logging, and every fresh interpreter would pay for both
+        code = ("import sys, codanorm; print([m for m in sys.modules "
+                "if m.split('.')[0] in ('concurrent', 'logging')])")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
     def test_box_probabilities_load_no_scipy_module(self):
         code = ("import sys\n"
                 "import numpy as np\n"
@@ -752,6 +763,23 @@ class TestImportPath:
         assert result.returncode == 0, result.stderr
         assert '"gof": {' in result.stdout and '"ci_mean": {' in result.stdout
         assert result.stdout.strip().splitlines()[-1] == "[0, 0] []"
+
+
+@pytest.mark.skipif(shutil.which("taskset") is None, reason="the smoke pins runs with taskset")
+def test_numpy_only_smoke(tmp_path):
+    # CI runs tests/smoke_numpy_only.py after a plain install; here a sitecustomize refuses
+    # scipy in the script and in every CLI process it starts (find_spec then reports it
+    # missing, as a plain install would), and `python -m codanorm.cli` stands in for the
+    # console script, as tier-1 runs from src without an install; its files go to tmp_path
+    (tmp_path / "sitecustomize.py").write_text("import sys\nsys.modules['scipy'] = None\n")
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join([str(tmp_path), str(src), os.environ.get("PYTHONPATH", "")])
+    smoke = pathlib.Path(__file__).with_name("smoke_numpy_only.py")
+    result = subprocess.run([sys.executable, str(smoke), sys.executable, "-m", "codanorm.cli"],
+                            capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path, "TMPDIR": str(tmp_path)})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("fit keys:"), result.stdout
 
 
 _LINE_LAW = (0.4, 0.8)

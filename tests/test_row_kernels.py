@@ -87,6 +87,8 @@ def fit(sample):
     coords = sample.coords
     mu = coords.mean(axis=0)
     centered = coords - mu
+    if centered.shape[1] == 1:  # numpy's one-thread reduction, not BLAS's threaded dot
+        return mu, np.square(centered).sum(axis=0, keepdims=True) / (sample.n - 1)
     return mu, (centered.T @ centered) / (sample.n - 1)
 
 
