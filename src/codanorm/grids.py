@@ -14,18 +14,12 @@ numbers that a plotting tool (or a golden test) can consume:
 * :func:`coordinate_density_grid` — the same law evaluated on a rectangular
   grid in coordinate space, where it is just a normal surface.
 
-Each density is the ``exp`` of a log density from the kernels of
-:mod:`codanorm.laws` and :mod:`codanorm.simplex`, with the log measure ratio
-added where the law's reference-measure tag asks for it.  The ternary lattice
-itself does not depend on the law: the grids at one ``(resolution, margin)``
-share its read-only ``points``, ``i_index`` and ``j_index``, and the last
-lattice built stays alive for the life of the process.  ``points`` is a
-transposed view of coordinate-major ``(3, n)`` storage, so the ternary grid
-runs in blocks of ``_special._blockwise`` on contiguous parts, and the lattice
-also holds its cells' log measure ratio, the one term by which the two labels'
-log densities differ: a Lebesgue grid is the natural one plus that array.  At
-resolution 1000 the points take 12 MB and the ratio 4 MB, built by the first
-Lebesgue grid; the index arrays, 8 MB more, are built only when first read.
+Each density is the ``exp`` of a log density from :mod:`codanorm.laws`; the ternary
+grid runs the simplex's one log-density kernel, ``laws._simplex_logpdf``, on each
+``_special._blockwise`` block of lattice points, as ``nsd_pdf_rows`` and ``aln_pdf_rows``
+run it.  The grids at one ``(resolution, margin)`` share the last lattice built, which
+holds nothing of a law: its read-only ``points``, a transposed view of coordinate-major
+``(3, n)`` storage (12 MB at resolution 1000), and ``i_index`` and ``j_index`` (8 MB more).
 """
 
 from __future__ import annotations
@@ -53,6 +47,7 @@ from .laws import (
     _exp_rows,
     _line_logpdf,
     _require,
+    _simplex_logpdf,
     _SimplexGaussian,
     nsd_logpdf_coords,
 )
@@ -240,13 +235,8 @@ def ternary_density_grid(law, resolution=400, margin=1e-4) -> TernaryDensityGrid
             f"no lattice point at resolution {r} has every part >= margin {margin!r}"
         )
     cells = _lattice(r, lo)
-    Ut = simplex._as_basis(3, law.basis).matrix.T
-    # a block's clr image is coordinate-major, (3, n).T, so its coordinates are U.T @ clr.T:
-    # the product clr @ U transposed, the same BLAS call
     log_values = _blockwise(
-        lambda block: nsd_logpdf_coords(law, (Ut @ simplex._clr_rows(block).T).T), cells.points)
-    if law._lebesgue:
-        log_values += cells.log_ratio
+        lambda block: _simplex_logpdf(law, simplex._clr_rows(block)), cells.points)
     values = _exp_rows(log_values)
     maxima = _lattice_maxima(cells, log_values, values)
     return _LatticeGrid._on(cells, r, margin, values, maxima, law)
@@ -256,7 +246,7 @@ class _Lattice:
     """The barycentric lattice at resolution ``r`` whose parts are all at least ``lo``
     steps, and what every grid on it shares, all read-only: ``starts``, the flat index of
     each lattice row's first cell; ``points``, the transpose of a coordinate-major ``(3, n)``
-    array; and, each built on first access, ``log_ratio`` and ``indices``."""
+    array; and ``indices``, built on first access.  Nothing in it depends on a law."""
 
     def __init__(self, r, lo):
         self.r, self.lo = r, lo
@@ -278,15 +268,6 @@ class _Lattice:
         lengths, lo = self._lengths, self.lo
         ii = np.repeat(np.arange(lo, lo + lengths.size), lengths)
         return ii, np.arange(ii.size) - np.repeat(self.starts - lo, lengths)
-
-    @functools.cached_property
-    def log_ratio(self):
-        """Each cell's log measure ratio, the one law-independent term of a Lebesgue grid:
-        built by the first Lebesgue grid, so natural grids alone never pay for it."""
-        log_ratio = _blockwise(
-            lambda block: simplex._log_measure_ratio(simplex._clr_rows(block)), self.points)
-        log_ratio.flags.writeable = False
-        return log_ratio
 
     @functools.cached_property
     def indices(self):

@@ -265,7 +265,8 @@ def fit_nsd(sample: SimplexSample) -> NormalOnSimplex:
     Coordinate sample mean and covariance (divisor ``n - 1``) in the sample's
     own basis; the fitted center equals the closed geometric mean of the
     data.  Requires ``n >= D`` so the covariance has a chance of being
-    nonsingular; rows all equal to the first have a singular one and are rejected.
+    nonsingular; rows all equal to the first, and a covariance singular to working
+    precision, raise :class:`SingularCovarianceError`.
     """
     if sample.n < sample.D:
         raise InsufficientDataError(
@@ -286,6 +287,23 @@ def fit_nsd(sample: SimplexSample) -> NormalOnSimplex:
     # threads, so its bits would follow the CPU count; numpy's reduction runs on one
     sigma = (centred @ centred.T if U.shape[1] > 1
              else np.square(centred).sum(axis=1, keepdims=True)) / (n - 1)
+    # The rank rule (Cholesky completing is no proof of rank): sigma is singular when its
+    # smallest eigenvalue is at most what rounding can leave in place of 0, two bounds summed.
+    # The data: a clr entry of parts summing to kappa is within (D + 4) u (1 + max |ln x_i|) <=
+    # 2 D eps (l + 2 |clr|) of exact, l = 1 + ln D + |ln kappa|; where the exact rows do not
+    # spread, sigma holds the errors' covariance, by Cauchy-Schwarz at most 4 D^3 eps^2 n /
+    # (n - 1) (l + 2 r)^2, r^2 = |mu|^2 + (n - 1) / n tr(sigma) the mean of |clr|^2.  The
+    # covariance: each entry is a dot product off by a few eps sqrt(sigma_ii sigma_jj) and
+    # eigvalsh adds a few eps of the largest eigenvalue, so by Weyl a 0 is computed below 8 eps
+    # tr(sigma) (at most 1.9 eps tr(sigma) in 504 rank-deficient tables in random bases).
+    eps, D, trace = np.finfo(float).eps, sample.D, float(np.trace(sigma))
+    spread = 1.0 + math.log(D) + abs(math.log(sample.kappa)) + 2.0 * math.sqrt(
+        float(mu @ mu) + (n - 1) / n * trace)
+    rounding = 4.0 * D**3 * eps * eps * n / (n - 1) * spread * spread + 8.0 * eps * trace
+    smallest = float(np.linalg.eigvalsh(sigma)[0])
+    if smallest <= rounding:
+        raise SingularCovarianceError(f"coordinate covariance is singular: its smallest "
+                                      f"eigenvalue {smallest!r} is within rounding ({rounding!r})")
     try:
         return NormalOnSimplex(mu, sigma, sample.basis)
     except NotSPDError as exc:

@@ -6,7 +6,8 @@ Run it after a plain install (no extras), which must leave scipy out::
 
 It calls the ``codanorm`` console script; a command given after the file name stands in
 for it, as in ``python tests/smoke_numpy_only.py python -m codanorm.cli``.  pytest does not
-collect this file; ``tests/test_io_cli.py`` runs it with scipy refused.
+collect this file; ``tests/test_io_cli.py`` runs it with scipy refused.  Its files go to
+one directory under ``TMPDIR``, removed when it exits, a failed check included.
 
 It runs every subcommand (sample on both spaces, fit on both spaces, hist, density-grid at
 resolution 400), fits a 5-value positive file at --alpha 1e-12 to finite t-interval bounds
@@ -17,8 +18,9 @@ tail box as its mirror image, a box with one side R as the d = 1 box bit for bit
 the NSD and ALN ternary grids of one law and the ALN grid of a second law in one process,
 which share one read-only lattice and equal nsd_pdf_rows / aln_pdf_rows of its points bit
 for bit, gives the NSD and ALN labels of one fit the same goodness-of-fit statistics, and
-refuses to fit equal data: eight equal part rows exit 3 ("covariance is singular") and a
-constant column exits 2, each with nothing on stdout.  Each row of a 4-row closure_rows
+refuses to fit equal data: eight equal part rows and a 3-part table whose first two parts
+keep one ratio exit 3 ("covariance is singular") and a constant column exits 2, each with
+nothing on stdout.  Each row of a 4-row closure_rows
 call at D = 5, one of whose rows has a total past the largest float, has the bits of a
 one-row call (every row is summed part by part, and only that row is scaled down),
 closure([1e308] * 3) is uniform(3), and one composition's ALN density is its NSD density
@@ -33,7 +35,7 @@ battery runs inline.  The 2-part classical mean of AlnLaw([0.5], [[9.0]]) is wit
 relative of its 50-digit value, and a 2-part fit whose first part runs from 1e-300 to 0.5
 exits 0 with a classical mean, not null.
 """
-import importlib.util, json, math, os, subprocess, sys, tempfile
+import atexit, importlib.util, json, math, os, shutil, subprocess, sys, tempfile
 import numpy as np
 assert importlib.util.find_spec("scipy") is None, "scipy was installed"
 from codanorm import (AlnLaw, NormalOnSimplex, SeededStream, aln_classical_mean,
@@ -52,6 +54,7 @@ def run(*argv, env=None):
                           check=True, env=env).stdout
 
 tmp = tempfile.mkdtemp()
+atexit.register(shutil.rmtree, tmp, ignore_errors=True)  # on every exit, a failed assert too
 line, parts = os.path.join(tmp, "line.csv"), os.path.join(tmp, "parts.csv")
 law3 = ["--mu", "0.2,-0.1", "--sigma", "0.5,0.1,0.1,0.3"]
 report = json.loads(run("fit", "--space", "simplex", "--kappa", "100",
@@ -114,7 +117,12 @@ with open(flat, "w") as fh:
     fh.write("a,b,c\n" + "0.47619047619047616,0.047619047619047616,0.47619047619047616\n" * 8)
 with open(const, "w") as fh:
     fh.write("x\n" + "887504.3769954721\n" * 7)
+ratio = os.path.join(tmp, "ratio.csv")
+with open(ratio, "w") as fh:
+    fh.write("a,b,c\n" + "".join(f"{2 / (3 + x)!r},{1 / (3 + x)!r},{x / (3 + x)!r}\n"
+                                 for x in np.linspace(0.1, 5.0, 20).tolist()))
 for space, data, code, message in (("simplex", flat, 3, "covariance is singular"),
+                                   ("simplex", ratio, 3, "covariance is singular"),
                                    ("rplus", const, 2, "all observations are identical")):
     refused = subprocess.run([*CODANORM, "fit", "--space", space, "--input", data],
                              capture_output=True, text=True)

@@ -458,51 +458,43 @@ class TestSharedLattice:
         assert np.count_nonzero(~np.isnan(m)) == grid.values.size
 
 
-def log_ratio_of(grid):
-    """The log measure ratio of the cached lattice behind ``grid``."""
-    lattice = _lattice(grid.resolution, math.ceil(grid.margin * grid.resolution))
-    assert lattice.points is grid.points
-    return lattice.log_ratio
-
-
 class TestLatticeLogRatio:
-    """The lattice holds its cells' log measure ratio, the law-independent term of every
-    Lebesgue grid, built by the first one; ``points`` is the transpose of its
-    coordinate-major storage, and its index arrays are built when first read."""
+    """The lattice holds no log measure ratio, nor anything else that depends on a law:
+    every grid runs the simplex's log-density kernel, which adds the ratio under the
+    Lebesgue tag.  ``points`` is the transpose of the lattice's coordinate-major storage,
+    and its index arrays are built when first read."""
 
-    def test_the_ratio_and_the_points_are_read_only_views_of_one_lattice(self):
+    def test_the_points_are_a_read_only_view_of_one_lattice(self):
         grid = ternary_density_grid(with_lebesgue_reference(_NSD3), resolution=70)
-        log_ratio = log_ratio_of(grid)
-        assert log_ratio.shape == (grid.values.size,) and not log_ratio.flags.writeable
-        with pytest.raises(ValueError):
-            log_ratio[0] = 0.0
+        assert grid.points is _lattice(70, 1).points
         assert grid.points.T.flags.c_contiguous and not grid.points.base.flags.writeable
+        with pytest.raises(ValueError):
+            grid.points[0, 0] = 0.0
 
-    def test_one_ratio_serves_every_law_and_basis_at_a_lattice(self):
+    def test_one_lattice_serves_every_law_and_basis(self):
         first = ternary_density_grid(AlnLaw([0.3, -0.2], [[0.9, 0.1], [0.1, 0.7]]), 80)
-        log_ratio = log_ratio_of(first)
         for law in (AlnLaw([-1.0, 2.0], 1e-3 * np.eye(2)),
                     AlnLaw([0.5, 0.5], np.eye(2), random_basis(3, np.random.default_rng(5))),
                     NormalOnSimplex([0.0, 1.0], np.eye(2))):
-            assert log_ratio_of(ternary_density_grid(law, 80)) is log_ratio
+            assert ternary_density_grid(law, 80).points is first.points
         other = ternary_density_grid(first.law, 81)
-        assert log_ratio_of(other) is not log_ratio
-        assert other.values.size == log_ratio_of(other).size
+        assert other.points is not first.points and other.values.size == len(other.points)
 
     @pytest.mark.parametrize("resolution, margin", [(60, 1e-4), (250, 0.01), (300, 1e-4)])
-    def test_the_ratio_has_the_bits_of_the_measure_ratio_kernel(self, resolution, margin):
-        grid = ternary_density_grid(_NSD3, resolution, margin)
-        want = simplex._log_measure_ratio(simplex.clr_rows(grid.points))
-        assert log_ratio_of(grid).tobytes() == want.tobytes()
+    def test_both_labels_have_the_bits_of_the_pdf_rows(self, resolution, margin):
+        aln = with_lebesgue_reference(_NSD3)
+        for law, pdf_rows in ((_NSD3, nsd_pdf_rows), (aln, aln_pdf_rows)):
+            grid = ternary_density_grid(law, resolution, margin)
+            assert grid.values.tobytes() == pdf_rows(law, grid.points).tobytes()
 
-    def test_the_ratio_and_the_index_arrays_are_built_on_first_use(self):
+    def test_the_index_arrays_are_built_on_first_use_and_nothing_else_is_kept(self):
         grid = ternary_density_grid(_NSD3, resolution=77)
         lattice = _lattice(77, 1)
-        assert lattice.points is grid.points and not {"indices", "log_ratio"} & set(vars(lattice))
+        held = set(vars(lattice))
+        assert lattice.points is grid.points and "indices" not in held
         i_index = grid.i_index
-        assert set(vars(lattice)) >= {"indices"} and "log_ratio" not in vars(lattice)
         aln = ternary_density_grid(with_lebesgue_reference(_NSD3), 77)
-        assert "log_ratio" in vars(lattice) and aln.i_index is i_index
+        assert set(vars(lattice)) == held | {"indices"} and aln.i_index is i_index
         ii, jj = mask_indices(77, 1e-4)
         assert np.array_equal(i_index, ii) and np.array_equal(grid.j_index, jj)
 

@@ -308,6 +308,26 @@ def two_part_fits():
 """
 
 
+def _two_parts_in_one_ratio(third):
+    return np.column_stack([np.full(third.size, 2.0), np.ones(third.size), third])
+
+
+_RATIO = _two_parts_in_one_ratio(np.random.default_rng(0).uniform(0.1, 5.0, 20))
+
+# rank-deficient part tables on which Cholesky completes: x1 / x2 = 2 with x3 uniform on
+# (0.1, 5), in the default and in a random basis; x3 log-uniform on (1e-3, 1e3); and equal
+# compositions that differ in their last bits after closing, every entry of the
+# covariance near 1e-32
+_RANK_DEFICIENT = {
+    "ratio": (_RATIO, None),
+    "ratio, random basis": (_RATIO, random_basis(3, np.random.default_rng(1))),
+    "ratio, log-uniform": (_two_parts_in_one_ratio(
+        np.exp(np.random.default_rng(0).uniform(math.log(1e-3), math.log(1e3), 20))), None),
+    "equal compositions": ([np.array([10.0, 1.0, 10.0]) / 21.0 * (1.0 + k * 1e-8)
+                            for k in range(8)], None),
+}
+
+
 class TestFitNsd:
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
                         reason="needs two CPUs")
@@ -344,6 +364,27 @@ class TestFitNsd:
         comp = closure([0.5, 0.3, 0.2])
         with pytest.raises(SingularCovarianceError):
             fit_nsd(SimplexSample([comp] * 10))
+
+    @pytest.mark.parametrize("table", sorted(_RANK_DEFICIENT))
+    def test_rank_deficient_tables_are_refused(self, table):
+        # Cholesky completed on each, on a covariance whose smallest eigenvalue is rounding
+        rows, basis = _RANK_DEFICIENT[table]
+        with pytest.raises(SingularCovarianceError, match="covariance is singular"):
+            fit_nsd(SimplexSample.from_rows(rows, basis=basis))
+
+    @given(st.integers(3, 6), st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0),
+           st.sampled_from([1e-200, 1.0, 1e200]), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_with_two_parts_in_one_ratio_are_refused(self, D, seed, log_ratio, kappa,
+                                                           random):
+        # the clr rows lie in a hyperplane, whatever the size of the parts or the basis
+        gen = np.random.default_rng(seed)
+        rows = np.exp(gen.normal(0.0, gen.uniform(0.1, 10.0), (gen.integers(D, 60), D)))
+        rows[:, 1] = rows[:, 0] * math.exp(log_ratio)
+        basis = random_basis(D, gen) if random else None
+        sample = SimplexSample.from_rows(closure_rows(rows, kappa), kappa, basis)
+        with pytest.raises(SingularCovarianceError, match="covariance is singular"):
+            fit_nsd(sample)
 
     def test_too_few_rows(self):
         with pytest.raises(InsufficientDataError):

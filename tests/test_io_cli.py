@@ -353,6 +353,25 @@ class TestCliFit:
         assert code == 3
         assert "singular" in err.lower()
 
+    @pytest.mark.parametrize("third", [
+        np.random.default_rng(0).uniform(0.1, 5.0, 20),
+        np.exp(np.random.default_rng(0).uniform(math.log(1e-3), math.log(1e3), 20)),
+        None,
+    ], ids=["ratio", "ratio, log-uniform", "equal compositions"])
+    def test_rank_deficient_tables_exit_3(self, capsys, tmp_path, third):
+        # x1 / x2 = 2 with x3 uniform or log-uniform, or eight equal compositions that
+        # differ in their last bits after closing: Cholesky completed on each covariance
+        if third is None:
+            rows = [np.array([10.0, 1.0, 10.0]) / 21.0 * (1.0 + k * 1e-8) for k in range(8)]
+        else:
+            raw = np.column_stack([np.full(third.size, 2.0), np.ones(third.size), third])
+            rows = raw / raw.sum(axis=1, keepdims=True)
+        p = tmp_path / "table.csv"
+        _write_csv(p, ["a", "b", "c"], rows)
+        code, out, err = run_cli(capsys, "fit", "--input", str(p), "--space", "simplex")
+        assert code == 3 and out == ""
+        assert "covariance is singular" in err
+
     def test_eight_part_fit_too_wide_for_the_quadrature_exits_0(self, capsys, tmp_path):
         # the coordinate covariance is about 6 I: too wide for the classical
         # mean's node budget, so that mean is null with its reason
@@ -766,20 +785,37 @@ class TestImportPath:
 
 
 @pytest.mark.skipif(shutil.which("taskset") is None, reason="the smoke pins runs with taskset")
-def test_numpy_only_smoke(tmp_path):
-    # CI runs tests/smoke_numpy_only.py after a plain install; here a sitecustomize refuses
-    # scipy in the script and in every CLI process it starts (find_spec then reports it
-    # missing, as a plain install would), and `python -m codanorm.cli` stands in for the
-    # console script, as tier-1 runs from src without an install; its files go to tmp_path
-    (tmp_path / "sitecustomize.py").write_text("import sys\nsys.modules['scipy'] = None\n")
+def _numpy_only_smoke(tmp_path, *console):
+    """Run ``tests/smoke_numpy_only.py`` with ``console`` standing in for the console script,
+    a sitecustomize that refuses scipy in the script and in every process it starts
+    (``find_spec`` then reports it missing, as a plain install would), and a TMPDIR of its
+    own; returns the result and that directory."""
+    site, scratch = tmp_path / "site", tmp_path / "tmp"
+    site.mkdir()
+    scratch.mkdir()
+    (site / "sitecustomize.py").write_text("import sys\nsys.modules['scipy'] = None\n")
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    path = os.pathsep.join([str(tmp_path), str(src), os.environ.get("PYTHONPATH", "")])
+    path = os.pathsep.join([str(site), str(src), os.environ.get("PYTHONPATH", "")])
     smoke = pathlib.Path(__file__).with_name("smoke_numpy_only.py")
-    result = subprocess.run([sys.executable, str(smoke), sys.executable, "-m", "codanorm.cli"],
-                            capture_output=True, text=True,
-                            env={**os.environ, "PYTHONPATH": path, "TMPDIR": str(tmp_path)})
+    result = subprocess.run([sys.executable, str(smoke), *console], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path, "TMPDIR": str(scratch)})
+    return result, scratch
+
+
+def test_numpy_only_smoke(tmp_path):
+    # CI runs the smoke after a plain install; tier-1 runs from src without an install, so
+    # `python -m codanorm.cli` stands in for the console script.  It leaves its TMPDIR empty
+    result, scratch = _numpy_only_smoke(tmp_path, sys.executable, "-m", "codanorm.cli")
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("fit keys:"), result.stdout
+    assert os.listdir(scratch) == []
+
+
+def test_numpy_only_smoke_removes_its_directory_when_a_check_fails(tmp_path):
+    # a stand-in console script that fails makes the smoke's first run raise
+    result, scratch = _numpy_only_smoke(tmp_path, sys.executable, "-c", "raise SystemExit(1)")
+    assert result.returncode == 1 and "CalledProcessError" in result.stderr, result.stderr
+    assert os.listdir(scratch) == []
 
 
 _LINE_LAW = (0.4, 0.8)
@@ -1054,13 +1090,20 @@ def positive_columns(draw):
 
 
 @st.composite
-def part_tables(draw):
+def part_tables(draw, rank_deficient=None):
     """D-part rows with parts down to 1e-300 of their total, each row's sum within
-    1e-7 of 1 (re-closed by the reader): spread, all rows equal, or a single row."""
+    1e-7 of 1 (re-closed by the reader): spread, all rows equal, or a single row; in a
+    rank-deficient table (drawn, unless ``rank_deficient`` says) the first two parts keep
+    one ratio, so the clr rows lie in a hyperplane."""
     d_parts, n = draw(st.integers(2, 4)), draw(st.integers(1, 12))
+    if rank_deficient is None:
+        rank_deficient = draw(st.booleans())
+    ratio = draw(st.floats(1e-3, 1e3)) if rank_deficient else None
 
     def row():
         raw = np.array([_significand_and_exponent(draw, -300, 0) for _ in range(d_parts)])
+        if ratio is not None:
+            raw[1] = raw[0] * ratio
         return raw / raw.sum() * (1.0 + draw(st.floats(-1e-7, 1e-7)))
 
     if draw(st.booleans()):
@@ -1123,6 +1166,15 @@ class TestCliFuzz:
                 _fuzz_job(tmp, "sample", "--law", "nrp", f"--mu={law['mu']!r}",
                           f"--sigma2={law['sigma2']!r}", "-n", "20", "-o",
                           os.path.join(tmp, "draws.csv"))
+
+    @given(part_tables(rank_deficient=True))
+    @settings(max_examples=50, deadline=None)
+    def test_rank_deficient_part_files_exit_3(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            data = os.path.join(tmp, "data.csv")
+            _write_csv(data, [f"p{k}" for k in range(len(rows[0]))], rows)
+            code, _ = _fuzz_job(tmp, "fit", "--input", data, "--space", "simplex")
+            assert code == (2 if len(rows) < len(rows[0]) else 3)
 
     # a wide fitted law spends up to about 2 s in the classical ALN mean's quadrature
     @given(part_tables(), st.sampled_from(["nsd", "aln"]))
